@@ -47,6 +47,7 @@ class CountingConfig:
             raise DomainError("CountingConfig: split must be in (0, 1)")
         if self.workers < 1:
             raise DomainError("CountingConfig: workers must be >= 1")
+        kernels.check_seed(self.seed, "CountingConfig")
 
 
 @dataclass(frozen=True)

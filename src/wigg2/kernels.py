@@ -8,6 +8,10 @@ across backends and independent of how the index range is partitioned
 across workers.  Floating-point bootstrap moments may differ in the last
 ulp between backends (summation order only).
 
+The numpy backend hashes counters in place: `uniforms_np` works in one
+fresh buffer pair, and `boot_moments_np` allocates its working buffers
+once per call and reuses them for every bootstrap member.
+
 Per-window draw layout for the HBT simulator (5 uniforms per window):
     u0 -> photon number n from the state's cdf
     u1 -> survivors after detector-efficiency thinning, Binomial(n, eta)
@@ -20,6 +24,8 @@ from __future__ import annotations
 import os
 
 import numpy as np
+
+from .errors import DomainError
 
 _DISABLE = os.environ.get("WIGG2_NO_NUMBA", "0").lower() in ("1", "true", "yes")
 
@@ -38,32 +44,63 @@ def backend_name() -> str:
     return "numba" if HAVE_NUMBA else "numpy"
 
 
+def check_seed(seed, what: str) -> None:
+    """Raise DomainError unless seed is an integer in [0, 2^63).  The
+    bound leaves headroom for the offsets callers add to derive
+    per-angle and per-row seeds inside the uint64 counter space."""
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**63:
+        raise DomainError(f"{what}: seed must be an integer in [0, 2**63), "
+                          f"got {seed!r}")
+
+
 # splitmix64 constants
 _PHI = np.uint64(0x9E3779B97F4A7C15)
 _C1 = np.uint64(0xBF58476D1CE4E5B9)
 _C2 = np.uint64(0x94D049BB133111EB)
 _STEP = np.uint64(0xD1342543DE82EF95)
 _INV53 = 1.0 / 9007199254740992.0  # 2^-53
+_S11, _S27, _S30, _S31 = (np.uint64(k) for k in (11, 27, 30, 31))
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 # ---------------------------------------------------------------------------
 # pure-numpy backend
 
 
-def _mix_np(z):
-    z = (z + _PHI).astype(np.uint64)
-    z = (z ^ (z >> np.uint64(30))) * _C1
-    z = (z ^ (z >> np.uint64(27))) * _C2
-    return z ^ (z >> np.uint64(31))
+def _mix_np(z, tmp):
+    """splitmix64 finaliser of the uint64 array z, in place; tmp is a
+    scratch array of the same shape."""
+    np.add(z, _PHI, out=z)
+    for shift, mult in ((_S30, _C1), (_S27, _C2)):
+        np.right_shift(z, shift, out=tmp)
+        np.bitwise_xor(z, tmp, out=z)
+        np.multiply(z, mult, out=z)
+    np.right_shift(z, _S31, out=tmp)
+    np.bitwise_xor(z, tmp, out=z)
+    return z
+
+
+def _draw_bits(z, seed, draw, tmp):
+    """Turn z = idx * _PHI (mod 2^64) in place into the 53 random bits of
+    draw number `draw` for those stream indices."""
+    np.bitwise_xor(z, np.uint64(seed), out=z)
+    _mix_np(z, tmp)
+    if draw:
+        np.add(z, np.uint64((int(draw) * int(_STEP)) & _MASK64), out=z)
+    _mix_np(z, tmp)
+    np.right_shift(z, _S11, out=z)
+    return z
 
 
 def uniforms_np(seed: int, idx: np.ndarray, draw: int) -> np.ndarray:
     """Uniform (0,1) doubles for (stream index, draw number), vectorized
     over idx."""
-    h = _mix_np(np.uint64(seed) ^ (idx.astype(np.uint64) * _PHI))
-    offset = np.uint64((int(draw) * 0xD1342543DE82EF95) & 0xFFFFFFFFFFFFFFFF)
-    z = _mix_np(h + offset)
-    return (z >> np.uint64(11)).astype(np.float64) * _INV53
+    z = idx.astype(np.uint64)
+    np.multiply(z, _PHI, out=z)
+    _draw_bits(z, seed, draw, np.empty_like(z))
+    u = z.astype(np.float64)
+    u *= _INV53
+    return u
 
 
 def _binom_icdf_np(n: np.ndarray, p: float, u: np.ndarray) -> np.ndarray:
@@ -115,16 +152,29 @@ def hbt_counts_np(cdf, eta, split, dark, seed, start, stop, chunk=1_000_000):
 
 def boot_moments_np(x, n_boot, seed):
     """Bootstrap (mean, unbiased variance) pairs via counter-based
-    resampling — numpy backend."""
+    resampling — numpy backend.
+
+    Member b draws stream indices b*n .. b*n + n - 1.  Their hash inputs
+    are (b*n + j) * _PHI = b*n*_PHI + j*_PHI (mod 2^64), so the j*_PHI
+    row is built once and each member adds one scalar to it in place.
+    """
     n = len(x)
     means = np.empty(n_boot)
     variances = np.empty(n_boot)
+    base = np.arange(n, dtype=np.uint64)
+    np.multiply(base, _PHI, out=base)
+    z = np.empty_like(base)
+    tmp = np.empty_like(base)
+    u = np.empty(n)
+    ix = np.empty(n, dtype=np.int64)
+    xs = np.empty(n, dtype=x.dtype)
     for b in range(n_boot):
-        idx = np.arange(np.uint64(b) * np.uint64(n),
-                        np.uint64(b) * np.uint64(n) + np.uint64(n),
-                        dtype=np.uint64)
-        u = uniforms_np(seed, idx, 0)
-        xs = x[(u * n).astype(np.int64)]
+        np.add(base, np.uint64((b * n * int(_PHI)) & _MASK64), out=z)
+        _draw_bits(z, seed, 0, tmp)
+        np.multiply(z, _INV53, out=u)
+        np.multiply(u, n, out=u)
+        np.copyto(ix, u, casting="unsafe")
+        np.take(x, ix, out=xs)
         s = float(xs.sum())
         ss = float(np.dot(xs, xs))
         mean = s / n

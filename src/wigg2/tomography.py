@@ -43,10 +43,17 @@ class HomodyneDataset:
             raise DomainError("HomodyneDataset: need at least one angle")
         if np.any(angles < 0.0) or np.any(angles >= math.pi):
             raise DomainError("HomodyneDataset: angles must lie in [0, pi)")
+        samples = tuple(np.asarray(s, dtype=float) for s in self.samples)
+        if len(samples) != angles.size:
+            raise DomainError(f"HomodyneDataset: {len(samples)} sample arrays "
+                              f"for {angles.size} angles")
+        for k, s in enumerate(samples):
+            if s.ndim != 1 or s.size < 2 or not np.isfinite(s).all():
+                raise DomainError(f"HomodyneDataset: sample array {k} must be "
+                                  "1-D with >= 2 samples, all finite")
         angles.setflags(write=False)
         object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "samples",
-                           tuple(np.asarray(s, dtype=float) for s in self.samples))
+        object.__setattr__(self, "samples", samples)
 
 
 @dataclass(frozen=True)
@@ -86,6 +93,7 @@ def simulate_homodyne(
     of the (attenuated) state.  Deterministic in seed."""
     if per_angle < 2:
         raise DomainError("simulate_homodyne: per_angle must be >= 2")
+    kernels.check_seed(seed, "simulate_homodyne")
     lossy = attenuate(state, eta_hd)
     rng = np.random.default_rng(seed)
     samples = []
@@ -161,6 +169,10 @@ def estimate_covariance(
 ) -> ReconstructionResult:
     """Estimate mean and covariance from a homodyne dataset, with
     per-angle bootstrap resamples (size n_boot) for interval inference."""
+    if not isinstance(n_boot, (int, np.integer)) or n_boot < 2:
+        raise DomainError(f"estimate_covariance: n_boot must be an integer "
+                          f">= 2, got {n_boot!r}")
+    kernels.check_seed(boot_seed, "estimate_covariance")
     means = np.array([s.mean() for s in data.samples])
     variances = np.array([s.var(ddof=1) for s in data.samples])
     vxx, vpp, vxp, resid = _solve_covariance(data.angles, variances)

@@ -155,6 +155,13 @@ class TestHomodyne:
         assert rep["cov"][0] == pytest.approx(0.25, rel=0.05)
         assert rep["g2_ci"][0] <= rep["g2"] <= rep["g2_ci"][1]
 
+    def test_negative_seed_exit_3(self, capsys):
+        code, _, err = run(capsys, "homodyne", "--squeezed", "0.5", "0",
+                           "--per-angle", "100", "--seed", "-1",
+                           "--reconstruct")
+        assert code == 3
+        assert "seed" in err
+
     def test_malformed_angles_exit_2(self, capsys):
         code, _, _ = run(capsys, "homodyne", "--thermal", "1", "--angles",
                          "0,forty-five")
@@ -188,6 +195,13 @@ class TestSweep:
         else:
             # noisy g2_direct can fall outside the g2 > 3 branch
             assert code == 3
+
+    def test_negative_seed_exit_3(self, capsys, tmp_path):
+        code, _, err = run(capsys, "sweep", "--r", "0.4", "--thetas", "0",
+                           "--windows", "1000", "--per-angle", "100",
+                           "--seed", "-1", "--out", str(tmp_path / "s.csv"))
+        assert code == 3
+        assert "seed" in err
 
     def test_missing_row_exit_2(self, capsys, tmp_path):
         f = tmp_path / "s.csv"

@@ -25,6 +25,11 @@ class TestConfig:
         with pytest.raises(DomainError):
             CountingConfig(n_windows=10, split=0.0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**63, 2**64])
+    def test_seed_out_of_range(self, seed):
+        with pytest.raises(DomainError):
+            CountingConfig(n_windows=10, seed=seed)
+
 
 class TestSimulateHbt:
     def test_vacuum_dark_free(self):

@@ -5,6 +5,43 @@ from wigg2 import kernels
 from wigg2.kernels import (boot_moments_np, hbt_counts_np, uniforms_np)
 
 
+# Frozen copy of the allocating counter-RNG bootstrap the in-place kernel
+# replaced; the kernel must reproduce it bit for bit.
+_PHI = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _mix_oracle(z):
+    z = (z + _PHI).astype(np.uint64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _uniforms_oracle(seed, idx, draw):
+    h = _mix_oracle(np.uint64(seed) ^ (idx.astype(np.uint64) * _PHI))
+    offset = np.uint64((int(draw) * 0xD1342543DE82EF95) & 0xFFFFFFFFFFFFFFFF)
+    z = _mix_oracle(h + offset)
+    return (z >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+
+def _boot_moments_oracle(x, n_boot, seed):
+    n = len(x)
+    means = np.empty(n_boot)
+    variances = np.empty(n_boot)
+    for b in range(n_boot):
+        idx = np.arange(np.uint64(b) * np.uint64(n),
+                        np.uint64(b) * np.uint64(n) + np.uint64(n),
+                        dtype=np.uint64)
+        u = _uniforms_oracle(seed, idx, 0)
+        xs = x[(u * n).astype(np.int64)]
+        s = float(xs.sum())
+        ss = float(np.dot(xs, xs))
+        mean = s / n
+        means[b] = mean
+        variances[b] = (ss - n * mean * mean) / (n - 1)
+    return means, variances
+
+
 class TestCounterRng:
     def test_uniform_range_and_determinism(self):
         idx = np.arange(10000, dtype=np.uint64)
@@ -19,6 +56,36 @@ class TestCounterRng:
         u = uniforms_np(7, idx, 0)
         assert abs(u.mean() - 0.5) < 0.005
         assert abs(u.var() - 1 / 12) < 0.002
+
+    @pytest.mark.parametrize("seed,idx,draw,expected", [
+        (0, 0, 0, 0.6524484863740322),
+        (0, 1, 0, 0.27623358227789463),
+        (7, 12345, 1, 0.5470576575311659),
+        (2**63 - 1, 2**40, 4, 0.6434488121097064),
+        (123, 999_999, 2, 0.468289461620348),
+    ])
+    def test_golden_values(self, seed, idx, draw, expected):
+        u = uniforms_np(seed, np.array([idx], dtype=np.uint64), draw)
+        assert u[0] == expected
+
+    def test_matches_oracle(self):
+        idx = np.arange(2**40, 2**40 + 5000, dtype=np.uint64)
+        for seed in (0, 7, 2**63 - 1):
+            for draw in (0, 1, 4):
+                assert np.array_equal(uniforms_np(seed, idx, draw),
+                                      _uniforms_oracle(seed, idx, draw))
+
+
+class TestBootMomentsBitIdentity:
+    @pytest.mark.parametrize("n", [2, 3, 17, 99_999, 100_000])
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 - 1])
+    @pytest.mark.parametrize("n_boot", [1, 13])
+    def test_matches_allocating_oracle(self, n, seed, n_boot):
+        x = np.random.default_rng(n).normal(0.3, 1.1, n)
+        m, v = boot_moments_np(x, n_boot, seed)
+        m_ref, v_ref = _boot_moments_oracle(x, n_boot, seed)
+        assert np.array_equal(m, m_ref)
+        assert np.array_equal(v, v_ref)
 
 
 class TestBackendEquivalence:

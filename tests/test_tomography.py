@@ -58,6 +58,49 @@ class TestSimulateHomodyne:
             HomodyneDataset(np.array([math.pi]), (np.zeros(10),), 0, 1.0)
 
 
+class TestInputValidation:
+    @pytest.mark.parametrize("seed", [-1, 2**63, 2**64, 1.5])
+    def test_simulate_homodyne_rejects_seed(self, seed):
+        with pytest.raises(DomainError):
+            simulate_homodyne(vacuum(), ANGLES12[:3], 100, seed=seed)
+
+    @pytest.mark.parametrize("boot_seed", [-1, 2**63, 2**64])
+    def test_estimate_covariance_rejects_boot_seed(self, boot_seed):
+        data = simulate_homodyne(thermal(1.0), ANGLES12[:3], 100, seed=1)
+        with pytest.raises(DomainError):
+            estimate_covariance(data, boot_seed=boot_seed)
+
+    def test_largest_seeds_accepted(self):
+        data = simulate_homodyne(thermal(1.0), ANGLES12[:3], 100,
+                                 seed=2**63 - 1)
+        rec = estimate_covariance(data, n_boot=2, boot_seed=2**63 - 1)
+        assert len(rec.bootstrap_states) == 2
+
+    @pytest.mark.parametrize("n_boot", [0, 1, -3, 2.0])
+    def test_n_boot_invalid(self, n_boot):
+        data = simulate_homodyne(squeezed_vacuum(0.5, 0.0), ANGLES12, 1000,
+                                 seed=1)
+        with pytest.raises(DomainError):
+            estimate_covariance(data, n_boot=n_boot, boot_seed=2)
+
+    def test_one_sample_per_angle(self):
+        samples = tuple(np.array([0.1 * k]) for k in range(12))
+        with pytest.raises(DomainError):
+            HomodyneDataset(ANGLES12, samples, 0, 1.0)
+
+    def test_sample_arrays_must_match_angles(self):
+        data = simulate_homodyne(thermal(1.0), ANGLES12, 100, seed=1)
+        with pytest.raises(DomainError):
+            HomodyneDataset(ANGLES12, data.samples[:11], 0, 1.0)
+
+    def test_non_finite_samples(self):
+        data = simulate_homodyne(thermal(1.0), ANGLES12[:3], 100, seed=1)
+        bad = (data.samples[0], np.append(data.samples[1], np.nan),
+               data.samples[2])
+        with pytest.raises(DomainError):
+            HomodyneDataset(ANGLES12[:3], bad, 0, 1.0)
+
+
 class TestEstimateCovariance:
     def test_noiseless_roundtrip(self):
         rng = np.random.default_rng(47)
