@@ -1,11 +1,15 @@
 """Monte-Carlo Hanbury Brown-Twiss arm: beam splitter plus two threshold
 (click/no-click) detectors.
 
-Each detection window is independent: a photon number is drawn from the
-state's distribution, thinned by the detector efficiency, split
-binomially between the detectors, and each detector clicks on >= 1
-photon or a dark event.  Randomness is counter-based per window, so
-aggregate counts are bit-identical for any worker count.
+Each detection window is independent: a photon number n is drawn from
+the state's distribution, and each detector clicks if it detects >= 1
+photon or fires a dark event.  Given n, a threshold detector pair only
+needs three no-click probabilities (`kernels.no_click_probs`):
+(1-eta)^n for neither detector, (1-eta split)^n for detector 1 and
+(1-eta(1-split))^n for detector 2.  The simulator draws each window's
+click pattern from them, and `expected_click_g2` averages them over the
+distribution, so both use one model.  Randomness is counter-based per
+window, so aggregate counts are bit-identical for any worker count.
 
 The click estimator g2 ~ nc * N / (n1 * n2) carries an O(<n>) bias at
 larger photon numbers (threshold detectors saturate); it is the standard
@@ -101,13 +105,12 @@ def expected_click_g2(dist: PhotonNumberDistribution, config: CountingConfig):
     by multi-photon windows), which for strongly bunched near-vacuum
     light requires small eta, not just small <n>.
     """
-    n = np.arange(dist.n_max + 1, dtype=float)
-    e1 = config.eta_det * config.split
-    e2 = config.eta_det * (1.0 - config.split)
+    qb_n, q1_n, q2_n = kernels.no_click_probs(dist.n_max, config.eta_det,
+                                              config.split)
     d = config.dark_prob
-    q1 = (1.0 - d) * float(np.dot(dist.probs, (1.0 - e1) ** n))
-    q2 = (1.0 - d) * float(np.dot(dist.probs, (1.0 - e2) ** n))
-    qb = (1.0 - d) ** 2 * float(np.dot(dist.probs, (1.0 - config.eta_det) ** n))
+    q1 = (1.0 - d) * float(np.dot(dist.probs, q1_n))
+    q2 = (1.0 - d) * float(np.dot(dist.probs, q2_n))
+    qb = (1.0 - d) ** 2 * float(np.dot(dist.probs, qb_n))
     p1, p2 = 1.0 - q1, 1.0 - q2
     pc = 1.0 - q1 - q2 + qb
     return pc / (p1 * p2)
@@ -133,6 +136,7 @@ def bootstrap_g2_clicks(rec: CountingRecord, n_boot: int = 200, seed: int = 0):
     """Parametric bootstrap of the click estimator: re-draw (n1, n2, nc)
     binomially at the observed rates.  Returns the g2 draws (invalid
     resamples with zero singles are skipped)."""
+    kernels.check_seed(seed, "bootstrap_g2_clicks")
     rng = np.random.default_rng(seed)
     N = rec.n_windows
     draws = []
@@ -151,6 +155,7 @@ def sample_photon_numbers(
     state: GaussianState, n_samples: int, seed: int = 0, n_max: int = 64
 ) -> np.ndarray:
     """Draw photon numbers from the state's distribution (no detector model)."""
+    kernels.check_seed(seed, "sample_photon_numbers")
     dist = photon_number_distribution(state, n_max, tol=1e-9)
     cdf = dist.cdf()
     u = np.random.default_rng(seed).random(n_samples)
@@ -161,6 +166,7 @@ def g2_estimate_numbers(samples, n_boot: int = 200, seed: int = 0):
     """(value, std_error) of g2 = <n(n-1)>/<n>^2 from photon-number
     samples; std_error via seeded nonparametric bootstrap (multinomial
     resampling of the empirical distribution)."""
+    kernels.check_seed(seed, "g2_estimate_numbers")
     samples = np.asarray(samples, dtype=np.int64)
     if samples.size == 0 or samples.sum() <= 0:
         raise DomainError("g2_estimate_numbers: no photons in the sample")

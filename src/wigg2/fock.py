@@ -73,7 +73,8 @@ def photon_number_distribution(
     """Photon-number probabilities of a Gaussian state up to n_max.
 
     Raises TruncationError (with a suggested n_max) if the tail mass
-    beyond n_max exceeds tol.
+    beyond n_max exceeds tol, and DomainError if the quadrature
+    overflows to non-finite probabilities or tail mass.
     """
     if n_max < 0:
         raise DomainError(f"photon_number_distribution: n_max must be >= 0, got {n_max}")
@@ -102,17 +103,27 @@ def photon_number_distribution(
     probs = np.empty(n_max + 1)
     lm1 = np.ones_like(r2)
     probs[0] = pref * float((wt * lm1).sum())
-    if n_max >= 1:
-        ln = 1.0 - r2
-        probs[1] = -pref * float((wt * ln).sum())
-        sign = 1.0
-        for k in range(1, n_max):
-            lm1, ln = ln, ((2.0 * k + 1.0 - r2) * ln - k * lm1) / (k + 1.0)
-            probs[k + 1] = sign * pref * float((wt * ln).sum())
-            sign = -sign
+    # an overflow shows up as non-finite probabilities, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n_max >= 1:
+            ln = 1.0 - r2
+            probs[1] = -pref * float((wt * ln).sum())
+            sign = 1.0
+            for k in range(1, n_max):
+                lm1, ln = ln, ((2.0 * k + 1.0 - r2) * ln - k * lm1) / (k + 1.0)
+                probs[k + 1] = sign * pref * float((wt * ln).sum())
+                sign = -sign
 
     probs[probs < 0.0] = 0.0
     tail = 1.0 - float(probs.sum())
+    if not (np.isfinite(probs).all() and math.isfinite(tail)):
+        # the quadrature overflows at large n_max or photon number; a
+        # larger n_max (what TruncationError suggests) makes it worse
+        raise DomainError(
+            f"photon_number_distribution: non-finite probabilities at "
+            f"n_max={n_max} ({int(np.count_nonzero(~np.isfinite(probs)))} "
+            f"of {n_max + 1}); the Fock quadrature overflowed"
+        )
     if tail < 0.0 and tail > -1e-9:
         tail = 0.0
     if tail > tol:

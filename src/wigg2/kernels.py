@@ -12,11 +12,17 @@ The numpy backend hashes counters in place: `uniforms_np` works in one
 fresh buffer pair, and `boot_moments_np` allocates its working buffers
 once per call and reuses them for every bootstrap member.
 
-Per-window draw layout for the HBT simulator (5 uniforms per window):
+Per-window draw layout for the HBT simulator (2 uniforms per window,
+4 with dark counts):
     u0 -> photon number n from the state's cdf
-    u1 -> survivors after detector-efficiency thinning, Binomial(n, eta)
-    u2 -> split to detector 1, Binomial(m, split)
-    u3, u4 -> dark events on detectors 1 and 2
+    u1 -> click pattern given n, cut at the per-n no-click probabilities
+          qb = (1-eta)^n, q2 = (1-eta(1-split))^n, q1 = (1-eta split)^n:
+          [0, qb) none, [qb, q2) detector 1 only,
+          [q2, q2 + q1 - qb) detector 2 only, the rest both
+    u2, u3 -> dark events on detectors 1 and 2, drawn only when dark > 0
+Threshold detectors only see whether each got >= 1 photon, so this is the
+exact model (`no_click_probs`, shared with counting.expected_click_g2)
+at O(1) cost per window.
 """
 
 from __future__ import annotations
@@ -103,50 +109,41 @@ def uniforms_np(seed: int, idx: np.ndarray, draw: int) -> np.ndarray:
     return u
 
 
-def _binom_icdf_np(n: np.ndarray, p: float, u: np.ndarray) -> np.ndarray:
-    """Vectorized inverse-CDF Binomial(n, p) draw from uniforms u.
-    n entries must be small non-negative ints."""
-    if p <= 0.0:
-        return np.zeros_like(n)
-    if p >= 1.0:
-        return n.copy()
-    n_max = int(n.max(initial=0))
-    nf = n.astype(np.float64)
-    r = p / (1.0 - p)
-    pmf = (1.0 - p) ** nf
-    cum = pmf.copy()
-    k = np.zeros_like(n)
-    for j in range(n_max):
-        # the (j < n) mask keeps decisions identical to the scalar loop,
-        # which stops at j = n - 1
-        k += ((u >= cum) & (j < n)).astype(n.dtype)
-        pmf = pmf * ((nf - j) * r / (j + 1.0))
-        cum += pmf
-    return np.minimum(k, n)
+def no_click_probs(n_max: int, eta: float, split: float):
+    """(qb, q1, q2) for n = 0..n_max photons at a beam splitter feeding
+    two threshold detectors of efficiency eta: the probabilities that
+    neither detector, detector 1 (fraction `split`) and detector 2 sees
+    a photon, (1-eta)^n, (1-eta split)^n and (1-eta(1-split))^n."""
+    n = np.arange(n_max + 1, dtype=np.float64)
+    return ((1.0 - eta) ** n, (1.0 - eta * split) ** n,
+            (1.0 - eta * (1.0 - split)) ** n)
+
+
+def _pattern_cuts(n_max, eta, split):
+    """Per-n cut points (qb, q2, q2 + q1 - qb) of the u1 click-pattern
+    draw; see the module docstring."""
+    qb, q1, q2 = no_click_probs(n_max, eta, split)
+    return qb, q2, q2 + q1 - qb
 
 
 def hbt_counts_np(cdf, eta, split, dark, seed, start, stop, chunk=1_000_000):
     """Click/coincidence counts for windows [start, stop) — numpy backend."""
     n1 = n2 = nc = 0
     n_max = len(cdf) - 1
+    qb, q2, cut = _pattern_cuts(n_max, eta, split)
     for lo in range(start, stop, chunk):
-        hi = min(lo + chunk, stop)
-        idx = np.arange(lo, hi, dtype=np.uint64)
-        u0 = uniforms_np(seed, idx, 0)
-        n = np.searchsorted(cdf, u0, side="right").astype(np.int64)
+        idx = np.arange(lo, min(lo + chunk, stop), dtype=np.uint64)
+        n = np.searchsorted(cdf, uniforms_np(seed, idx, 0), side="right")
         np.minimum(n, n_max, out=n)
         u1 = uniforms_np(seed, idx, 1)
-        m = _binom_icdf_np(n, eta, u1)
-        u2 = uniforms_np(seed, idx, 2)
-        k1 = _binom_icdf_np(m, split, u2)
-        k2 = m - k1
-        u3 = uniforms_np(seed, idx, 3)
-        u4 = uniforms_np(seed, idx, 4)
-        c1 = (k1 > 0) | (u3 < dark)
-        c2 = (k2 > 0) | (u4 < dark)
-        n1 += int(c1.sum())
-        n2 += int(c2.sum())
-        nc += int((c1 & c2).sum())
+        c2 = u1 >= q2[n]
+        c1 = (u1 >= qb[n]) & ~(c2 & (u1 < cut[n]))
+        if dark > 0.0:
+            c1 |= uniforms_np(seed, idx, 2) < dark
+            c2 |= uniforms_np(seed, idx, 3) < dark
+        n1 += int(np.count_nonzero(c1))
+        n2 += int(np.count_nonzero(c2))
+        nc += int(np.count_nonzero(c1 & c2))
     return n1, n2, nc
 
 
@@ -202,29 +199,8 @@ if HAVE_NUMBA:
         z = _mix_nb(h + draw * numba.uint64(0xD1342543DE82EF95))
         return (z >> numba.uint64(11)) * (1.0 / 9007199254740992.0)
 
-    @numba.njit(numba.int64(numba.int64, numba.float64, numba.float64),
-                cache=True, nogil=True)
-    def _binom_icdf_nb(n, p, u):
-        if p <= 0.0 or n == 0:
-            return 0
-        if p >= 1.0:
-            return n
-        nf = float(n)
-        r = p / (1.0 - p)
-        pmf = (1.0 - p) ** nf
-        cum = pmf
-        k = 0
-        for j in range(n):
-            if u >= cum:
-                k += 1
-            pmf = pmf * ((nf - j) * r / (j + 1.0))
-            cum += pmf
-        if k > n:
-            k = n
-        return k
-
     @numba.njit(cache=True, nogil=True)
-    def hbt_counts_nb(cdf, eta, split, dark, seed, start, stop):
+    def hbt_counts_nb(cdf, qb, q2, cut, dark, seed, start, stop):
         n1 = 0
         n2 = 0
         nc = 0
@@ -237,14 +213,11 @@ if HAVE_NUMBA:
             if n > n_max:
                 n = n_max
             u1 = _uniform_nb(s, idx, numba.uint64(1))
-            m = _binom_icdf_nb(n, eta, u1)
-            u2 = _uniform_nb(s, idx, numba.uint64(2))
-            k1 = _binom_icdf_nb(m, split, u2)
-            k2 = m - k1
-            u3 = _uniform_nb(s, idx, numba.uint64(3))
-            u4 = _uniform_nb(s, idx, numba.uint64(4))
-            c1 = (k1 > 0) or (u3 < dark)
-            c2 = (k2 > 0) or (u4 < dark)
+            c2 = u1 >= q2[n]
+            c1 = (u1 >= qb[n]) and not (c2 and u1 < cut[n])
+            if dark > 0.0:
+                c1 = c1 or _uniform_nb(s, idx, numba.uint64(2)) < dark
+                c2 = c2 or _uniform_nb(s, idx, numba.uint64(3)) < dark
             if c1:
                 n1 += 1
             if c2:
@@ -274,10 +247,10 @@ if HAVE_NUMBA:
         return means, variances
 
     def hbt_counts(cdf, eta, split, dark, seed, start, stop):
+        cdf = np.ascontiguousarray(cdf, dtype=np.float64)
         return hbt_counts_nb(
-            np.ascontiguousarray(cdf, dtype=np.float64),
-            float(eta), float(split), float(dark),
-            np.uint64(seed), np.int64(start), np.int64(stop),
+            cdf, *_pattern_cuts(len(cdf) - 1, float(eta), float(split)),
+            float(dark), np.uint64(seed), np.int64(start), np.int64(stop),
         )
 
     def boot_moments(x, n_boot, seed):

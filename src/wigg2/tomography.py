@@ -255,6 +255,12 @@ class SweepRow:
     vp: float
 
 
+def _row_seed(seed: int, stride: int, i: int) -> int:
+    """Seed of sweep row i derived from a base seed, reduced into the
+    valid range [0, 2^63) so that large base seeds do not overflow."""
+    return (int(seed) + stride * i) % 2**63
+
+
 def hwp_sweep(
     r: float,
     thetas_deg: Sequence[float],
@@ -271,6 +277,7 @@ def hwp_sweep(
     Homodyne rows where inference is unstable (near-vacuum bootstrap
     majority) report NaN for the homodyne columns.
     """
+    kernels.check_seed(seed, "hwp_sweep")
     tb = two_mode_squeezed_vacuum(r)
     rows = []
     for i, th in enumerate(thetas_deg):
@@ -279,14 +286,14 @@ def hwp_sweep(
         cfg = CountingConfig(
             n_windows=counting.n_windows, eta_det=counting.eta_det,
             dark_prob=counting.dark_prob, split=counting.split,
-            seed=counting.seed + 1_000_003 * i, n_max=counting.n_max,
+            seed=_row_seed(counting.seed, 1_000_003, i), n_max=counting.n_max,
             workers=counting.workers,
         )
         rec = simulate_hbt(state, cfg)
         g2d, g2d_err = g2_estimate_clicks(rec)
         data = simulate_homodyne(state, angles, per_angle, eta_hd,
-                                 seed=seed + 2_000_029 * i)
-        recon = estimate_covariance(data, boot_seed=seed + 3_000_073 * i)
+                                 seed=_row_seed(seed, 2_000_029, i))
+        recon = estimate_covariance(data, boot_seed=_row_seed(seed, 3_000_073, i))
         try:
             hom = g2_from_reconstruction(recon, epsilon)
             g2h, lo, hi = hom.value, hom.ci_low, hom.ci_high

@@ -100,6 +100,12 @@ class TestPn:
         assert code == 3
         assert "n_max" in err or err
 
+    def test_non_finite_distribution_exit_3(self, capsys):
+        code, out, err = run(capsys, "pn", "--thermal", "20", "--n-max", "256")
+        assert code == 3
+        assert "non-finite" in err
+        assert "nan" not in out.lower()
+
 
 class TestCount:
     def test_csv_columns_and_determinism(self, capsys, tmp_path):
@@ -127,6 +133,13 @@ class TestCount:
         assert code == 0
         assert f.exists()
         assert (tmp_path / "count.csv.manifest.json").exists()
+
+    def test_non_finite_distribution_exit_3(self, capsys):
+        code, out, err = run(capsys, "count", "--thermal", "20", "--n-max",
+                             "256", "--windows", "10000")
+        assert code == 3
+        assert "non-finite" in err
+        assert out == ""
 
     def test_vacuum_no_singles_exit_4(self, capsys):
         code, _, _ = run(capsys, "count", "--coherent", "0", "0",
@@ -202,6 +215,16 @@ class TestSweep:
                            "--seed", "-1", "--out", str(tmp_path / "s.csv"))
         assert code == 3
         assert "seed" in err
+
+    def test_largest_seed_exit_0(self, capsys, tmp_path):
+        # per-row seeds derived from a seed near 2^63 wrap into range
+        f = tmp_path / "s.csv"
+        code, _, err = run(capsys, "sweep", "--r", "0.4", "--thetas",
+                           "0,22.5", "--seed", "9223372036854775000",
+                           "--windows", "2000", "--per-angle", "500",
+                           "--out", str(f))
+        assert code == 0, err
+        assert len(f.read_text().splitlines()) == 4
 
     def test_missing_row_exit_2(self, capsys, tmp_path):
         f = tmp_path / "s.csv"

@@ -30,6 +30,19 @@ class TestConfig:
         with pytest.raises(DomainError):
             CountingConfig(n_windows=10, seed=seed)
 
+    @pytest.mark.parametrize("call", [
+        lambda seed: bootstrap_g2_clicks(
+            CountingRecord(100, 100, 5, 10_000,
+                           CountingConfig(n_windows=10_000)), seed=seed),
+        lambda seed: sample_photon_numbers(thermal(0.1), 10, seed=seed),
+        lambda seed: g2_estimate_numbers(np.ones(10, dtype=int), seed=seed),
+    ], ids=["bootstrap_g2_clicks", "sample_photon_numbers",
+            "g2_estimate_numbers"])
+    @pytest.mark.parametrize("seed", [-1, 2**63, 1.5])
+    def test_estimator_seed_out_of_range(self, call, seed):
+        with pytest.raises(DomainError, match="seed"):
+            call(seed)
+
 
 class TestSimulateHbt:
     def test_vacuum_dark_free(self):

@@ -68,6 +68,13 @@ class TestPhotonNumberDistribution:
         assert exc.value.tail_mass > 1e-9
         assert exc.value.suggested_n_max > 10
 
+    def test_non_finite_quadrature_raises_domain_error(self):
+        # the quadrature overflows here; a TruncationError would suggest
+        # a larger n_max, which overflows further
+        with pytest.raises(DomainError, match="non-finite") as exc:
+            photon_number_distribution(thermal(20.0), 256)
+        assert not isinstance(exc.value, TruncationError)
+
     def test_accounting(self):
         d = photon_number_distribution(thermal(2.0), 60, tol=1e-6)
         assert d.probs.min() >= 0.0

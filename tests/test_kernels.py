@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wigg2 import kernels
 from wigg2.kernels import (boot_moments_np, hbt_counts_np, uniforms_np)
@@ -120,20 +123,49 @@ class TestBackendEquivalence:
         assert abs(v.mean() - x.var(ddof=1)) < 0.02
 
 
-class TestBinomialInverse:
-    def test_matches_binomial_law(self):
-        from wigg2.kernels import _binom_icdf_np
-        n = np.full(200_000, 6, dtype=np.int64)
-        u = uniforms_np(17, np.arange(200_000, dtype=np.uint64), 0)
-        k = _binom_icdf_np(n, 0.3, u)
-        assert k.min() >= 0 and k.max() <= 6
-        # mean and variance of Binomial(6, 0.3)
-        assert abs(k.mean() - 1.8) < 0.01
-        assert abs(k.var() - 6 * 0.3 * 0.7) < 0.02
+def _point_mass(n):
+    cdf = np.zeros(n + 1)
+    cdf[n] = 1.0
+    return cdf
 
-    def test_edge_probabilities(self):
-        from wigg2.kernels import _binom_icdf_np
-        n = np.array([4, 2, 0], dtype=np.int64)
-        u = np.array([0.3, 0.9, 0.5])
-        assert np.array_equal(_binom_icdf_np(n, 0.0, u), [0, 0, 0])
-        assert np.array_equal(_binom_icdf_np(n, 1.0, u), [4, 2, 0])
+
+class TestClickPattern:
+    @pytest.mark.parametrize("eta", [0.5, 0.95])
+    def test_no_underflow_at_large_photon_number(self, eta):
+        # 1100 photons at eta >= 0.5: both detectors fire in every window
+        # (the no-click probabilities are below 1e-137)
+        assert hbt_counts_np(_point_mass(1100), eta, 0.5, 0.0, 3, 0,
+                             10_000) == (10_000, 10_000, 10_000)
+
+    @pytest.mark.parametrize("n", [0, 1, 6])
+    def test_pattern_frequencies(self, n):
+        eta, split, N = 0.6, 0.3, 200_000
+        n1, n2, nc = hbt_counts_np(_point_mass(n), eta, split, 0.0, 41, 0, N)
+        qb = (1 - eta) ** n
+        q1 = (1 - eta * split) ** n
+        q2 = (1 - eta * (1 - split)) ** n
+        observed = (N - n1 - n2 + nc, n1 - nc, n2 - nc, nc)
+        expected = (qb, q2 - qb, q1 - qb, 1 - q1 - q2 + qb)
+        for count, p in zip(observed, expected):
+            p = min(max(p, 0.0), 1.0)  # round-off of an exact 0 (n = 1)
+            assert abs(count - N * p) <= 5 * math.sqrt(N * p * (1 - p))
+
+    @settings(max_examples=40, deadline=None)
+    @given(weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+           mass=st.floats(0.5, 1.0),
+           eta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           split=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           dark=st.floats(0.0, 0.1, exclude_max=True),
+           seed=st.integers(0, 2**63 - 1),
+           windows=st.integers(1, 3000),
+           cut=st.floats(0.0, 1.0))
+    def test_count_invariants(self, weights, mass, eta, split, dark, seed,
+                              windows, cut):
+        w = np.asarray(weights) + 1e-3
+        cdf = mass * np.cumsum(w) / w.sum()
+        n1, n2, nc = hbt_counts_np(cdf, eta, split, dark, seed, 0, windows)
+        assert 0 <= nc <= min(n1, n2) <= windows
+        mid = int(cut * windows)
+        a = hbt_counts_np(cdf, eta, split, dark, seed, 0, mid)
+        b = hbt_counts_np(cdf, eta, split, dark, seed, mid, windows)
+        assert (n1, n2, nc) == tuple(x + y for x, y in zip(a, b))

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from wigg2.counting import CountingConfig
+from wigg2.counting import (CountingConfig, g2_estimate_clicks,
+                            simulate_hbt)
 from wigg2.errors import (DomainError, FitError, IdentifiabilityError,
                           UnstableInferenceError)
 from wigg2.moments import g2_gaussian
 from wigg2.states import (CovarianceMatrix, GaussianState, PhasePoint,
-                          marginal, squeezed_vacuum,
-                          squeezed_vacuum_with_mean_photon, thermal, vacuum)
+                          hwp_mix, marginal, reduce_mode, squeezed_vacuum,
+                          squeezed_vacuum_with_mean_photon, thermal,
+                          two_mode_squeezed_vacuum, vacuum)
 from wigg2.tomography import (DEFAULT_ANGLES, HomodyneDataset, SweepFit,
                               estimate_covariance,
                               estimate_covariance_from_moments,
@@ -206,6 +208,23 @@ class TestHwpSweep:
         assert rows[1].vp == pytest.approx(math.exp(2 * r) / 2, rel=0.05)
         # direct counting statistically compatible at theta = 0 (thermal)
         assert abs(rows[0].g2_direct - 2.0) < 4 * rows[0].g2_direct_err
+
+
+    def test_row_seeds_wrap_into_range(self):
+        # row 1 derives counting seed big + 1_000_003, beyond 2^63; it
+        # must wrap to (big + 1_000_003) mod 2^63 instead of failing
+        big = 2**63 - 1000
+        cfg = CountingConfig(n_windows=20_000, seed=big)
+        rows = hwp_sweep(0.4, [0.0, 22.5], cfg, per_angle=500, seed=big)
+        state = reduce_mode(hwp_mix(two_mode_squeezed_vacuum(0.4), 22.5), 1)
+        rec = simulate_hbt(state, CountingConfig(
+            n_windows=20_000, seed=(big + 1_000_003) % 2**63))
+        assert (rows[1].g2_direct, rows[1].g2_direct_err) == \
+            g2_estimate_clicks(rec)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed"):
+            hwp_sweep(0.4, [0.0], CountingConfig(n_windows=100), seed=-1)
 
 
 class TestFitSweepModel:
