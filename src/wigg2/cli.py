@@ -171,7 +171,7 @@ def cmd_g2(args):
 def cmd_pn(args):
     state = _state_from_args(args)
     dist = photon_number_distribution(state, args.n_max, tol=args.tol)
-    params = {"n_max": args.n_max, "tol": args.tol}
+    params = {"n_max": args.n_max, "tol": args.tol, "state": state.to_dict()}
     lines = [_manifest_comment("pn", params),
              f"# tail_mass={_fmt(dist.tail_mass)}\n", "n,p\n"]
     for n, p in enumerate(dist.probs):
@@ -195,7 +195,8 @@ def cmd_count(args):
     value, err = g2_estimate_clicks(rec)
     params = {"windows": args.windows, "eta_det": args.eta_det,
               "dark_prob": args.dark_prob, "split": args.split,
-              "seed": args.seed, "n_max": args.n_max, "theta_deg": args.theta_deg}
+              "seed": args.seed, "n_max": args.n_max, "theta_deg": args.theta_deg,
+              "state": state.to_dict()}
     lines = [_manifest_comment("count", params),
              "theta_deg,g2_direct,g2_direct_err,n1,n2,nc,n_windows\n",
              f"{_fmt(args.theta_deg)},{_fmt(value)},{_fmt(err)},"
@@ -222,7 +223,8 @@ def cmd_homodyne(args):
               if args.angles else list(DEFAULT_ANGLES))
     data = simulate_homodyne(state, angles, args.per_angle, args.eta_hd, args.seed)
     params = {"per_angle": args.per_angle, "eta_hd": args.eta_hd,
-              "seed": args.seed, "angles": args.angles or "default12"}
+              "seed": args.seed, "angles": args.angles or "default12",
+              "state": state.to_dict()}
     lines = [f"# seed={args.seed}, eta={_fmt(args.eta_hd)}\n", "theta_rad,x\n"]
     for theta, samples in zip(data.angles, data.samples):
         for x in samples:
@@ -279,14 +281,23 @@ def cmd_estimate_loss(args):
     if args.from_sweep:
         if args.g2 is not None or args.vx is not None:
             raise _Usage("--from-sweep conflicts with --g2/--vx")
-        rows = [line for line in open(args.from_sweep)
-                if not line.startswith("#") and not line.startswith("theta_deg")]
+        with open(args.from_sweep) as fh:
+            table = [line.rstrip("\n").split(",") for line in fh
+                     if line.strip() and not line.startswith("#")]
+        header = table[0] if table else []
+        rows = table[1:]
+        missing = [c for c in ("g2_direct", "vx") if c not in header]
+        if missing:
+            raise _Usage(f"sweep file has no column {', '.join(missing)}")
         try:
-            fields = rows[args.row].rstrip("\n").split(",")
+            fields = dict(zip(header, rows[args.row]))
         except IndexError:
             raise _Usage(f"sweep file has no row {args.row}")
-        g2 = float(fields[2])   # direct-counting estimate (loss-immune)
-        vx = float(fields[7])
+        try:
+            g2 = float(fields["g2_direct"])   # direct-counting estimate (loss-immune)
+            vx = float(fields["vx"])
+        except (KeyError, ValueError):
+            raise _Usage(f"sweep file row {args.row} has no numeric g2_direct and vx")
     else:
         if args.g2 is None or args.vx is None:
             raise _Usage("need --g2 and --vx (or --from-sweep FILE --row K)")

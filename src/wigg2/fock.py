@@ -1,16 +1,16 @@
-"""Photon-number statistics of Gaussian states via phase-space overlap.
+"""Photon-number statistics of Gaussian states via the Fock recursion.
 
-The number-basis Wigner functions are
-    W_n(x, p) = ((-1)^n / pi) exp(-(x^2 + p^2)) L_n(2(x^2 + p^2)),
-and traciality gives p(n) = 2 pi * int W_rho W_n dx dp.
-
-The overlap integral is evaluated by tensor Gauss-Hermite quadrature in
-the whitened coordinates of the *merged* Gaussian (state Gaussian times
-the exp(-(x^2+p^2)) factor of W_n): there the remaining integrand is the
-polynomial L_n, so the rule is exact once the node count exceeds the
-polynomial degree.  This module is the independent Fock-basis oracle for
-the Wigner-moment identities and the sampling distribution for the
-counting simulator.
+rho_mn = T G_mn, with G the renormalised two-index Hermite polynomials
+of the Husimi generating function (Quesada et al., PRA 100, 022341
+(2019)).  With W = [[1, i], [1, -i]]/sqrt(2), X the swap, zeta = W mu and
+sigma_Q = W V W^dagger + I/2: B = (I - sigma_Q^-1) X, gamma = sigma_Q^-1
+zeta, T = exp(-zeta^dagger sigma_Q^-1 zeta / 2) / sqrt(det sigma_Q), and
+    G_{m+1,n} = (gamma_0 G_{m,n} + B_00 sqrt(m) G_{m-1,n}
+                 + B_01 sqrt(n) G_{m,n-1}) / sqrt(m+1),
+row 0 likewise with gamma_1 and B_11.  p(n) = T Re G_nn then costs
+O(n_max^2) time and O(n_max) memory.  This is the Fock-basis route for
+the Wigner-moment identities (the midpoint quadrature in `moments` is
+the independent one) and the counting simulator's sampling distribution.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def fock_wigner(n: int, x, p):
 class PhotonNumberDistribution:
     """p(n) for n = 0..n_max plus the unaccounted tail mass.
 
-    Tiny negative quadrature round-off is clamped to 0; no renormalization
+    Tiny negative round-off is clamped to 0; no renormalization
     is applied, tail_mass keeps the accounting honest."""
 
     probs: np.ndarray
@@ -67,62 +67,62 @@ class PhotonNumberDistribution:
         return np.cumsum(self.probs)
 
 
+_W = np.array([[1.0, 1.0j], [1.0, -1.0j]]) / math.sqrt(2.0)
+
+
+def _hermite_diagonal(b, gamma, n_max: int) -> np.ndarray:
+    """Re G_nn for n = 0..n_max.  Row m + 1 of G is needed only from
+    column m + 1 on; it overwrites that tail of the older kept row."""
+    g0, g1, b00, b01, b11 = (complex(v) for v in (
+        gamma[0], gamma[1], b[0, 0], b[0, 1], b[1, 1]))
+    lower, g = 0.0j, 1.0 + 0.0j
+    row = [g]
+    for n in range(n_max):
+        lower, g = g, (g1 * g + b11 * math.sqrt(n) * lower) / math.sqrt(n + 1)
+        row.append(g)
+    root = np.sqrt(np.arange(n_max + 1.0))
+    b01_root = b01 * root
+    cur, prev = np.array(row), np.zeros(n_max + 1, dtype=complex)
+    diag = np.ones(n_max + 1)
+    for m in range(n_max):
+        k = m + 1
+        tail = prev[k:]
+        tail *= b00 * root[m]
+        tail += g0 * cur[k:] + b01_root[k:] * cur[m:-1]
+        tail /= root[k]
+        prev, cur = cur, prev
+        diag[k] = cur[k].real
+    return diag
+
+
 def photon_number_distribution(
     state: GaussianState, n_max: int, tol: float = 1e-9
 ) -> PhotonNumberDistribution:
     """Photon-number probabilities of a Gaussian state up to n_max.
 
     Raises TruncationError (with a suggested n_max) if the tail mass
-    beyond n_max exceeds tol, and DomainError if the quadrature
+    beyond n_max exceeds tol, and DomainError if the recursion
     overflows to non-finite probabilities or tail mass.
     """
     if n_max < 0:
         raise DomainError(f"photon_number_distribution: n_max must be >= 0, got {n_max}")
-    V = state.cov.matrix()
-    mu = state.mean_vector()
-    Vinv = np.linalg.inv(V)
-    M = np.linalg.inv(Vinv + 2.0 * np.eye(2))
-    m = M @ (Vinv @ mu)
-    c = 0.5 * (mu @ Vinv @ mu - m @ np.linalg.inv(M) @ m)
-    pref = 2.0 * math.sqrt(np.linalg.det(M) / np.linalg.det(V)) * math.exp(-c)
-
-    # Gauss-Hermite nodes in the merged Gaussian's whitened coordinates;
-    # L_n has per-axis degree 2n, so n_max + 1 nodes per axis are exact.
-    K = max(n_max + 1, 8)
-    t, w = np.polynomial.hermite.hermgauss(K)
-    lam, U = np.linalg.eigh(M)
-    T1, T2 = np.meshgrid(t, t, indexing="ij")
-    xi = (
-        m[:, None, None]
-        + U[:, 0, None, None] * math.sqrt(2.0 * lam[0]) * T1
-        + U[:, 1, None, None] * math.sqrt(2.0 * lam[1]) * T2
-    )
-    wt = (w[:, None] * w[None, :]) / math.pi
-    r2 = 2.0 * (xi[0] ** 2 + xi[1] ** 2)
-
-    probs = np.empty(n_max + 1)
-    lm1 = np.ones_like(r2)
-    probs[0] = pref * float((wt * lm1).sum())
+    zeta = _W @ state.mean_vector()
+    sigma_q = _W @ state.cov.matrix() @ _W.conj().T + 0.5 * np.eye(2)
+    inv = np.linalg.inv(sigma_q)
+    pref = (math.exp(-0.5 * float((zeta.conj() @ inv @ zeta).real))
+            / math.sqrt(float(np.linalg.det(sigma_q).real)))
     # an overflow shows up as non-finite probabilities, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        if n_max >= 1:
-            ln = 1.0 - r2
-            probs[1] = -pref * float((wt * ln).sum())
-            sign = 1.0
-            for k in range(1, n_max):
-                lm1, ln = ln, ((2.0 * k + 1.0 - r2) * ln - k * lm1) / (k + 1.0)
-                probs[k + 1] = sign * pref * float((wt * ln).sum())
-                sign = -sign
-
+        probs = pref * _hermite_diagonal((np.eye(2) - inv)[:, ::-1],
+                                         inv @ zeta, n_max)
     probs[probs < 0.0] = 0.0
     tail = 1.0 - float(probs.sum())
     if not (np.isfinite(probs).all() and math.isfinite(tail)):
-        # the quadrature overflows at large n_max or photon number; a
-        # larger n_max (what TruncationError suggests) makes it worse
+        # G_nn peaks near e^<n>: overflow from <n> ~ 700, whatever n_max
         raise DomainError(
             f"photon_number_distribution: non-finite probabilities at "
             f"n_max={n_max} ({int(np.count_nonzero(~np.isfinite(probs)))} "
-            f"of {n_max + 1}); the Fock quadrature overflowed"
+            f"of {n_max + 1}); the Fock recursion overflowed"
         )
     if tail < 0.0 and tail > -1e-9:
         tail = 0.0

@@ -9,8 +9,10 @@ across workers.  Floating-point bootstrap moments may differ in the last
 ulp between backends (summation order only).
 
 The numpy backend hashes counters in place: `uniforms_np` works in one
-fresh buffer pair, and `boot_moments_np` allocates its working buffers
-once per call and reuses them for every bootstrap member.
+fresh buffer pair, and `boot_moments_np` allocates its hash and index
+buffers once per call and reuses them for every bootstrap member (the
+gather `x.take(ix)` allocates: numpy's checked `take` into an `out=`
+buffer copies that buffer, which is slower).
 
 Per-window draw layout for the HBT simulator (2 uniforms per window,
 4 with dark counts):
@@ -164,14 +166,13 @@ def boot_moments_np(x, n_boot, seed):
     tmp = np.empty_like(base)
     u = np.empty(n)
     ix = np.empty(n, dtype=np.int64)
-    xs = np.empty(n, dtype=x.dtype)
+    scale = n * _INV53  # exact, so u rounds once as in (z * _INV53) * n
     for b in range(n_boot):
         np.add(base, np.uint64((b * n * int(_PHI)) & _MASK64), out=z)
         _draw_bits(z, seed, 0, tmp)
-        np.multiply(z, _INV53, out=u)
-        np.multiply(u, n, out=u)
+        np.multiply(z.view(np.int64), scale, out=u)  # z < 2^53
         np.copyto(ix, u, casting="unsafe")
-        np.take(x, ix, out=xs)
+        xs = x.take(ix)
         s = float(xs.sum())
         ss = float(np.dot(xs, xs))
         mean = s / n

@@ -101,10 +101,25 @@ class TestPn:
         assert "n_max" in err or err
 
     def test_non_finite_distribution_exit_3(self, capsys):
-        code, out, err = run(capsys, "pn", "--thermal", "20", "--n-max", "256")
+        # <n> = 800 overflows the Fock recursion in double precision
+        code, out, err = run(capsys, "pn", "--coherent", "40", "0",
+                             "--n-max", "1300")
         assert code == 3
         assert "non-finite" in err
         assert "nan" not in out.lower()
+
+    def test_manifest_names_state(self, capsys, tmp_path):
+        params = []
+        for nbar in ("1.0", "2.0"):
+            f = tmp_path / f"pn{nbar}.csv"
+            code, _, _ = run(capsys, "pn", "--thermal", nbar, "--n-max", "80",
+                             "--out", str(f))
+            assert code == 0
+            manifest = json.loads((tmp_path / f"pn{nbar}.csv.manifest.json")
+                                  .read_text())
+            params.append(manifest["params"])
+        assert params[0]["state"] == {"mean": [0.0, 0.0], "cov": [1.5, 0.0, 1.5]}
+        assert params[0] != params[1]
 
 
 class TestCount:
@@ -135,11 +150,22 @@ class TestCount:
         assert (tmp_path / "count.csv.manifest.json").exists()
 
     def test_non_finite_distribution_exit_3(self, capsys):
-        code, out, err = run(capsys, "count", "--thermal", "20", "--n-max",
-                             "256", "--windows", "10000")
+        # <n> = 800 overflows the Fock recursion in double precision
+        code, out, err = run(capsys, "count", "--coherent", "40", "0",
+                             "--n-max", "1300", "--windows", "10000")
         assert code == 3
         assert "non-finite" in err
         assert out == ""
+
+    def test_manifest_names_state(self, capsys, tmp_path):
+        f = tmp_path / "count.csv"
+        code, _, _ = run(capsys, "count", "--squeezed", "0.5", "0",
+                         "--attenuate", "0.5", "--windows", "20000",
+                         "--out", str(f))
+        assert code == 0
+        manifest = json.loads((tmp_path / "count.csv.manifest.json").read_text())
+        assert manifest["params"]["state"] == {"mean": [0.0, 0.0],
+                                               "cov": [0.375, 0.0, 0.75]}
 
     def test_vacuum_no_singles_exit_4(self, capsys):
         code, _, _ = run(capsys, "count", "--coherent", "0", "0",
@@ -167,6 +193,16 @@ class TestHomodyne:
         rep = json.loads(out)
         assert rep["cov"][0] == pytest.approx(0.25, rel=0.05)
         assert rep["g2_ci"][0] <= rep["g2"] <= rep["g2_ci"][1]
+
+    def test_manifest_names_state(self, capsys, tmp_path):
+        f = tmp_path / "hd.csv"
+        code, _, _ = run(capsys, "homodyne", "--coherent", "1", "-2",
+                         "--angles", "0,90", "--per-angle", "10",
+                         "--out", str(f))
+        assert code == 0
+        manifest = json.loads((tmp_path / "hd.csv.manifest.json").read_text())
+        assert manifest["params"]["state"] == {"mean": [1.0, -2.0],
+                                               "cov": [0.5, 0.0, 0.5]}
 
     def test_negative_seed_exit_3(self, capsys):
         code, _, err = run(capsys, "homodyne", "--squeezed", "0.5", "0",
@@ -235,6 +271,26 @@ class TestSweep:
 
 
 class TestEstimateLoss:
+    def test_from_sweep_columns_by_name(self, capsys, tmp_path):
+        f = tmp_path / "sweep.csv"
+        f.write_text("# reordered columns\n"
+                     "vp,vx,theta_deg,g2_homodyne,g2_direct\n"
+                     "0.7,0.2,0,9.5,9.0\n"
+                     "0.8,0.3,22.5,4.2,4.0\n")
+        code, out, _ = run(capsys, "estimate-loss", "--from-sweep", str(f),
+                           "--row", "1")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["g2"] == 4.0
+        assert rep["vx_measured"] == 0.3
+
+    def test_from_sweep_missing_column_exit_2(self, capsys, tmp_path):
+        f = tmp_path / "sweep.csv"
+        f.write_text("theta_deg,g2_direct,vp\n0,4.0,0.3\n")
+        code, _, err = run(capsys, "estimate-loss", "--from-sweep", str(f))
+        assert code == 2
+        assert "vx" in err
+
     def test_direct_values(self, capsys):
         code, out, _ = run(capsys, "estimate-loss", "--g2", "4.0",
                            "--vx", "0.3")
