@@ -8,11 +8,24 @@ across backends and independent of how the index range is partitioned
 across workers.  Floating-point bootstrap moments may differ in the last
 ulp between backends (summation order only).
 
-The numpy backend hashes counters in place: `uniforms_np` works in one
-fresh buffer pair, and `boot_moments_np` allocates its hash and index
-buffers once per call and reuses them for every bootstrap member (the
-gather `x.take(ix)` allocates: numpy's checked `take` into an `out=`
-buffer copies that buffer, which is slower).
+The numpy bootstrap `boot_moments_np` splits its members into one
+contiguous range per CPU in the process's affinity mask: one range runs
+on the calling thread, the others on a thread pool, and each member
+writes its own output slot, so the result does not depend on the number
+of ranges.  Worker threads call only underscore-prefixed helpers, never
+a public function (a tracer may wrap those, and a span opened on a
+worker thread would have no parent).  Each range hashes its stream
+indices in place, _BLOCK at a time, in buffers allocated once per call:
+several members share a block when n < _BLOCK, and a member spans
+several blocks when n > _BLOCK.  Smaller blocks would make the threads
+contend for the GIL, which every numpy call takes and drops, more than
+the extra CPUs gain.  The gather `np.take` runs once per group of
+members, into a buffer of the range.  Sums of squares use `np.einsum`,
+not BLAS (`np.dot`), so the moments do not depend on BLAS threading
+either.  The numba bootstrap stays serial.
+
+The numpy HBT kernel works in chunks of 65,536 windows, which bounds its
+working set; counts do not depend on the chunk size.
 
 Per-window draw layout for the HBT simulator (2 uniforms per window,
 4 with dark counts):
@@ -30,6 +43,7 @@ at O(1) cost per window.
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -69,6 +83,7 @@ _STEP = np.uint64(0xD1342543DE82EF95)
 _INV53 = 1.0 / 9007199254740992.0  # 2^-53
 _S11, _S27, _S30, _S31 = (np.uint64(k) for k in (11, 27, 30, 31))
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_BLOCK = 65_536  # stream indices hashed per step of the numpy bootstrap
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +143,7 @@ def _pattern_cuts(n_max, eta, split):
     return qb, q2, q2 + q1 - qb
 
 
-def hbt_counts_np(cdf, eta, split, dark, seed, start, stop, chunk=1_000_000):
+def hbt_counts_np(cdf, eta, split, dark, seed, start, stop, chunk=65_536):
     """Click/coincidence counts for windows [start, stop) — numpy backend."""
     n1 = n2 = nc = 0
     n_max = len(cdf) - 1
@@ -149,35 +164,81 @@ def hbt_counts_np(cdf, eta, split, dark, seed, start, stop, chunk=1_000_000):
     return n1, n2, nc
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _boot_range(x, seed, row, bufs, lo, hi, means, variances):
+    """Moments of bootstrap members [lo, hi) into means and variances.
+
+    Member b draws stream indices b*n .. b*n + n - 1.  A block starting
+    at stream index s hashes (s + j) * _PHI = s*_PHI + j*_PHI (mod 2^64),
+    so each block adds one scalar to the shared row j*_PHI in place.
+    bufs = (z, tmp, ix, xs) is this range's scratch: z and tmp as long
+    as row, ix and xs as long as one gather.
+    """
+    z, tmp, ix, xs = bufs
+    n = len(x)
+    span = len(row)  # group * n, or _BLOCK when one member spans blocks
+    group = max(1, span // n)  # members per gather
+    scale = n * _INV53  # exact, so ix rounds once as in (z * _INV53) * n
+    for b0 in range(lo, hi, group):
+        m = min(group, hi - b0)
+        for off in range(0, m * n, span):
+            k = min(span, m * n - off)
+            zk = z[:k]
+            np.add(row[:k], np.uint64(((b0 * n + off) * int(_PHI)) & _MASK64),
+                   out=zk)
+            _draw_bits(zk, seed, 0, tmp[:k])
+            # z < 2^53, so z * scale < n: the cast truncates to an index
+            np.multiply(zk.view(np.int64), scale, out=ix[off:off + k],
+                        casting="unsafe")
+        # every index is in range, and mode="raise" would copy `out` first
+        np.take(x, ix[:m * n], out=xs[:m * n], mode="wrap")
+        for r in range(m):
+            member = xs[r * n:(r + 1) * n]
+            s = float(member.sum())
+            ss = float(np.einsum("i,i->", member, member))
+            mean = s / n
+            means[b0 + r] = mean
+            variances[b0 + r] = (ss - n * mean * mean) / (n - 1)
+
+
 def boot_moments_np(x, n_boot, seed):
     """Bootstrap (mean, unbiased variance) pairs via counter-based
-    resampling — numpy backend.
+    resampling — numpy backend, one contiguous member range per CPU.
 
-    Member b draws stream indices b*n .. b*n + n - 1.  Their hash inputs
-    are (b*n + j) * _PHI = b*n*_PHI + j*_PHI (mod 2^64), so the j*_PHI
-    row is built once and each member adds one scalar to it in place.
+    All buffers are allocated here, on the calling thread: memory a
+    worker thread frees stays with that thread's malloc arena and would
+    add to the process's resident set.
     """
     n = len(x)
     means = np.empty(n_boot)
     variances = np.empty(n_boot)
-    base = np.arange(n, dtype=np.uint64)
-    np.multiply(base, _PHI, out=base)
-    z = np.empty_like(base)
-    tmp = np.empty_like(base)
-    u = np.empty(n)
-    ix = np.empty(n, dtype=np.int64)
-    scale = n * _INV53  # exact, so u rounds once as in (z * _INV53) * n
-    for b in range(n_boot):
-        np.add(base, np.uint64((b * n * int(_PHI)) & _MASK64), out=z)
-        _draw_bits(z, seed, 0, tmp)
-        np.multiply(z.view(np.int64), scale, out=u)  # z < 2^53
-        np.copyto(ix, u, casting="unsafe")
-        xs = x.take(ix)
-        s = float(xs.sum())
-        ss = float(np.dot(xs, xs))
-        mean = s / n
-        means[b] = mean
-        variances[b] = (ss - n * mean * mean) / (n - 1)
+    w = max(1, min(n_boot, _cpu_count()))
+    bounds = [n_boot * i // w for i in range(w + 1)]
+    group = max(1, _BLOCK // n)
+    row = np.arange(min(group * n, _BLOCK), dtype=np.uint64)
+    np.multiply(row, _PHI, out=row)
+    z = np.empty((w, len(row)), dtype=np.uint64)
+    tmp = np.empty_like(z)
+    largest = -(-n_boot // w)  # members in the largest range
+    ix = np.empty((w, min(group, largest) * n), dtype=np.int64)
+    xs = np.empty(ix.shape)
+    ranges = [(x, seed, row, (z[i], tmp[i], ix[i], xs[i]), bounds[i],
+               bounds[i + 1], means, variances) for i in range(w)]
+    if w == 1:
+        _boot_range(*ranges[0])
+        return means, variances
+    with ThreadPoolExecutor(w - 1) as pool:
+        futures = [pool.submit(_boot_range, *r) for r in ranges[1:]]
+        _boot_range(*ranges[0])
+        for f in futures:
+            f.result()
     return means, variances
 
 

@@ -21,8 +21,9 @@ from .counting import CountingConfig, g2_estimate_clicks, simulate_hbt
 from .errors import (DomainError, FitError, IdentifiabilityError,
                      NearVacuumError, UnstableInferenceError)
 from .moments import DEFAULT_EPSILON, g2_gaussian
-from .states import (CovarianceMatrix, GaussianState, PhasePoint, attenuate,
-                     hwp_mix, marginal, reduce_mode, two_mode_squeezed_vacuum)
+from .states import (VACUUM_VARIANCE, CovarianceMatrix, GaussianState,
+                     PhasePoint, attenuate, hwp_mix, marginal, reduce_mode,
+                     two_mode_squeezed_vacuum)
 
 DEFAULT_ANGLES = tuple(np.linspace(0.0, math.pi, 12, endpoint=False))
 BOOTSTRAP_SIZE = 200
@@ -104,8 +105,10 @@ def simulate_homodyne(
                            seed, eta_hd)
 
 
-def _solve_covariance(angles, variances):
-    """Least-squares solve of the angle model for (vxx, vpp, vxp)."""
+def _covariance_design(angles):
+    """Design matrix of the angle model for (vxx, vpp, vxp), after the
+    identifiability checks.  An orthogonal pair of angles constrains vxp
+    to 0 and gets only the (vxx, vpp) columns."""
     c = np.cos(angles)
     s = np.sin(angles)
     distinct = np.unique(np.round(angles, 12)).size
@@ -116,38 +119,58 @@ def _solve_covariance(angles, variances):
                 "angle set cannot determine (vxx, vpp, vxp); "
                 "use >= 3 distinct angles in general position"
             )
-        sol, *_ = np.linalg.lstsq(A, variances, rcond=None)
-        resid = float(np.linalg.norm(A @ sol - variances))
-        return float(sol[0]), float(sol[1]), float(sol[2]), resid
+        return A
     if distinct == 2 and abs(abs(angles[0] - angles[1]) - math.pi / 2) < 1e-9:
-        # orthogonal pair: vxp constrained to 0
-        A = np.column_stack([c * c, s * s])
-        sol, *_ = np.linalg.lstsq(A, variances, rcond=None)
-        resid = float(np.linalg.norm(A @ sol - variances))
-        return float(sol[0]), float(sol[1]), 0.0, resid
+        return np.column_stack([c * c, s * s])
     raise IdentifiabilityError(
         "need >= 3 distinct angles, or exactly 2 orthogonal ones"
     )
 
 
+def _solve_covariance(angles, variances):
+    """Least-squares solve of the angle model: (vxx, vpp, vxp, residual
+    norm).  `variances` holds one value per angle, or one column per
+    right-hand side, all solved at once; each result is then an array."""
+    A = _covariance_design(angles)
+    sol, *_ = np.linalg.lstsq(A, variances, rcond=None)
+    resid = np.linalg.norm(A @ sol - variances, axis=0)
+    vxp = sol[2] if len(sol) == 3 else np.zeros_like(sol[0])
+    return sol[0], sol[1], vxp, resid
+
+
 def _solve_mean(angles, means):
+    """Least-squares (mx, mp), for one or several columns of means."""
     A = np.column_stack([np.cos(angles), np.sin(angles)])
     if np.linalg.matrix_rank(A, tol=1e-10) < 2:
         raise IdentifiabilityError("angle set cannot determine the mean vector")
     sol, *_ = np.linalg.lstsq(A, means, rcond=None)
-    return float(sol[0]), float(sol[1])
+    return sol[0], sol[1]
+
+
+# eigh's eigenvalues are exact to a few ulps of the largest one; a
+# principal variance within this relative distance of 0 counts as <= 0
+_EIG_TOL = 8 * np.finfo(float).eps
 
 
 def project_physical(vxx: float, vpp: float, vxp: float) -> CovarianceMatrix:
-    """Project an estimated covariance onto the physical set: clip
-    eigenvalues positive, then scale both principal variances by the
-    minimal common factor restoring det V = 1/4 when det < 1/4."""
+    """Project an estimated covariance onto the physical set det V >= 1/4.
+
+    A positive-definite estimate with det < 1/4 has both principal
+    variances scaled by the minimal common factor restoring det = 1/4.
+    An indefinite one keeps its larger principal variance w and gets
+    1/(4w) as the smaller one.  With no positive principal variance the
+    result is the vacuum covariance."""
     M = np.array([[vxx, vxp], [vxp, vpp]])
     w, v = np.linalg.eigh(M)
-    w = np.maximum(w, 1e-12)
-    det = w[0] * w[1]
-    if det < 0.25:
-        w = w * math.sqrt(0.25 / det)
+    tol = _EIG_TOL * float(np.max(np.abs(w)))
+    if w[1] <= tol:
+        return CovarianceMatrix(VACUUM_VARIANCE, VACUUM_VARIANCE, 0.0)
+    if w[0] <= tol:
+        w[0] = 0.25 / w[1]
+    else:
+        det = w[0] * w[1]
+        if det < 0.25:
+            w = w * math.sqrt(0.25 / det)
     M = v @ np.diag(w) @ v.T
     return CovarianceMatrix(float(M[0, 0]), float(M[1, 1]), float(M[0, 1]))
 
@@ -175,30 +198,31 @@ def estimate_covariance(
     kernels.check_seed(boot_seed, "estimate_covariance")
     means = np.array([s.mean() for s in data.samples])
     variances = np.array([s.var(ddof=1) for s in data.samples])
-    vxx, vpp, vxp, resid = _solve_covariance(data.angles, variances)
-    mx, mp = _solve_mean(data.angles, means)
+    vxx, vpp, vxp, resid = map(float, _solve_covariance(data.angles, variances))
+    mx, mp = map(float, _solve_mean(data.angles, means))
     state = GaussianState(PhasePoint(mx, mp), project_physical(vxx, vpp, vxp))
 
-    boot_means = np.empty((n_boot, len(data.samples)))
-    boot_vars = np.empty((n_boot, len(data.samples)))
+    # one row per angle, one column per member: one solve for all members
+    boot_means = np.empty((len(data.samples), n_boot))
+    boot_vars = np.empty((len(data.samples), n_boot))
     for k, s in enumerate(data.samples):
-        bm, bv = kernels.boot_moments(s, n_boot, boot_seed + 7919 * k)
-        boot_means[:, k] = bm
-        boot_vars[:, k] = bv
-    boot_states = []
-    for b in range(n_boot):
-        bvxx, bvpp, bvxp, _ = _solve_covariance(data.angles, boot_vars[b])
-        bmx, bmp = _solve_mean(data.angles, boot_means[b])
-        boot_states.append(_try_state(bvxx, bvpp, bvxp, bmx, bmp))
+        boot_means[k], boot_vars[k] = kernels.boot_moments(s, n_boot,
+                                                            boot_seed + 7919 * k)
+    bvxx, bvpp, bvxp, _ = _solve_covariance(data.angles, boot_vars)
+    bmx, bmp = _solve_mean(data.angles, boot_means)
+    boot_states = tuple(
+        _try_state(*member)
+        for member in zip(*(a.tolist() for a in (bvxx, bvpp, bvxp, bmx, bmp))))
     return ReconstructionResult(state, (vxx, vpp, vxp), variances, resid,
-                                tuple(boot_states))
+                                boot_states)
 
 
 def estimate_covariance_from_moments(angles, means, variances) -> GaussianState:
     """Noiseless-moment entry point (exact roundtrip check): no bootstrap."""
     angles = np.asarray(angles, dtype=float)
-    vxx, vpp, vxp, _ = _solve_covariance(angles, np.asarray(variances, dtype=float))
-    mx, mp = _solve_mean(angles, np.asarray(means, dtype=float))
+    vxx, vpp, vxp, _ = map(float, _solve_covariance(
+        angles, np.asarray(variances, dtype=float)))
+    mx, mp = map(float, _solve_mean(angles, np.asarray(means, dtype=float)))
     return GaussianState(PhasePoint(mx, mp), project_physical(vxx, vpp, vxp))
 
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,9 @@ from wigg2.kernels import (boot_moments_np, hbt_counts_np, uniforms_np)
 
 
 # Frozen copy of the allocating counter-RNG bootstrap the in-place kernel
-# replaced; the kernel must reproduce it bit for bit.
+# replaced; the kernel must reproduce it bit for bit.  Its sum of squares
+# follows the kernel's BLAS-free reduction (np.dot rounds differently
+# with the number of BLAS threads).
 _PHI = np.uint64(0x9E3779B97F4A7C15)
 
 
@@ -27,7 +33,11 @@ def _uniforms_oracle(seed, idx, draw):
     return (z >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
 
 
-def _boot_moments_oracle(x, n_boot, seed):
+def _sumsq_einsum(v):
+    return np.einsum("i,i->", v, v)
+
+
+def _boot_moments_oracle(x, n_boot, seed, sumsq=_sumsq_einsum):
     n = len(x)
     means = np.empty(n_boot)
     variances = np.empty(n_boot)
@@ -38,7 +48,7 @@ def _boot_moments_oracle(x, n_boot, seed):
         u = _uniforms_oracle(seed, idx, 0)
         xs = x[(u * n).astype(np.int64)]
         s = float(xs.sum())
-        ss = float(np.dot(xs, xs))
+        ss = float(sumsq(xs))
         mean = s / n
         means[b] = mean
         variances[b] = (ss - n * mean * mean) / (n - 1)
@@ -80,7 +90,9 @@ class TestCounterRng:
 
 
 class TestBootMomentsBitIdentity:
-    @pytest.mark.parametrize("n", [2, 3, 17, 99_999, 100_000])
+    # 65,535 .. 131,073: members sharing a hashed block or spanning several
+    @pytest.mark.parametrize("n", [2, 3, 17, 65_535, 65_536, 65_537, 99_999,
+                                   100_000, 131_073])
     @pytest.mark.parametrize("seed", [0, 7, 2**63 - 1])
     @pytest.mark.parametrize("n_boot", [1, 13])
     def test_matches_allocating_oracle(self, n, seed, n_boot):
@@ -89,6 +101,62 @@ class TestBootMomentsBitIdentity:
         m_ref, v_ref = _boot_moments_oracle(x, n_boot, seed)
         assert np.array_equal(m, m_ref)
         assert np.array_equal(v, v_ref)
+
+
+class TestBootMomentsThreads:
+    def test_variances_match_blas_dot(self):
+        x = np.random.default_rng(4).normal(0.3, 1.1, 100_000)
+        _, v = boot_moments_np(x, 9, 17)
+        _, v_dot = _boot_moments_oracle(x, 9, 17, sumsq=lambda a: np.dot(a, a))
+        np.testing.assert_allclose(v, v_dot, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n,n_boot", [(10_000, 23), (100_003, 5), (3, 9)])
+    def test_output_independent_of_cpu_count(self, monkeypatch, n, n_boot):
+        x = np.random.default_rng(n).normal(1.0, 2.0, n)
+        pools = []
+
+        class Pool(kernels.ThreadPoolExecutor):
+            def __init__(self, workers):
+                pools.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(kernels, "ThreadPoolExecutor", Pool)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # many more thread switches
+        try:
+            for cpus in (1, 2, 3, 7):
+                monkeypatch.setattr(kernels.os, "sched_getaffinity",
+                                    lambda pid, cpus=cpus: set(range(cpus)),
+                                    raising=False)
+                runs.append(boot_moments_np(x, n_boot, 99))
+        finally:
+            sys.setswitchinterval(interval)
+        # one pool of W - 1 workers per call with W = min(n_boot, cpus) > 1
+        assert pools == [min(n_boot, c) - 1 for c in (2, 3, 7)]
+        for m, v in runs[1:]:
+            assert np.array_equal(m, runs[0][0])
+            assert np.array_equal(v, runs[0][1])
+
+    def test_output_independent_of_blas_threads(self):
+        # np.dot on 100k doubles rounds differently with 1 and 2 BLAS
+        # threads; the kernel's sums do not go through BLAS
+        script = ("import hashlib, numpy as np\n"
+                  "from wigg2.kernels import boot_moments_np\n"
+                  "x = np.random.default_rng(8).normal(1.3, 0.7, 100_000)\n"
+                  "m, v = boot_moments_np(x, 8, 21)\n"
+                  "print(hashlib.sha256(m.tobytes() + v.tobytes()).hexdigest())\n")
+        src = str(Path(kernels.__file__).resolve().parents[1])
+        digests = set()
+        for threads in ("1", "2"):
+            path = filter(None, [src, os.environ.get("PYTHONPATH")])
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(path))
+            out = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, timeout=300,
+                                 check=True)
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1
 
 
 class TestBackendEquivalence:
@@ -106,6 +174,13 @@ class TestBackendEquivalence:
         parts = [hbt_counts_np(cdf, 0.7, 0.5, 0.0, 5, lo, lo + 10_000)
                  for lo in (0, 10_000, 20_000)]
         assert whole == tuple(sum(p[i] for p in parts) for i in range(3))
+
+    @pytest.mark.parametrize("dark", [0.0, 0.02])
+    def test_hbt_counts_chunk_invariance(self, dark):
+        cdf = np.cumsum([0.6, 0.25, 0.1, 0.04, 0.01])
+        counts = {hbt_counts_np(cdf, 0.6, 0.4, dark, 13, 0, 300_000, chunk=c)
+                  for c in (4_099, 65_536, 1_000_000)}
+        assert len(counts) == 1
 
     def test_boot_moments_match(self):
         # resampled indices are identical across backends; the moment

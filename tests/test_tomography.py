@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wigg2.counting import (CountingConfig, g2_estimate_clicks,
                             simulate_hbt)
@@ -12,7 +13,9 @@ from wigg2.states import (CovarianceMatrix, GaussianState, PhasePoint,
                           hwp_mix, marginal, reduce_mode, squeezed_vacuum,
                           squeezed_vacuum_with_mean_photon, thermal,
                           two_mode_squeezed_vacuum, vacuum)
+from wigg2 import kernels
 from wigg2.tomography import (DEFAULT_ANGLES, HomodyneDataset, SweepFit,
+                              _solve_covariance, _solve_mean,
                               estimate_covariance,
                               estimate_covariance_from_moments,
                               fit_sweep_model, g2_from_reconstruction,
@@ -162,6 +165,54 @@ class TestEstimateCovariance:
         assert cov.det == pytest.approx(0.25, abs=1e-12)
         cov = project_physical(1.0, 1.0, 0.0)  # already physical
         assert cov.vxx == pytest.approx(1.0)
+
+    def test_projection_of_indefinite_estimate(self):
+        # eigenvalues (-10.5, 184.2): the negative one becomes 1/(4 * 184.2),
+        # not a common rescaling of a clipped 1e-12 (det 0.248 before)
+        w_max = np.linalg.eigvalsh([[81.306, 97.203], [97.203, 92.427]])[1]
+        cov = project_physical(81.306, 92.427, 97.203)
+        w = np.linalg.eigvalsh(cov.matrix())
+        assert w[1] == pytest.approx(w_max, rel=1e-12)
+        assert w[0] == pytest.approx(0.25 / w_max, rel=1e-9)
+        assert cov.det == pytest.approx(0.25, rel=1e-10)
+        assert project_physical(-1.0, -2.0, 0.5) == CovarianceMatrix(0.5, 0.5, 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(entries=st.tuples(*[st.integers(-100_000, 100_000)] * 3))
+    def test_projection_is_physical(self, entries):
+        # entries on a 1e-3 grid in [-100, 100]; det of the stored matrix
+        # is known only to a few ulps of |vxx vpp| + vxp^2, which an
+        # elongated rotated result makes larger than 1e-12 / 4
+        vxx, vpp, vxp = (k / 1000 for k in entries)
+        cov = project_physical(vxx, vpp, vxp)
+        slack = 8 * np.finfo(float).eps * (cov.vxx * cov.vpp + cov.vxp ** 2)
+        assert cov.vxx > 0 and cov.vpp > 0 and cov.det > 0
+        assert cov.det >= 0.25 * (1 - 1e-12) - slack
+        w_in = np.linalg.eigvalsh([[vxx, vxp], [vxp, vpp]])
+        if w_in[0] < 0.0 and w_in[1] > 1e-9:
+            # indefinite (on this grid, w > 1e-9 is not round-off): the
+            # positive principal variance w stays, the other becomes 1/(4w)
+            w_out = np.linalg.eigvalsh(cov.matrix())
+            assert w_out[1] == pytest.approx(max(w_in[1], 0.25 / w_in[1]),
+                                             rel=1e-9)
+
+    def test_batched_bootstrap_solve(self):
+        # one least-squares solve over all members = a solve per member
+        data = simulate_homodyne(squeezed_vacuum(0.5, 0.3), ANGLES12, 5_000,
+                                 0.8, seed=12)
+        rec = estimate_covariance(data, n_boot=40, boot_seed=13)
+        moments = [kernels.boot_moments(s, 40, 13 + 7919 * k)
+                   for k, s in enumerate(data.samples)]
+        cov_scale = max(rec.raw_cov[:2])
+        for b, bs in enumerate(rec.bootstrap_states):
+            vxx, vpp, vxp, _ = _solve_covariance(
+                data.angles, np.array([v[b] for _, v in moments]))
+            mx, mp = _solve_mean(data.angles, np.array([m[b] for m, _ in moments]))
+            np.testing.assert_allclose(
+                [bs.cov.vxx, bs.cov.vpp, bs.cov.vxp], [vxx, vpp, vxp],
+                rtol=1e-12, atol=1e-12 * cov_scale)
+            np.testing.assert_allclose([bs.mean.x, bs.mean.p], [mx, mp],
+                                       rtol=1e-12, atol=1e-12 * max(abs(mx), abs(mp)))
 
 
 class TestG2FromReconstruction:
