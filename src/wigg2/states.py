@@ -60,7 +60,13 @@ class CovarianceMatrix:
 
     def __post_init__(self):
         _require_finite("CovarianceMatrix", self.vxx, self.vpp, self.vxp)
-        if self.vxx <= 0.0 or self.vpp <= 0.0 or self.det <= 0.0:
+        det = self.det
+        if not math.isfinite(det):
+            raise DomainError(
+                f"covariance determinant overflows: vxx={self.vxx}, "
+                f"vpp={self.vpp}, vxp={self.vxp}"
+            )
+        if self.vxx <= 0.0 or self.vpp <= 0.0 or det <= 0.0:
             raise DomainError(
                 f"covariance not positive definite: vxx={self.vxx}, "
                 f"vpp={self.vpp}, vxp={self.vxp}"
@@ -68,7 +74,7 @@ class CovarianceMatrix:
 
     @property
     def det(self) -> float:
-        return self.vxx * self.vpp - self.vxp ** 2
+        return self.vxx * self.vpp - self.vxp * self.vxp
 
     def matrix(self) -> np.ndarray:
         return np.array([[self.vxx, self.vxp], [self.vxp, self.vpp]])

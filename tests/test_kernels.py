@@ -12,27 +12,48 @@ from wigg2 import kernels
 from wigg2.kernels import (boot_moments_np, hbt_counts_np, uniforms_np)
 
 
-# Frozen copy of the allocating counter-RNG bootstrap the in-place kernel
-# replaced; the kernel must reproduce it bit for bit.  Its sum of squares
-# follows the kernel's BLAS-free reduction (np.dot rounds differently
-# with the number of BLAS threads).
-_PHI = np.uint64(0x9E3779B97F4A7C15)
+# Independent reference for the counter RNG in Python ints, masked to 64
+# bits at every step (numpy only lays out the bytes):
+#     u(seed, i, draw) = (mix64(k + i*phi) >> 11) * 2^-53,
+#     k = mix64(seed ^ mix64(draw * STEP)),
+# with mix64 the splitmix64 output function, including its + phi.
+_MASK = 2**64 - 1
+_PHI = 0x9E3779B97F4A7C15
+_STEP = 0xD1342543DE82EF95
 
 
-def _mix_oracle(z):
-    z = (z + _PHI).astype(np.uint64)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+def _mix_oracle(z, ones=1):
+    """mix64 of each 64-bit value packed in z.  Value j sits in bits
+    [128j, 128j + 64) and ones = sum of 2^(128j) (1 for a plain int).
+    Every value is masked below 2^64 before each multiply, so a product
+    with a 64-bit constant stays inside its 128-bit lane, and the bits
+    that z >> s brings down from the next lane are masked off."""
+    m = _MASK * ones
+    z = (z + _PHI * ones) & m
+    z = ((z ^ (z >> 30)) & m) * 0xBF58476D1CE4E5B9 & m
+    z = ((z ^ (z >> 27)) & m) * 0x94D049BB133111EB & m
+    return (z ^ (z >> 31)) & m
+
+
+def _pack(values):
+    lanes = np.zeros((len(values), 2), dtype="<u8")
+    lanes[:, 0] = values
+    return int.from_bytes(lanes.tobytes(), "little")
 
 
 def _uniforms_oracle(seed, idx, draw):
-    h = _mix_oracle(np.uint64(seed) ^ (idx.astype(np.uint64) * _PHI))
-    offset = np.uint64((int(draw) * 0xD1342543DE82EF95) & 0xFFFFFFFFFFFFFFFF)
-    z = _mix_oracle(h + offset)
-    return (z >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+    k = _mix_oracle(seed ^ _mix_oracle((draw * _STEP) & _MASK))
+    n = len(idx)
+    ones = _pack(np.ones(n, dtype=np.uint64))
+    z = _mix_oracle((k * ones + _pack(idx) * _PHI) & (_MASK * ones), ones)
+    lanes = np.frombuffer((z >> 11).to_bytes(16 * n, "little"), dtype="<u8")
+    return lanes[::2] * 2.0**-53  # each lane's low 64 bits, < 2^53
 
 
+# Frozen copy of the allocating counter-RNG bootstrap the in-place kernel
+# replaced, on the reference stream; the kernel must reproduce it bit for
+# bit.  Its sum of squares follows the kernel's BLAS-free reduction
+# (np.dot rounds differently with the number of BLAS threads).
 def _sumsq_einsum(v):
     return np.einsum("i,i->", v, v)
 
@@ -71,11 +92,11 @@ class TestCounterRng:
         assert abs(u.var() - 1 / 12) < 0.002
 
     @pytest.mark.parametrize("seed,idx,draw,expected", [
-        (0, 0, 0, 0.6524484863740322),
-        (0, 1, 0, 0.27623358227789463),
-        (7, 12345, 1, 0.5470576575311659),
-        (2**63 - 1, 2**40, 4, 0.6434488121097064),
-        (123, 999_999, 2, 0.468289461620348),
+        (0, 0, 0, 0.13870941014555427),
+        (0, 1, 0, 0.9711020828012883),
+        (7, 12345, 1, 0.08234792001996238),
+        (2**63 - 1, 2**40, 4, 0.00903879594391288),
+        (123, 999_999, 2, 0.1983486483763104),
     ])
     def test_golden_values(self, seed, idx, draw, expected):
         u = uniforms_np(seed, np.array([idx], dtype=np.uint64), draw)
@@ -87,6 +108,47 @@ class TestCounterRng:
             for draw in (0, 1, 4):
                 assert np.array_equal(uniforms_np(seed, idx, draw),
                                       _uniforms_oracle(seed, idx, draw))
+
+    # stream quality of the key derivation, over N indices each: a
+    # correlation of independent uniforms is about N(0, 1/N)
+    N = 200_000
+
+    @staticmethod
+    def _corr(a, b):
+        return abs(np.corrcoef(a, b)[0, 1])
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 - 2])
+    def test_draws_uncorrelated(self, seed):
+        idx = np.arange(self.N, dtype=np.uint64)
+        assert self._corr(uniforms_np(seed, idx, 0),
+                          uniforms_np(seed, idx, 1)) < 5 / math.sqrt(self.N)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 - 2])
+    def test_adjacent_seeds_uncorrelated(self, seed):
+        idx = np.arange(self.N, dtype=np.uint64)
+        assert self._corr(uniforms_np(seed, idx, 0),
+                          uniforms_np(seed + 1, idx, 0)) < 5 / math.sqrt(self.N)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 - 2])
+    def test_adjacent_bootstrap_members_uncorrelated(self, seed):
+        # member b of a bootstrap over n = N samples draws stream indices
+        # b*N .. b*N + N - 1 of draw 0
+        first = np.arange(self.N, dtype=np.uint64)
+        assert self._corr(uniforms_np(seed, first, 0),
+                          uniforms_np(seed, first + self.N, 0)) < 5 / math.sqrt(self.N)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 - 2])
+    def test_bootstrap_indices_uniform(self, seed):
+        # chi^2 of N bootstrap indices over n = 1537 bins, as the kernel
+        # forms them (floor(u * n)), within 5 sigma of its n - 1 degrees
+        # of freedom on both sides: a Weyl sequence i*phi without the
+        # finaliser would be far too even
+        n = 1537
+        u = uniforms_np(seed, np.arange(self.N, dtype=np.uint64), 0)
+        counts = np.bincount((u * n).astype(np.int64), minlength=n)
+        expected = self.N / n
+        chi2 = float(((counts - expected) ** 2).sum() / expected)
+        assert abs(chi2 - (n - 1)) < 5 * math.sqrt(2 * (n - 1))
 
 
 class TestBootMomentsBitIdentity:
@@ -161,7 +223,7 @@ class TestBootMomentsThreads:
 
 class TestBackendEquivalence:
     def test_hbt_counts_match(self):
-        # same arithmetic in both backends -> bit-identical counts
+        # the public wrapper runs the numpy kernel: identical counts
         cdf = np.cumsum([0.95, 0.03, 0.015, 0.004, 0.001])
         for seed in [0, 99]:
             a = hbt_counts_np(cdf, 0.5, 0.5, 0.01, seed, 0, 50_000)
@@ -183,8 +245,7 @@ class TestBackendEquivalence:
         assert len(counts) == 1
 
     def test_boot_moments_match(self):
-        # resampled indices are identical across backends; the moment
-        # floats can differ in the last ulp from summation order
+        # the public wrapper runs the numpy kernel on a float64 copy
         x = np.random.default_rng(3).normal(1.0, 2.0, 5000)
         m_np, v_np = boot_moments_np(x, 20, 11)
         m, v = kernels.boot_moments(x, 20, 11)

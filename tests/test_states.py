@@ -79,6 +79,12 @@ class TestConstructors:
         with pytest.raises(DomainError):
             PhasePoint(float("nan"), 0.0)
 
+    @pytest.mark.parametrize("vxp", [1e200, 0.0])
+    def test_covariance_det_overflow_raises_domain_error(self, vxp):
+        # finite entries whose det overflows: inf - inf, or inf
+        with pytest.raises(DomainError):
+            CovarianceMatrix(1e200, 1e200, vxp)
+
 
 class TestWigner:
     def test_peak_values(self):
