@@ -1,15 +1,15 @@
 """Monte-Carlo Hanbury Brown-Twiss arm: beam splitter plus two threshold
 (click/no-click) detectors.
 
-Each detection window is independent: a photon number n is drawn from
-the state's distribution, and each detector clicks if it detects >= 1
-photon or fires a dark event.  Given n, a threshold detector pair only
-needs three no-click probabilities (`kernels.no_click_probs`):
-(1-eta)^n for neither detector, (1-eta split)^n for detector 1 and
-(1-eta(1-split))^n for detector 2.  The simulator draws each window's
-click pattern from them, and `expected_click_g2` averages them over the
-distribution, so both use one model.  Randomness is counter-based per
-window, so aggregate counts are bit-identical for any worker count.
+Each detection window is independent, and a threshold detector pair only
+registers which detectors fired (>= 1 photon detected or a dark event).
+A window's click pattern therefore follows from three no-click
+probabilities averaged over the state's photon-number distribution
+(`kernels.click_probs`): q1 for detector 1, q2 for detector 2 and qb for
+both.  The simulator draws each window's pattern from them with one
+counter-based uniform, and `expected_click_g2` forms its expectation
+from the same call, so both use one model.  Aggregate counts are
+bit-identical for any worker count.
 
 The click estimator g2 ~ nc * N / (n1 * n2) carries an O(<n>) bias at
 larger photon numbers (threshold detectors saturate); it is the standard
@@ -41,6 +41,11 @@ class CountingConfig:
     workers: int = 1
 
     def __post_init__(self):
+        ints = (self.n_windows, self.n_max, self.workers)
+        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer))
+               for v in ints):
+            raise DomainError("CountingConfig: n_windows, n_max and workers "
+                              f"must be integers, got {ints!r}")
         if self.n_windows < 1:
             raise DomainError("CountingConfig: n_windows must be >= 1")
         if not 0.0 <= self.eta_det <= 1.0:
@@ -105,15 +110,11 @@ def expected_click_g2(dist: PhotonNumberDistribution, config: CountingConfig):
     by multi-photon windows), which for strongly bunched near-vacuum
     light requires small eta, not just small <n>.
     """
-    qb_n, q1_n, q2_n = kernels.no_click_probs(dist.n_max, config.eta_det,
-                                              config.split)
-    d = config.dark_prob
-    q1 = (1.0 - d) * float(np.dot(dist.probs, q1_n))
-    q2 = (1.0 - d) * float(np.dot(dist.probs, q2_n))
-    qb = (1.0 - d) ** 2 * float(np.dot(dist.probs, qb_n))
-    p1, p2 = 1.0 - q1, 1.0 - q2
-    pc = 1.0 - q1 - q2 + qb
-    return pc / (p1 * p2)
+    q1, q2, qb = kernels.click_probs(dist.cdf(), config.eta_det,
+                                     config.split, config.dark_prob)
+    if max(q1, q2) == 1.0:
+        raise DomainError("expected_click_g2: a detector never clicks")
+    return (1.0 - q1 - q2 + qb) / ((1.0 - q1) * (1.0 - q2))
 
 
 def g2_estimate_clicks(rec: CountingRecord):
@@ -137,18 +138,17 @@ def bootstrap_g2_clicks(rec: CountingRecord, n_boot: int = 200, seed: int = 0):
     binomially at the observed rates.  Returns the g2 draws (invalid
     resamples with zero singles are skipped)."""
     kernels.check_seed(seed, "bootstrap_g2_clicks")
+    if not isinstance(n_boot, (int, np.integer)) or n_boot < 1:
+        raise DomainError(f"bootstrap_g2_clicks: n_boot must be an integer "
+                          f">= 1, got {n_boot!r}")
     rng = np.random.default_rng(seed)
     N = rec.n_windows
-    draws = []
-    for _ in range(n_boot):
-        b1 = rng.binomial(N, rec.n1 / N)
-        b2 = rng.binomial(N, rec.n2 / N)
-        bc = rng.binomial(N, rec.nc / N)
-        if b1 > 0 and b2 > 0:
-            draws.append(bc * N / (b1 * b2))
-    if not draws:
+    b1, b2, bc = (rng.binomial(N, k / N, size=n_boot).astype(np.float64)
+                  for k in (rec.n1, rec.n2, rec.nc))
+    ok = (b1 > 0) & (b2 > 0)
+    if not ok.any():
         raise InsufficientStatisticsError("all bootstrap resamples degenerate")
-    return np.asarray(draws)
+    return bc[ok] * N / (b1[ok] * b2[ok])
 
 
 def sample_photon_numbers(
@@ -170,19 +170,18 @@ def g2_estimate_numbers(samples, n_boot: int = 200, seed: int = 0):
     samples = np.asarray(samples, dtype=np.int64)
     if samples.size == 0 or samples.sum() <= 0:
         raise DomainError("g2_estimate_numbers: no photons in the sample")
-
-    def ratio(counts):
-        n = np.arange(len(counts), dtype=float)
-        tot = counts.sum()
-        mean = np.dot(counts, n) / tot
-        fac = np.dot(counts, n * (n - 1.0)) / tot
-        return fac / mean ** 2 if mean > 0 else np.nan
-
     counts = np.bincount(samples)
-    value = float(ratio(counts))
     rng = np.random.default_rng(seed)
     boot = rng.multinomial(samples.size, counts / samples.size, size=n_boot)
-    vals = np.array([ratio(b) for b in boot])
+    # row 0 is the sample, the others the members; the integer moments
+    # are below 2^53, so exact in any summation order
+    n = np.arange(len(counts), dtype=np.float64)
+    powers = np.stack([np.ones_like(n), n, n * (n - 1.0)], axis=1)
+    tot, s1, s2 = (np.vstack([counts, boot]) @ powers).T
+    mean, fac = s1 / tot, s2 / tot
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = fac / mean ** 2  # nan for a member without photons
+    value, vals = float(ratios[0]), ratios[1:]
     vals = vals[np.isfinite(vals)]
     if vals.size < 2:
         raise InsufficientStatisticsError("bootstrap degenerate (all-zero resamples)")

@@ -34,21 +34,21 @@ the moments do not depend on BLAS threading either.
 The HBT kernel works in chunks of 65,536 windows, which bounds its
 working set; counts do not depend on the chunk size.
 
-Per-window draw layout for the HBT simulator (2 uniforms per window,
-4 with dark counts):
-    u0 -> photon number n from the state's cdf
-    u1 -> click pattern given n, cut at the per-n no-click probabilities
-          qb = (1-eta)^n, q2 = (1-eta(1-split))^n, q1 = (1-eta split)^n:
-          [0, qb) none, [qb, q2) detector 1 only,
-          [q2, q2 + q1 - qb) detector 2 only, the rest both
-    u2, u3 -> dark events on detectors 1 and 2, drawn only when dark > 0
-Threshold detectors only see whether each got >= 1 photon, so this is the
-exact model (`no_click_probs`, shared with counting.expected_click_g2)
-at O(1) cost per window.
+Per-window draw layout for the HBT simulator: one uniform per window,
+u0 = u(seed, w, 0).  Threshold detectors only see whether each fired, so
+a window's click pattern depends on the state only through three
+state-averaged no-click probabilities (`click_probs`, shared with
+counting.expected_click_g2): q1 and q2 that detector 1 and detector 2
+stay silent, qb that both do, dark events included.  u0 picks the
+pattern: [0, qb) none, [qb, q2) detector 1 only, [q2, q2 + q1 - qb)
+detector 2 only, the rest both.  This is the exact model at O(1) cost
+per window, with no photon number drawn.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -124,70 +124,67 @@ def _draw_bits(z, row, offset, tmp):
     return z
 
 
-def _uniforms(z, row, offset, tmp):
-    """_draw_bits(z, row, offset, tmp) * 2^-53, exactly, written over tmp
-    (as float64): the uniforms live until tmp's next use."""
-    _draw_bits(z, row, offset, tmp)
-    return np.multiply(z, _INV53, out=tmp.view(np.float64))
-
-
 def uniforms_np(seed: int, idx: np.ndarray, draw: int) -> np.ndarray:
     """u(seed, i, draw) of the module docstring, in [0, 1), vectorized
     over the stream indices idx."""
     z = idx.astype(np.uint64)
     np.multiply(z, _PHI64, out=z)
-    return _uniforms(z, z, _key(seed, draw), np.empty_like(z))
+    return _draw_bits(z, z, _key(seed, draw), np.empty_like(z)) * _INV53
 
 
-def no_click_probs(n_max: int, eta: float, split: float):
-    """(qb, q1, q2) for n = 0..n_max photons at a beam splitter feeding
-    two threshold detectors of efficiency eta: the probabilities that
-    neither detector, detector 1 (fraction `split`) and detector 2 sees
-    a photon, (1-eta)^n, (1-eta split)^n and (1-eta(1-split))^n."""
-    n = np.arange(n_max + 1, dtype=np.float64)
-    return ((1.0 - eta) ** n, (1.0 - eta * split) ** n,
-            (1.0 - eta * (1.0 - split)) ** n)
-
-
-def _pattern_cuts(n_max, eta, split):
-    """Per-n cut points (qb, q2, q2 + q1 - qb) of the u1 click-pattern
-    draw; see the module docstring."""
-    qb, q1, q2 = no_click_probs(n_max, eta, split)
-    return qb, q2, q2 + q1 - qb
+def click_probs(cdf, eta, split, dark):
+    """(q1, q2, qb): the probabilities that detector 1, detector 2 and
+    both detectors stay silent in a window, averaged over the photon
+    numbers of `cdf` (n = 0..len(cdf) - 1; mass missing above cdf[-1]
+    counts as the last n).  The beam splitter sends each photon to
+    detector 1 with probability `split`; each detector has efficiency
+    eta and fires a dark event with probability `dark`, so given n
+    they are (1-dark)(1-eta split)^n, (1-dark)(1-eta(1-split))^n and
+    (1-dark)^2 (1-eta)^n.  Every sum is exactly rounded (math.fsum),
+    so nothing depends on BLAS or summation order."""
+    p = np.diff(cdf, prepend=0.0)
+    p[-1] += 1.0 - cdf[-1]
+    n = np.arange(len(p), dtype=np.float64)
+    p = p.tolist()
+    q1, q2, qb = (math.fsum(map(operator.mul, p, (q ** n).tolist()))
+                  for q in (1.0 - eta * split, 1.0 - eta * (1.0 - split),
+                            1.0 - eta))
+    # the vacuum's p(0) rounds to 1 + 2^-52, which must not give q > 1;
+    # qb <= q1, q2 keeps every pattern count >= 0 should pow round a hair
+    # out of order; the dark factors below preserve both
+    q1, q2 = min(q1, 1.0), min(q2, 1.0)
+    qb = min(qb, q1, q2)
+    return (1.0 - dark) * q1, (1.0 - dark) * q2, (1.0 - dark) ** 2 * qb
 
 
 def hbt_counts_np(cdf, eta, split, dark, seed, start, stop, chunk=65_536):
     """Click/coincidence counts for windows [start, stop).
 
-    Window w is stream index w.  A chunk starting at window lo hashes
-    w*phi = lo*phi + j*phi (mod 2^64), so each draw adds one scalar,
-    lo*phi plus the draw's key, to the shared row j*phi: the draws of a
-    chunk differ only by their key.
+    Window w draws u = u(seed, w, 0) and compares its 53 bits with the
+    three integer cuts of qb, q2 and q2 + (q1 - qb); see the module
+    docstring.  A chunk starting at window lo hashes w*phi = lo*phi +
+    j*phi (mod 2^64), one scalar added to the shared row j*phi.
     """
     n1 = n2 = nc = 0
-    n_max = len(cdf) - 1
-    qb, q2, cut = _pattern_cuts(n_max, eta, split)
-    keys = [_key(seed, d) for d in range(4 if dark > 0.0 else 2)]
+    q1, q2, qb = click_probs(cdf, eta, split, dark)
+    # u = bits * 2^-53 < c exactly when bits < ceil(c * 2^53); the cuts
+    # stay in order, since q1 - qb >= 0 and ceil is monotone
+    cuts = [np.uint64(min(math.ceil(c * 2.0**53), 2**53))
+            for c in (qb, q2, q2 + (q1 - qb))]
+    key = _key(seed, 0)
     row = np.arange(max(0, min(chunk, stop - start)), dtype=np.uint64)
     np.multiply(row, _PHI64, out=row)
     z, tmp = np.empty_like(row), np.empty_like(row)
+    below = np.empty(len(row), dtype=bool)
     for lo in range(start, stop, chunk):
         k = min(chunk, stop - lo)
-        base = lo * _PHI
-        zk, rk, tk = z[:k], row[:k], tmp[:k]
-        # each draw's uniforms overwrite the previous draw's in tmp
-        n = np.searchsorted(cdf, _uniforms(zk, rk, base + keys[0], tk),
-                            side="right")
-        np.minimum(n, n_max, out=n)
-        u1 = _uniforms(zk, rk, base + keys[1], tk)
-        c2 = u1 >= q2[n]
-        c1 = (u1 >= qb[n]) & ~(c2 & (u1 < cut[n]))
-        if dark > 0.0:
-            c1 |= _uniforms(zk, rk, base + keys[2], tk) < dark
-            c2 |= _uniforms(zk, rk, base + keys[3], tk) < dark
-        n1 += int(np.count_nonzero(c1))
-        n2 += int(np.count_nonzero(c2))
-        nc += int(np.count_nonzero(c1 & c2))
+        bits = _draw_bits(z[:k], row[:k], lo * _PHI + key, tmp[:k])
+        # windows below each cut: no click, detector 2 silent, not both
+        none, silent2, not_both = (int(np.count_nonzero(
+            np.less(bits, c, out=below[:k]))) for c in cuts)
+        n1 += silent2 - none + k - not_both
+        n2 += k - silent2
+        nc += k - not_both
     return n1, n2, nc
 
 

@@ -155,22 +155,19 @@ _EIG_TOL = 8 * np.finfo(float).eps
 def project_physical(vxx: float, vpp: float, vxp: float) -> CovarianceMatrix:
     """Project an estimated covariance onto the physical set det V >= 1/4.
 
-    A positive-definite estimate with det < 1/4 has both principal
-    variances scaled by the minimal common factor restoring det = 1/4.
-    An indefinite one keeps its larger principal variance w and gets
-    1/(4w) as the smaller one.  With no positive principal variance the
-    result is the vacuum covariance."""
+    The larger principal variance w1 stays and the smaller becomes
+    max(w0, 1/(4 w1)), so a physical estimate is returned unchanged and
+    the result is continuous in the estimate, across w0 = 0 too: an
+    indefinite estimate and a positive-definite one with det < 1/4 are
+    treated alike.  With no positive principal variance the result is
+    the vacuum covariance."""
     M = np.array([[vxx, vxp], [vxp, vpp]])
     w, v = np.linalg.eigh(M)
-    tol = _EIG_TOL * float(np.max(np.abs(w)))
-    if w[1] <= tol:
+    if w[1] <= _EIG_TOL * float(np.max(np.abs(w))):
         return CovarianceMatrix(VACUUM_VARIANCE, VACUUM_VARIANCE, 0.0)
-    if w[0] <= tol:
-        w[0] = 0.25 / w[1]
-    else:
-        det = w[0] * w[1]
-        if det < 0.25:
-            w = w * math.sqrt(0.25 / det)
+    if w[0] >= 0.25 / w[1]:
+        return CovarianceMatrix(float(vxx), float(vpp), float(vxp))
+    w[0] = 0.25 / w[1]
     M = v @ np.diag(w) @ v.T
     return CovarianceMatrix(float(M[0, 0]), float(M[1, 1]), float(M[0, 1]))
 

@@ -25,6 +25,18 @@ class TestConfig:
         with pytest.raises(DomainError):
             CountingConfig(n_windows=10, split=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("workers", 2.5), ("n_windows", 1e4), ("n_max", 64.0),
+        ("workers", True), ("n_windows", "1000"), ("n_max", None)])
+    def test_integer_fields(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            CountingConfig(**{"n_windows": 1000, field: value})
+
+    def test_numpy_integer_fields_accepted(self):
+        cfg = CountingConfig(n_windows=np.int64(1000), n_max=np.int32(16),
+                             workers=np.int64(2))
+        assert simulate_hbt(vacuum(), cfg).n_windows == 1000
+
     @pytest.mark.parametrize("seed", [-1, 2**63, 2**64])
     def test_seed_out_of_range(self, seed):
         with pytest.raises(DomainError):
@@ -113,6 +125,16 @@ class TestClickEstimator:
         exact = expected_click_g2(photon_number_distribution(st, 32), cfg)
         assert abs(value - exact) < 3 * err
 
+    @pytest.mark.parametrize("state, eta", [(vacuum(), 1.0),
+                                            (thermal(0.5), 0.0)])
+    def test_expected_g2_without_clicks(self, state, eta):
+        # no click probability at all; the vacuum's p(0) rounds to 1 + 2^-52
+        from wigg2.counting import expected_click_g2
+        from wigg2.fock import photon_number_distribution
+        dist = photon_number_distribution(state, 32)
+        with pytest.raises(DomainError, match="never clicks"):
+            expected_click_g2(dist, CountingConfig(n_windows=10, eta_det=eta))
+
     def test_squeezed_statistical_low_eta(self):
         # with eta small the bias shrinks and the estimator approaches
         # the photon-level value 3 + 1/<n> = 103
@@ -149,6 +171,25 @@ class TestClickEstimator:
         value, err = g2_estimate_clicks(rec)
         assert abs(value - 1.0) < 4 * err
 
+    @pytest.mark.parametrize("n_boot", [-1, 0, 2.5])
+    def test_bootstrap_rejects_n_boot(self, n_boot):
+        rec = CountingRecord(100, 100, 5, 10_000,
+                             CountingConfig(n_windows=10_000))
+        with pytest.raises(DomainError, match="n_boot"):
+            bootstrap_g2_clicks(rec, n_boot=n_boot)
+
+    def test_bootstrap_matches_member_loop(self):
+        # the same binomial draws, evaluated member by member in Python
+        # ints; rates low enough that some members have no singles
+        N = 20_000
+        rec = CountingRecord(3, 2, 1, N, CountingConfig(n_windows=N))
+        rng = np.random.default_rng(8)
+        b1, b2, bc = (rng.binomial(N, k / N, size=300).tolist()
+                      for k in (3, 2, 1))
+        ref = [c * N / (x * y) for x, y, c in zip(b1, b2, bc) if x and y]
+        assert len(ref) < 300
+        assert bootstrap_g2_clicks(rec, n_boot=300, seed=8).tolist() == ref
+
     def test_bootstrap_draws(self):
         rec = simulate_hbt(thermal(0.05),
                            CountingConfig(n_windows=1_000_000, seed=19))
@@ -165,6 +206,26 @@ class TestNumberEstimator:
     def test_all_zero_error(self):
         with pytest.raises(DomainError):
             g2_estimate_numbers(np.zeros(100, dtype=int))
+
+    @pytest.mark.parametrize("samples", [
+        sample_photon_numbers(thermal(0.3), 2_000, seed=4),
+        np.array([0] * 30 + [2]),  # about a third of the members are empty
+    ], ids=["thermal", "sparse"])
+    def test_bootstrap_matches_member_loop(self, samples):
+        def ratio(counts):
+            n = np.arange(len(counts), dtype=float)
+            tot = counts.sum()
+            mean = np.dot(counts, n) / tot
+            fac = np.dot(counts, n * (n - 1.0)) / tot
+            return fac / mean ** 2 if mean > 0 else np.nan
+
+        counts = np.bincount(samples)
+        boot = np.random.default_rng(6).multinomial(
+            samples.size, counts / samples.size, size=50)
+        vals = np.array([ratio(b) for b in boot])
+        vals = vals[np.isfinite(vals)]
+        assert g2_estimate_numbers(samples, n_boot=50, seed=6) == (
+            ratio(counts), float(vals.std(ddof=1)))
 
     def test_thermal_converges(self):
         s = sample_photon_numbers(thermal(1.0), 1_000_000, seed=23)

@@ -9,7 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wigg2 import kernels
-from wigg2.kernels import (boot_moments_np, hbt_counts_np, uniforms_np)
+from wigg2.counting import CountingConfig, expected_click_g2
+from wigg2.fock import photon_number_distribution
+from wigg2.kernels import (boot_moments_np, click_probs, hbt_counts_np,
+                           uniforms_np)
+from wigg2.states import thermal
 
 
 # Independent reference for the counter RNG in Python ints, masked to 64
@@ -305,3 +309,73 @@ class TestClickPattern:
         a = hbt_counts_np(cdf, eta, split, dark, seed, 0, mid)
         b = hbt_counts_np(cdf, eta, split, dark, seed, mid, windows)
         assert (n1, n2, nc) == tuple(x + y for x, y in zip(a, b))
+
+
+def _counts_reference(cdf, eta, split, dark, seed, start, stop):
+    """Counts from the Python-int stream, with the click-pattern cuts of
+    the module docstring computed in plain Python floats."""
+    cdf = [float(c) for c in cdf]
+    p = [c - b for b, c in zip([0.0] + cdf[:-1], cdf)]
+    p[-1] += 1.0 - cdf[-1]  # missing mass counts as the last n
+
+    def silent(q):
+        return math.fsum(pn * q ** n for n, pn in enumerate(p))
+
+    q1 = (1 - dark) * silent(1 - eta * split)
+    q2 = (1 - dark) * silent(1 - eta * (1 - split))
+    qb = (1 - dark) ** 2 * silent(1 - eta)
+    n1 = n2 = nc = 0
+    idx = np.arange(start, stop, dtype=np.uint64)
+    for u in _uniforms_oracle(seed, idx, 0).tolist():
+        if u < qb:
+            continue  # no click
+        if u < q2:
+            n1 += 1  # detector 1 only
+        elif u < q2 + q1 - qb:
+            n2 += 1  # detector 2 only
+        else:
+            n1, n2, nc = n1 + 1, n2 + 1, nc + 1
+    return n1, n2, nc
+
+
+class TestClickProbs:
+    @pytest.mark.parametrize("cdf, eta, split, dark, seed, start, chunk", [
+        (np.cumsum([0.6, 0.25, 0.1, 0.04, 0.01]), 0.6, 0.4, 0.02, 2**63 - 5,
+         0, 65_536),
+        (np.cumsum([0.2, 0.3, 0.3, 0.1]), 0.9, 0.5, 0.1, 12345, 70_000,
+         1_000),
+        (0.8 * np.cumsum(np.full(40, 1 / 40)), 0.3, 0.7, 0.005, 2**62 + 1,
+         2**40, 3_001),
+    ])
+    def test_counts_match_reference(self, cdf, eta, split, dark, seed, start,
+                                    chunk):
+        stop = start + 4_096
+        assert hbt_counts_np(cdf, eta, split, dark, seed, start, stop,
+                             chunk=chunk) == _counts_reference(
+            cdf, eta, split, dark, seed, start, stop)
+
+    def test_missing_mass_counts_as_n_max(self):
+        half = np.array([0.2, 0.5, 0.5])  # cdf[-1] = 0.5
+        full = np.array([0.2, 0.5, 1.0])  # the other half at n_max = 2
+        assert click_probs(half, 0.7, 0.4, 0.01) == click_probs(full, 0.7,
+                                                                0.4, 0.01)
+        assert hbt_counts_np(half, 0.7, 0.4, 0.01, 9, 0, 50_000) == \
+            hbt_counts_np(full, 0.7, 0.4, 0.01, 9, 0, 50_000)
+
+    def test_pattern_frequencies_chi2(self):
+        cdf = np.cumsum([0.5, 0.2, 0.15, 0.1, 0.05])
+        eta, split, dark, N = 0.7, 0.35, 0.03, 400_000
+        n1, n2, nc = hbt_counts_np(cdf, eta, split, dark, 77, 0, N)
+        q1, q2, qb = click_probs(cdf, eta, split, dark)
+        observed = np.array([N - n1 - n2 + nc, n1 - nc, n2 - nc, nc])
+        expected = N * np.array([qb, q2 - qb, q1 - qb, 1 - q1 - q2 + qb])
+        chi2 = float(np.sum((observed - expected) ** 2 / expected))
+        assert chi2 < 21.11  # 0.9999 quantile of chi^2 with 3 dof
+
+    def test_expected_click_g2_uses_click_probs(self):
+        dist = photon_number_distribution(thermal(0.3), 32)
+        cfg = CountingConfig(n_windows=10, eta_det=0.7, split=0.4,
+                             dark_prob=0.01)
+        q1, q2, qb = click_probs(dist.cdf(), 0.7, 0.4, 0.01)
+        assert expected_click_g2(dist, cfg) == \
+            (1.0 - q1 - q2 + qb) / ((1.0 - q1) * (1.0 - q2))

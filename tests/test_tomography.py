@@ -177,6 +177,21 @@ class TestEstimateCovariance:
         assert cov.det == pytest.approx(0.25, rel=1e-10)
         assert project_physical(-1.0, -2.0, 0.5) == CovarianceMatrix(0.5, 0.5, 0.0)
 
+    def test_projection_continuous_at_zero_principal_variance(self):
+        # det 2e-13 (positive definite) and det -2e-13 (indefinite) lie on
+        # either side of w0 = 0; both become principal variances 1/8 and 2
+        below = project_physical(1.0, 1.0, 1.0 - 1e-13)
+        above = project_physical(1.0, 1.0, 1.0 + 1e-13)
+        assert np.allclose(below.matrix(), above.matrix(), rtol=0, atol=1e-6)
+        for cov in (below, above, project_physical(0.2, 0.3, 0.0),
+                    project_physical(0.4, 0.4, 0.3)):
+            w = np.linalg.eigvalsh(cov.matrix())
+            assert w[0] * w[1] >= 0.25 * (1 - 1e-12)
+            slack = 8 * np.finfo(float).eps * (cov.vxx * cov.vpp + cov.vxp ** 2)
+            assert cov.det >= 0.25 - slack
+        assert np.linalg.eigvalsh(below.matrix()) == pytest.approx([0.125, 2.0])
+        assert project_physical(1.0, 2.0, 0.3) == CovarianceMatrix(1.0, 2.0, 0.3)
+
     @settings(max_examples=300, deadline=None)
     @given(entries=st.tuples(*[st.integers(-100_000, 100_000)] * 3))
     def test_projection_is_physical(self, entries):
