@@ -50,14 +50,19 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _write_manifest(out_path: str, subcommand: str, params: dict, outputs: dict):
+def _emit(args, subcommand: str, params: dict, text: str):
+    """Write `text` to --out with its manifest beside it, or to stdout."""
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    _write_text(args.out, text)
     manifest = {
         "subcommand": subcommand,
         "params": params,
         "version": __version__,
-        "outputs": {name: _sha256(text) for name, text in outputs.items()},
+        "outputs": {args.out: _sha256(text)},
     }
-    _write_text(out_path + ".manifest.json",
+    _write_text(args.out + ".manifest.json",
                 json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -150,9 +155,7 @@ def cmd_fig1(args):
              "n,g2_coherent,g2_thermal,g2_squeezed\n"]
     for n, gc, gt, gs in rows:
         lines.append(f"{_fmt(n)},{_fmt(gc)},{_fmt(gt)},{_fmt(gs)}\n")
-    text = "".join(lines)
-    _write_text(args.out, text)
-    _write_manifest(args.out, "fig1", params, {args.out: text})
+    _emit(args, "fig1", params, "".join(lines))
     return 0
 
 
@@ -176,22 +179,20 @@ def cmd_pn(args):
              f"# tail_mass={_fmt(dist.tail_mass)}\n", "n,p\n"]
     for n, p in enumerate(dist.probs):
         lines.append(f"{n},{_fmt(p)}\n")
-    text = "".join(lines)
-    if args.out:
-        _write_text(args.out, text)
-        _write_manifest(args.out, "pn", params, {args.out: text})
-    else:
-        sys.stdout.write(text)
+    _emit(args, "pn", params, "".join(lines))
     return 0
+
+
+def _counting_config(args) -> CountingConfig:
+    return CountingConfig(
+        n_windows=args.windows, eta_det=args.eta_det, dark_prob=args.dark_prob,
+        split=args.split, seed=args.seed, n_max=args.n_max, workers=args.workers,
+    )
 
 
 def cmd_count(args):
     state = _state_from_args(args)
-    cfg = CountingConfig(
-        n_windows=args.windows, eta_det=args.eta_det, dark_prob=args.dark_prob,
-        split=args.split, seed=args.seed, n_max=args.n_max, workers=args.workers,
-    )
-    rec = simulate_hbt(state, cfg)
+    rec = simulate_hbt(state, _counting_config(args))
     value, err = g2_estimate_clicks(rec)
     params = {"windows": args.windows, "eta_det": args.eta_det,
               "dark_prob": args.dark_prob, "split": args.split,
@@ -201,12 +202,7 @@ def cmd_count(args):
              "theta_deg,g2_direct,g2_direct_err,n1,n2,nc,n_windows\n",
              f"{_fmt(args.theta_deg)},{_fmt(value)},{_fmt(err)},"
              f"{rec.n1},{rec.n2},{rec.nc},{rec.n_windows}\n"]
-    text = "".join(lines)
-    if args.out:
-        _write_text(args.out, text)
-        _write_manifest(args.out, "count", params, {args.out: text})
-    else:
-        sys.stdout.write(text)
+    _emit(args, "count", params, "".join(lines))
     return 0
 
 
@@ -229,12 +225,7 @@ def cmd_homodyne(args):
     for theta, samples in zip(data.angles, data.samples):
         for x in samples:
             lines.append(f"{_fmt(theta)},{_fmt(x)}\n")
-    text = "".join(lines)
-    if args.out:
-        _write_text(args.out, text)
-        _write_manifest(args.out, "homodyne", params, {args.out: text})
-    else:
-        sys.stdout.write(text)
+    _emit(args, "homodyne", params, "".join(lines))
     if args.reconstruct:
         rec = estimate_covariance(data, boot_seed=args.seed)
         g = g2_from_reconstruction(rec, epsilon=args.epsilon)
@@ -253,11 +244,7 @@ def cmd_sweep(args):
     thetas = _parse_angles_deg(args.thetas)
     if not thetas:
         raise _Usage("empty angle list")
-    counting = CountingConfig(
-        n_windows=args.windows, eta_det=args.eta_det, dark_prob=args.dark_prob,
-        split=args.split, seed=args.seed, n_max=args.n_max, workers=args.workers,
-    )
-    rows = hwp_sweep(args.r, thetas, counting,
+    rows = hwp_sweep(args.r, thetas, _counting_config(args),
                      per_angle=args.per_angle, eta_hd=args.eta_hd, seed=args.seed)
     params = {"r": args.r, "thetas": args.thetas, "windows": args.windows,
               "eta_det": args.eta_det, "dark_prob": args.dark_prob,
@@ -271,9 +258,7 @@ def cmd_sweep(args):
             row.theta_deg, row.g2_analytic, row.g2_direct, row.g2_direct_err,
             row.g2_homodyne, row.g2_ci_low, row.g2_ci_high, row.vx, row.vp,
         )) + "\n")
-    text = "".join(lines)
-    _write_text(args.out, text)
-    _write_manifest(args.out, "sweep", params, {args.out: text})
+    _emit(args, "sweep", params, "".join(lines))
     return 0
 
 

@@ -167,6 +167,9 @@ def g2_estimate_numbers(samples, n_boot: int = 200, seed: int = 0):
     samples; std_error via seeded nonparametric bootstrap (multinomial
     resampling of the empirical distribution)."""
     kernels.check_seed(seed, "g2_estimate_numbers")
+    if not isinstance(n_boot, (int, np.integer)) or n_boot < 2:
+        raise DomainError(f"g2_estimate_numbers: n_boot must be an integer "
+                          f">= 2, got {n_boot!r}")
     samples = np.asarray(samples, dtype=np.int64)
     if samples.size == 0 or samples.sum() <= 0:
         raise DomainError("g2_estimate_numbers: no photons in the sample")

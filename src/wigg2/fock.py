@@ -47,8 +47,8 @@ def fock_wigner(n: int, x, p):
 class PhotonNumberDistribution:
     """p(n) for n = 0..n_max plus the unaccounted tail mass.
 
-    Tiny negative round-off is clamped to 0; no renormalization
-    is applied, tail_mass keeps the accounting honest."""
+    Round-off outside [0, 1] is clamped; no renormalization is
+    applied, tail_mass keeps the accounting honest."""
 
     probs: np.ndarray
     n_max: int
@@ -115,15 +115,16 @@ def photon_number_distribution(
     with np.errstate(over="ignore", invalid="ignore"):
         probs = pref * _hermite_diagonal((np.eye(2) - inv)[:, ::-1],
                                          inv @ zeta, n_max)
-    probs[probs < 0.0] = 0.0
-    tail = 1.0 - float(probs.sum())
-    if not (np.isfinite(probs).all() and math.isfinite(tail)):
+    if not np.isfinite(probs).all():
         # G_nn peaks near e^<n>: overflow from <n> ~ 700, whatever n_max
         raise DomainError(
             f"photon_number_distribution: non-finite probabilities at "
             f"n_max={n_max} ({int(np.count_nonzero(~np.isfinite(probs)))} "
             f"of {n_max + 1}); the Fock recursion overflowed"
         )
+    # round-off: the vacuum's p(0) comes out as 1 + 2^-52
+    np.clip(probs, 0.0, 1.0, out=probs)
+    tail = 1.0 - float(probs.sum())
     if tail < 0.0 and tail > -1e-9:
         tail = 0.0
     if tail > tol:

@@ -149,9 +149,10 @@ def click_probs(cdf, eta, split, dark):
     q1, q2, qb = (math.fsum(map(operator.mul, p, (q ** n).tolist()))
                   for q in (1.0 - eta * split, 1.0 - eta * (1.0 - split),
                             1.0 - eta))
-    # the vacuum's p(0) rounds to 1 + 2^-52, which must not give q > 1;
-    # qb <= q1, q2 keeps every pattern count >= 0 should pow round a hair
-    # out of order; the dark factors below preserve both
+    # a cdf may end a few ulps above 1 (cumsum round-off, or a caller's
+    # own cdf), which must not give q > 1; qb <= q1, q2 keeps every
+    # pattern count >= 0 should pow round a hair out of order; the dark
+    # factors below preserve both
     q1, q2 = min(q1, 1.0), min(q2, 1.0)
     qb = min(qb, q1, q2)
     return (1.0 - dark) * q1, (1.0 - dark) * q2, (1.0 - dark) ** 2 * qb

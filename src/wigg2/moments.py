@@ -7,12 +7,12 @@ the Wigner function:
 and
     g2(0) = (nw2 - 2 nw + 1/2) / (nw - 1/2)^2.
 
-For a Gaussian with diagonal covariance diag(a, b) and mean (x0, p0)
-in the principal axes the closed form is
-    nw  = [x0^2 + p0^2 + a + b] / 2
-    nw2 = [x0^4 + p0^4 + 2 x0^2 p0^2 + 3 a^2 + 3 b^2 + 2 a b
-           + 2 x0^2 (3a + b) + 2 p0^2 (a + 3b)] / 4.
-Both kernels are rotation invariant, so diagonalizing first is safe.
+A Gaussian enters only through its mean mu and its excess covariance
+K = V - I/2 (zero at vacuum).  With t = |mu|^2 + tr K,
+    nw  = t/2 + 1/2                       (mean photon number t/2)
+    nw2 = t^2/4 + tr K^2/2 + mu^T K mu + t + 1/2
+    g2  = 1 + 2 (tr K^2 + 2 mu^T K mu) / t^2,
+all rotation invariant, so no diagonalization is needed.
 """
 
 from __future__ import annotations
@@ -58,22 +58,34 @@ class G2Value:
     mean_photon: float
 
 
+def _k_form(state: GaussianState, per_t: bool):
+    """(t, tr k^2, m^T k m) of the module docstring for k = K/s and
+    m = mu/sqrt(s), where s = t if per_t and t > 0, else 1.
+
+    K's diagonal is formed as v - 1/2, free of cancellation for weakly
+    excited states; scaling by t keeps every square below the inputs.
+    """
+    cov, x, p = state.cov, state.mean.x, state.mean.p
+    kxx, kpp, kxp = cov.vxx - 0.5, cov.vpp - 0.5, cov.vxp
+    t = x * x + p * p + kxx + kpp
+    if not math.isfinite(t):
+        raise DomainError(f"|mean|^2 + tr K overflows: {state.to_dict()}")
+    if per_t and t > 0.0:
+        root = math.sqrt(t)
+        kxx, kpp, kxp, x, p = kxx / t, kpp / t, kxp / t, x / root, p / root
+    k2 = kxx * kxx + kpp * kpp + 2.0 * kxp * kxp
+    q = kxx * x * x + kpp * p * p + 2.0 * kxp * x * p
+    return t, k2, q
+
+
 def weyl_moments_analytic(state: GaussianState) -> WeylMoments:
-    """Closed-form symmetric moments of a Gaussian state (principal-axes
-    route: diagonalize the covariance, rotate the mean along)."""
-    w, vecs = state.cov.principal_axes()
-    a, b = float(w[0]), float(w[1])
-    m = vecs.T @ state.mean_vector()
-    x0, p0 = float(m[0]), float(m[1])
-    x2, p2 = x0 * x0, p0 * p0
-    nw = 0.5 * (x2 + p2 + a + b)
-    nw2 = 0.25 * (
-        x2 * x2 + p2 * p2 + 2.0 * x2 * p2
-        + 3.0 * a * a + 3.0 * b * b + 2.0 * a * b
-        + 2.0 * x2 * (3.0 * a + b)
-        + 2.0 * p2 * (a + 3.0 * b)
-    )
-    return WeylMoments(nw, nw2)
+    """Closed-form symmetric moments of a Gaussian state (K-form of the
+    module docstring); DomainError if one is not finite."""
+    t, k2, q = _k_form(state, per_t=False)
+    nw2 = 0.25 * t * t + 0.5 * k2 + q + t + 0.5
+    if not math.isfinite(nw2):
+        raise DomainError(f"<n_W^2> overflows: {state.to_dict()}")
+    return WeylMoments(0.5 * t + 0.5, nw2)
 
 
 def weyl_moments_numeric(
@@ -115,8 +127,10 @@ def weyl_moments_numeric_state(
 ) -> WeylMoments:
     """Numeric-quadrature moments of a Gaussian state; independent route
     from weyl_moments_analytic (used as its oracle)."""
-    w, _ = state.cov.principal_axes()
-    sigma = math.sqrt(float(w[1]))
+    cov = state.cov
+    # the largest principal variance
+    sigma = math.sqrt(0.5 * (cov.vxx + cov.vpp)
+                      + math.hypot(0.5 * (cov.vxx - cov.vpp), cov.vxp))
     center = (state.mean.x, state.mean.p)
     # widen so the grid also covers the displaced peak
     reach = math.hypot(state.mean.x, state.mean.p)
@@ -146,30 +160,23 @@ def g2_from_moments(m: WeylMoments, epsilon: float = DEFAULT_EPSILON) -> G2Value
 
 
 def g2_gaussian(state: GaussianState, epsilon: float = DEFAULT_EPSILON) -> G2Value:
-    """Analytic g2(0) of a Gaussian state.
+    """Analytic g2(0) = 1 + 2 (tr K^2 + 2 mu^T K mu) / t^2 of a Gaussian
+    state, with K = V - I/2 and mean photon number t/2 = (|mu|^2 + tr K)/2.
 
-    Evaluated in a cancellation-free form: with principal variances
-    a, b written as u = a - 1/2, v = b - 1/2 and m1 = x0^2, m2 = p0^2,
-        nw2 - 2 nw + 1/2 = [(m1+m2)^2 + 3u^2 + 3v^2 + 2uv
-                            + 2 m1 (3u + v) + 2 m2 (u + 3v)] / 4
-        (nw - 1/2)^2     = (m1 + m2 + u + v)^2 / 4,
-    so weakly excited states (where nw2 - 2 nw + 1/2 suffers massive
-    cancellation when formed from the raw moments) stay accurate.
+    K and mu are divided by t and sqrt(t) before squaring, so weakly
+    excited states keep their accuracy and no intermediate overflows.
+    A mean photon number below epsilon (or t <= 0) raises NearVacuumError.
     """
-    w, vecs = state.cov.principal_axes()
-    u, v = float(w[0]) - 0.5, float(w[1]) - 0.5
-    m = vecs.T @ state.mean_vector()
-    m1, m2 = float(m[0]) ** 2, float(m[1]) ** 2
-    n = 0.5 * (m1 + m2 + u + v)
-    if n < epsilon:
+    t, k2, q = _k_form(state, per_t=True)
+    n = 0.5 * t
+    if n < epsilon or t <= 0.0:
         raise NearVacuumError(
             f"mean photon number {n:.3g} below guard {epsilon:.3g}; "
             "g2(0) is 0/0 at vacuum"
         )
-    num = ((m1 + m2) ** 2 + 3.0 * u * u + 3.0 * v * v + 2.0 * u * v
-           + 2.0 * m1 * (3.0 * u + v) + 2.0 * m2 * (u + 3.0 * v))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value = float(np.float64(num) / np.float64(m1 + m2 + u + v) ** 2)
+    value = 1.0 + 2.0 * (k2 + 2.0 * q)
+    if not math.isfinite(value):
+        raise DomainError(f"g2 overflows: {state.to_dict()}")
     return G2Value(value, n)
 
 

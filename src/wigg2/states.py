@@ -79,12 +79,6 @@ class CovarianceMatrix:
     def matrix(self) -> np.ndarray:
         return np.array([[self.vxx, self.vxp], [self.vxp, self.vpp]])
 
-    def principal_axes(self):
-        """Eigendecomposition: returns (variances ascending, rotation matrix
-        whose columns are the principal directions)."""
-        w, v = np.linalg.eigh(self.matrix())
-        return w, v
-
 
 @dataclass(frozen=True)
 class GaussianState:

@@ -11,7 +11,7 @@ Detector efficiency is modeled as pre-detection attenuation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -304,13 +304,8 @@ def hwp_sweep(
     for i, th in enumerate(thetas_deg):
         state = reduce_mode(hwp_mix(tb, th), 1)
         analytic = g2_gaussian(state, epsilon).value
-        cfg = CountingConfig(
-            n_windows=counting.n_windows, eta_det=counting.eta_det,
-            dark_prob=counting.dark_prob, split=counting.split,
-            seed=_row_seed(counting.seed, 1_000_003, i), n_max=counting.n_max,
-            workers=counting.workers,
-        )
-        rec = simulate_hbt(state, cfg)
+        rec = simulate_hbt(state, replace(
+            counting, seed=_row_seed(counting.seed, 1_000_003, i)))
         g2d, g2d_err = g2_estimate_clicks(rec)
         data = simulate_homodyne(state, angles, per_angle, eta_hd,
                                  seed=_row_seed(seed, 2_000_029, i))

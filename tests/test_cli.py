@@ -47,6 +47,12 @@ class TestG2:
         assert code == 3
         assert err
 
+    def test_overflowing_state_exit_3(self, capsys):
+        # |mu|^2 = 1e320 overflows a double
+        code, _, err = run(capsys, "g2", "--coherent", "1e160", "0")
+        assert code == 3
+        assert "overflows" in err
+
     def test_usage_requires_exactly_one_state(self, capsys):
         code, _, _ = run(capsys, "g2")
         assert code == 2

@@ -207,6 +207,12 @@ class TestNumberEstimator:
         with pytest.raises(DomainError):
             g2_estimate_numbers(np.zeros(100, dtype=int))
 
+    @pytest.mark.parametrize("n_boot", [-1, 0, 1, 2.5])
+    def test_rejects_n_boot(self, n_boot):
+        # one member has no spread (ddof=1); the others are no count
+        with pytest.raises(DomainError, match="n_boot"):
+            g2_estimate_numbers(np.array([0, 1, 2, 3]), n_boot=n_boot)
+
     @pytest.mark.parametrize("samples", [
         sample_photon_numbers(thermal(0.3), 2_000, seed=4),
         np.array([0] * 30 + [2]),  # about a third of the members are empty

@@ -84,6 +84,13 @@ class TestPhotonNumberDistribution:
         assert d.probs[0] == pytest.approx(1.0, abs=1e-12)
         assert d.tail_mass <= 1e-12
 
+    def test_vacuum_probability_not_above_one(self):
+        # the recursion's p(0) rounds to 1 + 2^-52 at vacuum
+        d = photon_number_distribution(vacuum(), 10)
+        assert d.probs[0] == 1.0
+        assert d.cdf()[-1] == 1.0
+        assert d.tail_mass == 0.0
+
     def test_thermal_geometric(self):
         nbar = 1.0
         d = photon_number_distribution(thermal(nbar), 80)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from wigg2.errors import DomainError, GridTooSmallError, NearVacuumError
 from wigg2.moments import (QuadratureGrid, WeylMoments, fig1_table,
@@ -9,9 +10,9 @@ from wigg2.moments import (QuadratureGrid, WeylMoments, fig1_table,
                            weyl_moments_analytic, weyl_moments_numeric,
                            weyl_moments_numeric_state)
 from wigg2.states import (CovarianceMatrix, GaussianState, PhasePoint,
-                          attenuate, coherent, hwp_mix, reduce_mode,
-                          squeezed_vacuum, thermal, two_mode_squeezed_vacuum,
-                          vacuum, wigner_eval)
+                          attenuate, coherent, displace, hwp_mix,
+                          reduce_mode, squeezed_vacuum, thermal,
+                          two_mode_squeezed_vacuum, vacuum, wigner_eval)
 
 from conftest import random_physical_state
 
@@ -23,6 +24,67 @@ def rotate_state(st, theta):
     m = R @ st.mean_vector()
     return GaussianState(PhasePoint(m[0], m[1]),
                          CovarianceMatrix(V[0, 0], V[1, 1], V[0, 1]))
+
+
+def _eigh_axes(st):
+    """Principal variances (a, b) and the squared mean components along
+    their axes, by eigh of V."""
+    w, vecs = np.linalg.eigh(st.cov.matrix())
+    m = vecs.T @ st.mean_vector()
+    return float(w[0]), float(w[1]), float(m[0]) ** 2, float(m[1]) ** 2
+
+
+# frozen principal-axes route: the oracle for the K-form
+def _eigh_moments(st):
+    a, b, x2, p2 = _eigh_axes(st)
+    nw = 0.5 * (x2 + p2 + a + b)
+    nw2 = 0.25 * (x2 * x2 + p2 * p2 + 2.0 * x2 * p2
+                  + 3.0 * a * a + 3.0 * b * b + 2.0 * a * b
+                  + 2.0 * x2 * (3.0 * a + b) + 2.0 * p2 * (a + 3.0 * b))
+    return nw, nw2
+
+
+def _eigh_g2(st):
+    a, b, m1, m2 = _eigh_axes(st)
+    u, v = a - 0.5, b - 0.5
+    num = ((m1 + m2) ** 2 + 3.0 * u * u + 3.0 * v * v + 2.0 * u * v
+           + 2.0 * m1 * (3.0 * u + v) + 2.0 * m2 * (u + 3.0 * v))
+    return num / (m1 + m2 + u + v) ** 2
+
+
+class TestEighOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(log_s=hst.floats(-3.0, 3.0), angle=hst.floats(0.0, math.pi),
+           eta=hst.floats(0.0, 1.0), x0=hst.floats(-3.0, 3.0),
+           p0=hst.floats(-3.0, 3.0))
+    def test_k_form_matches_principal_axes(self, log_s, angle, eta, x0, p0):
+        st = displace(attenuate(squeezed_vacuum(math.exp(log_s), angle), eta),
+                      x0, p0)
+        nw, nw2 = _eigh_moments(st)
+        m = weyl_moments_analytic(st)
+        assert m.nw == pytest.approx(nw, rel=1e-12)
+        assert m.nw2 == pytest.approx(nw2, rel=1e-12)
+        # below n = 0.03, eigh's few-ulp eigenvalue error costs the oracle
+        # digits of g2 (1e-13 at n = 0.01, 2e-12 at n = 0.001)
+        if nw - 0.5 >= 0.03:
+            assert g2_gaussian(st).value == pytest.approx(_eigh_g2(st), rel=1e-12)
+
+
+class TestOverflow:
+    def test_g2_bright_coherent_raises_domain_error(self):
+        # |mu|^2 = 1e320 overflows a double
+        with pytest.raises(DomainError):
+            g2_gaussian(coherent(1e160, 0.0))
+
+    def test_g2_extreme_squeezing_is_three(self):
+        # tr K^2 = 2.5e319 overflows unless K is scaled by t first
+        assert g2_gaussian(squeezed_vacuum(1e-160)).value == pytest.approx(
+            3.0, rel=1e-12)
+
+    def test_moments_bright_coherent_raise_domain_error(self):
+        # |mu|^2 = 1e400 overflows a double
+        with pytest.raises(DomainError):
+            weyl_moments_analytic(coherent(1e200, 0.0))
 
 
 class TestAnalyticMoments:
@@ -136,6 +198,8 @@ class TestG2:
             g2_gaussian(vacuum())
         with pytest.raises(NearVacuumError):
             g2_gaussian(coherent(0.0, 0.0))
+        with pytest.raises(NearVacuumError):  # 0/0, whatever the guard
+            g2_gaussian(vacuum(), epsilon=0.0)
 
     def test_epsilon_zero_returns_raw(self):
         g = g2_from_moments(WeylMoments(0.5, 0.5), epsilon=0.0)
