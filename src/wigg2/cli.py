@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .counting import (CountingConfig, g2_estimate_clicks, simulate_hbt)
-from .errors import DomainError, FitError, StatisticalError
+from .errors import DomainError, StatisticalError
 from .fock import photon_number_distribution
 from .loss import infer_loss
 from .moments import fig1_table, g2_gaussian, weyl_moments_analytic
@@ -86,36 +86,63 @@ def _load_config(path: str) -> dict:
     return out
 
 
-def _apply_config(args: argparse.Namespace):
-    """Config supplies defaults; explicit flags override.  We detect
-    'explicit' by comparing against the subcommand parser defaults."""
+def _config_value(action: argparse.Action, key: str, text: str):
+    """Convert one config value with the option's own argparse type."""
+    try:
+        if action.nargs == 0:               # store_true flags
+            if text.lower() not in ("1", "true", "yes", "0", "false", "no"):
+                raise ValueError("expected 1/true/yes or 0/false/no")
+            return text.lower() in ("1", "true", "yes")
+        return (action.type or str)(text)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"config value {key}={text!r}: {exc}") from exc
+
+
+def _apply_config(args: argparse.Namespace, argv: list) -> argparse.Namespace:
+    """Config supplies defaults, every flag given on the command line wins.
+
+    The subcommand's arguments are parsed again into a namespace that
+    already holds the config values; argparse fills in a default only
+    where the namespace has no value, so a config value replaces the
+    default but never a flag.  A key that names no option of the
+    subcommand raises DomainError."""
     if not getattr(args, "config", None):
-        return
+        return args
     parser = args.subparser
-    cfg = _load_config(args.config)
-    for k, v in cfg.items():
-        if not hasattr(args, k):
-            continue
-        if getattr(args, k) == parser.get_default(k):
-            default = parser.get_default(k)
-            cast = type(default) if default is not None else str
-            if cast is bool:
-                v = v.lower() in ("1", "true", "yes")
-            else:
-                v = cast(v)
-            setattr(args, k, v)
+    options = {a.dest: a for a in parser._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    preset = argparse.Namespace(command=args.command)
+    for k, v in _load_config(args.config).items():
+        if k not in options:
+            raise DomainError(f"config key {k!r} is not an option of "
+                              f"'{args.command}'")
+        setattr(preset, k, _config_value(options[k], k, v))
+    rest = argv[argv.index(args.command) + 1:]
+    return parser.parse_args(rest, namespace=preset)
 
 
 # ---------------------------------------------------------------------------
-# state flags shared by g2 / pn / count / homodyne
+# flags shared between subcommands
 
 
 def _add_state_flags(p: argparse.ArgumentParser):
+    """Gaussian-state options shared by g2 / pn / count / homodyne."""
     p.add_argument("--coherent", nargs=2, type=float, metavar=("X0", "P0"))
     p.add_argument("--thermal", type=float, metavar="NBAR")
     p.add_argument("--squeezed", nargs=2, type=float, metavar=("S", "ANGLE_RAD"))
     p.add_argument("--file", type=str, metavar="STATE_JSON")
     p.add_argument("--attenuate", type=float, metavar="ETA")
+
+
+def _add_counting_flags(p: argparse.ArgumentParser):
+    """HBT counting options shared by count / sweep."""
+    p.add_argument("--windows", type=int, default=1_000_000)
+    p.add_argument("--eta-det", type=float, default=1.0)
+    p.add_argument("--dark-prob", type=float, default=0.0)
+    p.add_argument("--split", type=float, default=0.5)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-max", type=int, default=64)
+    p.add_argument("--workers", type=int, default=1)
 
 
 def _state_from_args(args) -> GaussianState:
@@ -333,13 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="Monte-Carlo HBT counting simulation")
     _add_state_flags(p)
-    p.add_argument("--windows", type=int, default=1_000_000)
-    p.add_argument("--eta-det", type=float, default=1.0)
-    p.add_argument("--dark-prob", type=float, default=0.0)
-    p.add_argument("--split", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-max", type=int, default=64)
-    p.add_argument("--workers", type=int, default=1)
+    _add_counting_flags(p)
     p.add_argument("--theta-deg", type=float, default=0.0,
                    help="label column echoed into the CSV")
     p.add_argument("--out", type=str)
@@ -363,15 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--thetas", type=str, default="0,5,10,15,20,22.5,25,30,35,40,45",
                    help="comma-separated HWP angles in degrees")
-    p.add_argument("--windows", type=int, default=1_000_000)
-    p.add_argument("--eta-det", type=float, default=1.0)
-    p.add_argument("--dark-prob", type=float, default=0.0)
-    p.add_argument("--split", type=float, default=0.5)
+    _add_counting_flags(p)
     p.add_argument("--per-angle", type=int, default=10_000)
     p.add_argument("--eta-hd", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-max", type=int, default=64)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", type=str, required=True)
     p.add_argument("--config", type=str)
     p.set_defaults(func=cmd_sweep, subparser=p)
@@ -389,14 +404,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        args = _apply_config(args, argv)
         return args.func(args)
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DomainError, FitError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except StatisticalError as exc:

@@ -46,7 +46,11 @@ class IdentifiabilityError(DomainError):
 
 
 class FitError(RuntimeError):
-    """Nonlinear fit failed to converge; carries the final residual."""
+    """Nonlinear fit failed to converge; carries the final residual.
+
+    Nothing in the package raises it (the HWP sweep fit is a linear
+    least-squares solve); it stays a public name because the benchmark
+    harness imports it."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

@@ -143,19 +143,19 @@ def weyl_moments_numeric_state(
 def g2_from_moments(m: WeylMoments, epsilon: float = DEFAULT_EPSILON) -> G2Value:
     """g2(0) from symmetric moments.
 
-    Near vacuum both numerator and denominator vanish; mean photon below
-    epsilon raises NearVacuumError.  Passing epsilon = 0 returns the raw
-    (possibly non-finite) ratio instead.
+    Near vacuum both numerator and denominator vanish: a mean photon
+    number below epsilon, or <= 0 whatever epsilon, raises
+    NearVacuumError; a non-finite ratio raises DomainError.
     """
     n = m.nw - 0.5
-    if n < epsilon:
+    if n < epsilon or n <= 0.0:
         raise NearVacuumError(
             f"mean photon number {n:.3g} below guard {epsilon:.3g}; "
             "g2(0) is 0/0 at vacuum"
         )
-    num = m.nw2 - 2.0 * m.nw + 0.5
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value = float(np.float64(num) / np.float64(n) ** 2)
+    value = (m.nw2 - 2.0 * m.nw + 0.5) / n / n
+    if not math.isfinite(value):
+        raise DomainError(f"g2 from moments is not finite: {m}")
     return G2Value(value, n)
 
 

@@ -5,6 +5,7 @@ Reconstruction is covariance estimation in moment space: the per-angle
 sample variances are fit by
     V(theta) = vxx cos^2(theta) + vpp sin^2(theta) + vxp sin(2 theta),
 which is the rotated-Gaussian fit expressed on sufficient statistics.
+The HWP sweep model is likewise fit by one linear least-squares solve.
 Detector efficiency is modeled as pre-detection attenuation.
 """
 
@@ -18,8 +19,8 @@ import numpy as np
 
 from . import kernels
 from .counting import CountingConfig, g2_estimate_clicks, simulate_hbt
-from .errors import (DomainError, FitError, IdentifiabilityError,
-                     NearVacuumError, UnstableInferenceError)
+from .errors import (DomainError, IdentifiabilityError, NearVacuumError,
+                     UnstableInferenceError)
 from .moments import DEFAULT_EPSILON, g2_gaussian
 from .states import (VACUUM_VARIANCE, CovarianceMatrix, GaussianState,
                      PhasePoint, attenuate, hwp_mix, marginal, reduce_mode,
@@ -80,7 +81,6 @@ class SweepFit:
     b: float
     c: float
     residual: float
-    n_iter: int
 
 
 def simulate_homodyne(
@@ -324,76 +324,35 @@ def hwp_sweep(
 
 # ---------------------------------------------------------------------------
 # angle-model fit f(theta) = a sin^2((b + theta) pi / 45) + c
+#
+# With w = 2 pi / 45, f(theta) = (a/2 + c) - (a/2) cos(w (b + theta)), which
+# is linear in (C, P, Q) = (a/2 + c, -(a/2) cos(w b), (a/2) sin(w b)) on the
+# design [1, cos(w theta), sin(w theta)]: one least-squares solve gives the
+# global optimum, and (a, b, c) follow from (C, P, Q) in closed form.
 
 
-def _sweep_model(params, theta_deg):
-    a, b, c = params
-    phi = (b + theta_deg) * math.pi / 45.0
-    return a * np.sin(phi) ** 2 + c
-
-
-def fit_sweep_model(
-    points: Sequence[tuple],
-    max_iter: int = 100,
-    grad_tol: float = 1e-10,
-) -> SweepFit:
-    """Gauss-Newton fit (with step halving) of the HWP-angle model to
-    (theta_deg, g2) points."""
+def fit_sweep_model(points: Sequence[tuple]) -> SweepFit:
+    """Least-squares fit of the HWP-angle model to (theta_deg, g2) points,
+    by the linear reparametrisation above: a >= 0, b in [-22.5, 22.5)
+    (b = 0 when a = 0).  Fewer than 3 distinct angles mod 45 degrees
+    raise IdentifiabilityError."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 3 or pts.shape[1] != 2:
         raise DomainError("fit_sweep_model: need >= 3 (theta_deg, g2) points")
-    theta, y = pts[:, 0], pts[:, 1]
-    spread = float(y.max() - y.min())
-    params = np.array([spread, 0.0, float(y.min())])
-
-    def residuals(p):
-        return _sweep_model(p, theta) - y
-
-    def jacobian(p):
-        a, b, _ = p
-        phi = (b + theta) * math.pi / 45.0
-        return np.column_stack([
-            np.sin(phi) ** 2,
-            a * np.sin(2.0 * phi) * math.pi / 45.0,
-            np.ones_like(theta),
-        ])
-
-    res = residuals(params)
-    cost = float(res @ res)
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        J = jacobian(params)
-        grad = J.T @ res
-        if float(np.max(np.abs(grad))) <= grad_tol:
-            converged = True
-            break
-        step, *_ = np.linalg.lstsq(J, -res, rcond=None)
-        scale = 1.0
-        for _ in range(30):
-            trial = params + scale * step
-            tres = residuals(trial)
-            tcost = float(tres @ tres)
-            if tcost <= cost:
-                params, res, cost = trial, tres, tcost
-                break
-            scale *= 0.5
-        else:
-            break
-    else:
-        J = jacobian(params)
-        converged = float(np.max(np.abs(J.T @ res))) <= grad_tol
-    if not converged:
-        raise FitError(
-            f"Gauss-Newton did not converge in {max_iter} iterations "
-            f"(residual norm {math.sqrt(cost):.3g})",
-            residual=math.sqrt(cost),
-        )
-    a, b, c = params
-    if a < 0.0:
-        # a sin^2(phi) + c == -a sin^2(phi + pi/2) + (c + a)
-        a, b, c = -a, b + 22.5, c + a
-    b = (b + 22.5) % 45.0 - 22.5
-    if a == 0.0:
-        b = 0.0
-    return SweepFit(float(a), float(b), float(c), math.sqrt(cost), it)
+    if not np.isfinite(pts).all():
+        raise DomainError("fit_sweep_model: points must be finite")
+    w = 2.0 * math.pi / 45.0
+    wt = w * pts[:, 0]
+    A = np.column_stack([np.ones_like(wt), np.cos(wt), np.sin(wt)])
+    if np.linalg.matrix_rank(A, tol=1e-10) < 3:
+        raise IdentifiabilityError(
+            "fit_sweep_model: need >= 3 distinct angles mod 45 degrees")
+    # centred data: a constant sweep gives P = Q = 0 exactly
+    y_mean = float(pts[:, 1].mean())
+    yc = pts[:, 1] - y_mean
+    sol, *_ = np.linalg.lstsq(A, yc, rcond=None)
+    C, P, Q = (float(v) for v in sol)
+    half_a = math.hypot(P, Q)
+    b = (math.atan2(Q, -P) / w + 22.5) % 45.0 - 22.5 if half_a else 0.0
+    residual = float(np.linalg.norm(A @ sol - yc))
+    return SweepFit(2.0 * half_a, b, y_mean + C - half_a, residual)

@@ -340,3 +340,21 @@ class TestConfigFile:
         code, _, _ = run(capsys, "count", "--thermal", "0.2",
                          "--config", str(cfg))
         assert code == 3
+
+    def test_flag_equal_to_default_beats_config(self, capsys, tmp_path):
+        # --seed 0 is the parser default, but it was given: it must win
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("windows = 20000\nseed = 5\n")
+        _, out_cfg, _ = run(capsys, "count", "--thermal", "0.2",
+                            "--seed", "0", "--config", str(cfg))
+        _, out_flags, _ = run(capsys, "count", "--thermal", "0.2",
+                              "--windows", "20000", "--seed", "0")
+        assert out_cfg == out_flags
+
+    def test_unknown_config_key_exit_3(self, capsys, tmp_path):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("windwos = 100\n")
+        code, _, err = run(capsys, "count", "--thermal", "0.2",
+                           "--windows", "1000", "--config", str(cfg))
+        assert code == 3
+        assert "windwos" in err

@@ -201,9 +201,20 @@ class TestG2:
         with pytest.raises(NearVacuumError):  # 0/0, whatever the guard
             g2_gaussian(vacuum(), epsilon=0.0)
 
-    def test_epsilon_zero_returns_raw(self):
-        g = g2_from_moments(WeylMoments(0.5, 0.5), epsilon=0.0)
-        assert not math.isfinite(g.value) or math.isnan(g.value)
+    def test_from_moments_vacuum_raises_whatever_epsilon(self):
+        # 0/0 at vacuum is a typed error, as in g2_gaussian, not NaN
+        with pytest.raises(NearVacuumError):
+            g2_from_moments(WeylMoments(0.5, 0.5), epsilon=0.0)
+        with pytest.raises(NearVacuumError):
+            g2_from_moments(WeylMoments(0.4, 0.5), epsilon=0.0)
+
+    def test_from_moments_non_finite_ratio_raises(self):
+        with pytest.raises(DomainError):
+            g2_from_moments(WeylMoments(1.0, math.inf))
+        with pytest.raises(DomainError):       # overflows to inf
+            g2_from_moments(WeylMoments(1.0, 1e308))
+        with pytest.raises(DomainError):
+            g2_from_moments(WeylMoments(math.nan, 1.0))
 
     def test_loss_invariance(self):
         for eta in [0.05, 0.3, 0.7, 1.0]:

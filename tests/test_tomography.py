@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wigg2.counting import (CountingConfig, g2_estimate_clicks,
                             simulate_hbt)
@@ -332,3 +332,87 @@ class TestFitSweepModel:
     def test_too_few_points(self):
         with pytest.raises(DomainError):
             fit_sweep_model([(0.0, 2.0), (22.5, 3.0)])
+
+    def test_noisy_reproducer_reaches_least_squares(self):
+        # the Gauss-Newton fit stopped here at the least-squares residual
+        # but raised FitError: its gradient test sat below round-off
+        fit = fit_sweep_model([(0, 4.2), (5, 2.3), (10, 1.2), (15, 1.1),
+                               (20, 5.1), (22.5, 5.6)])
+        assert fit.a == pytest.approx(8.376064, abs=1e-6)
+        assert fit.b == pytest.approx(-10.070199, abs=1e-6)
+        assert fit.c == pytest.approx(0.957234, abs=1e-6)
+        assert fit.residual == pytest.approx(1.213223, abs=1e-6)
+
+    def test_angles_equal_mod_45_not_identifiable(self):
+        with pytest.raises(IdentifiabilityError):
+            fit_sweep_model([(0.0, 2.0), (45.0, 3.0), (90.0, 4.0)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.floats(0.5, 10.0), b=st.floats(-22.5, 22.5),
+           c=st.floats(-5.0, 5.0),
+           thetas=st.lists(st.sampled_from(np.arange(0.0, 45.0, 2.5).tolist()),
+                           min_size=4, max_size=18, unique=True),
+           noise=st.lists(st.floats(-0.3, 0.3), min_size=18, max_size=18))
+    def test_matches_gauss_newton_oracle(self, a, b, c, thetas, noise):
+        pts = [(t, a * math.sin((b + t) * math.pi / 45.0) ** 2 + c + e)
+               for t, e in zip(thetas, noise)]
+        try:
+            ref = _gauss_newton_fit(pts)
+        except FitError:
+            assume(False)
+        fit = fit_sweep_model(pts)
+        # the oracle stops at a gradient of 1e-10, so its parameters are
+        # only that accurate in absolute terms (c = 0 is drawn often)
+        assert fit.a == pytest.approx(ref.a, rel=1e-8, abs=1e-9)
+        assert fit.c == pytest.approx(ref.c, rel=1e-8, abs=1e-9)
+        # b is an angle mod 45: compare the wrapped difference
+        assert abs((fit.b - ref.b + 22.5) % 45.0 - 22.5) <= 1e-7
+        # the closed form is the global optimum
+        assert fit.residual <= ref.residual * (1 + 1e-8) + 1e-12
+
+
+def _gauss_newton_fit(points, max_iter=100, grad_tol=1e-10):
+    """Frozen copy of the former iterative fit (Gauss-Newton with step
+    halving), kept as an independent oracle for fit_sweep_model; raises
+    FitError where it does not converge."""
+    pts = np.asarray(points, dtype=float)
+    theta, y = pts[:, 0], pts[:, 1]
+
+    def model(p):
+        return p[0] * np.sin((p[1] + theta) * math.pi / 45.0) ** 2 + p[2]
+
+    def jacobian(p):
+        phi = (p[1] + theta) * math.pi / 45.0
+        return np.column_stack([np.sin(phi) ** 2,
+                                p[0] * np.sin(2.0 * phi) * math.pi / 45.0,
+                                np.ones_like(theta)])
+
+    params = np.array([float(y.max() - y.min()), 0.0, float(y.min())])
+    res = model(params) - y
+    cost = float(res @ res)
+    converged = False
+    for _ in range(max_iter):
+        J = jacobian(params)
+        if float(np.max(np.abs(J.T @ res))) <= grad_tol:
+            converged = True
+            break
+        step, *_ = np.linalg.lstsq(J, -res, rcond=None)
+        scale = 1.0
+        for _ in range(30):
+            trial = params + scale * step
+            tres = model(trial) - y
+            tcost = float(tres @ tres)
+            if tcost <= cost:
+                params, res, cost = trial, tres, tcost
+                break
+            scale *= 0.5
+        else:
+            break
+    else:
+        converged = float(np.max(np.abs(jacobian(params).T @ res))) <= grad_tol
+    if not converged:
+        raise FitError("Gauss-Newton did not converge", residual=math.sqrt(cost))
+    a, b, c = params
+    if a < 0.0:
+        a, b, c = -a, b + 22.5, c + a
+    return SweepFit(a, (b + 22.5) % 45.0 - 22.5, c, math.sqrt(cost))
