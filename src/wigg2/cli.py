@@ -289,6 +289,23 @@ def cmd_sweep(args):
     return 0
 
 
+def _sweep_bias_warnings(fields, g2):
+    """A warning when a sweep row's g2_direct is more than 3 standard
+    errors from its g2_analytic: the click estimator is biased (threshold
+    detectors saturate), so the inferred eta is too.  Nothing when either
+    column is missing or not a number."""
+    try:
+        analytic = float(fields["g2_analytic"])
+        err = float(fields["g2_direct_err"])
+    except (KeyError, ValueError):
+        return []
+    if not abs(g2 - analytic) > 3.0 * err:
+        return []
+    return [f"g2_direct {g2:.4g} +- {err:.2g} is more than 3 standard errors "
+            f"from g2_analytic {analytic:.4g}: the click estimate is biased "
+            f"at this row, and so is eta"]
+
+
 def cmd_estimate_loss(args):
     if args.from_sweep:
         if args.g2 is not None or args.vx is not None:
@@ -310,16 +327,18 @@ def cmd_estimate_loss(args):
             vx = float(fields["vx"])
         except (KeyError, ValueError):
             raise _Usage(f"sweep file row {args.row} has no numeric g2_direct and vx")
+        bias = _sweep_bias_warnings(fields, g2)
     else:
         if args.g2 is None or args.vx is None:
             raise _Usage("need --g2 and --vx (or --from-sweep FILE --row K)")
         g2, vx = args.g2, args.vx
+        bias = []
     inf = infer_loss(g2, vx)
     report = {
         "g2": g2, "vx_measured": vx,
         "nw_pure": inf.nw_pure, "vx_pure": inf.vx_pure,
         "eta": inf.eta, "eta_ci": None,
-        "warnings": list(inf.warnings),
+        "warnings": list(inf.warnings) + bias,
     }
     print(json.dumps(report, indent=2))
     return 0

@@ -154,11 +154,16 @@ def bootstrap_g2_clicks(rec: CountingRecord, n_boot: int = 200, seed: int = 0):
 def sample_photon_numbers(
     state: GaussianState, n_samples: int, seed: int = 0, n_max: int = 64
 ) -> np.ndarray:
-    """Draw photon numbers from the state's distribution (no detector model)."""
+    """Draw photon numbers from the state's distribution (no detector
+    model).  Sample j inverts the CDF at the counter RNG's draw 0 at
+    stream index j, u(seed, j, 0)."""
     kernels.check_seed(seed, "sample_photon_numbers")
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < 0:
+        raise DomainError(f"sample_photon_numbers: n_samples must be an "
+                          f"integer >= 0, got {n_samples!r}")
     dist = photon_number_distribution(state, n_max, tol=1e-9)
     cdf = dist.cdf()
-    u = np.random.default_rng(seed).random(n_samples)
+    u = kernels.uniforms_np(seed, np.arange(n_samples), 0)
     return np.minimum(np.searchsorted(cdf, u, side="right"), n_max).astype(np.int64)
 
 

@@ -16,16 +16,29 @@ so each stream index costs one finaliser.  A draw depends only on
 count, is independent of how the index range is split across workers
 or chunks.
 
-The bootstrap `boot_moments_np` splits its members into one contiguous
-range per CPU in the process's affinity mask: one range runs on the
-calling thread, the others on a thread pool, and each member writes its
-own output slot, so the result does not depend on the number of ranges.
+The bootstrap `boot_moments_np` takes two indices from each hash.  Over
+n samples, member b hashes stream indices b*m .. b*m + m - 1 of draw 0,
+m = ceil(n/2); with h = mix64(k + i*phi) the full 64-bit hash (no >> 11),
+each hash gives
+    hi = ((h >> 32) * n) >> 32,   lo = ((h & (2^32 - 1)) * n) >> 32,
+Lemire's multiply-shift ("Fast random integer generation in an
+interval", ACM TOMACS 2019), in uint64 arithmetic with no float round
+trip.  The member resamples x[hi_0 .. hi_(m-1)] followed by
+x[lo_0 .. lo_(m-1)], cut to n (an odd n drops the last lo), and is
+summed in that order.  Each 32-bit half takes one of 2^32 values, so an
+index has probability (1 + e)/n with |e| < n/2^32: a bias of at most
+2.3e-5 at n = 100,000.  n may not exceed 2^32.
+
+The members run as one contiguous range per CPU in the process's
+affinity mask: one range runs on the calling thread, the others on a
+thread pool, and each member writes its own output slot, so the result
+does not depend on the number of ranges.
 Worker threads call only underscore-prefixed helpers, never a public
 function (a tracer may wrap those, and a span opened on a worker thread
 would have no parent).  Each range hashes its stream indices in place,
 _BLOCK at a time, in buffers allocated once per call: several members
-share a block when n < _BLOCK, and a member spans several blocks when
-n > _BLOCK.  Smaller blocks would make the threads contend for the GIL,
+share a block when m < _BLOCK, and a member spans several blocks when
+m > _BLOCK.  Smaller blocks would make the threads contend for the GIL,
 which every numpy call takes and drops, more than the extra CPUs gain.
 The gather `np.take` runs once per group of members, into a buffer of
 the range.  Sums of squares use `np.einsum`, not BLAS (`np.dot`), so
@@ -82,7 +95,8 @@ _STEP = 0xD1342543DE82EF95
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _PHI64 = np.uint64(_PHI)
 _ROUNDS = ((np.uint64(30), np.uint64(_C1)), (np.uint64(27), np.uint64(_C2)))
-_S11, _S31 = np.uint64(11), np.uint64(31)
+_S11, _S31, _S32 = np.uint64(11), np.uint64(31), np.uint64(32)
+_LOW32 = np.uint64(0xFFFFFFFF)
 _INV53 = 1.0 / 9007199254740992.0  # 2^-53
 _BLOCK = 65_536  # stream indices hashed per step of the bootstrap
 
@@ -114,14 +128,34 @@ def _finalise(z, tmp):
     return z
 
 
-def _draw_bits(z, row, offset, tmp):
-    """z = finaliser(row + offset) >> 11, the 53 random bits, with the
-    Python int offset taken mod 2^64.  With row = i*phi and offset =
-    _key(seed, draw) these are the bits of u(seed, i, draw)."""
+def _hash(z, row, offset, tmp):
+    """z = finaliser(row + offset), with the Python int offset taken mod
+    2^64.  With row = i*phi and offset = _key(seed, draw) this is the
+    64-bit hash mix64(k + i*phi) of stream index i."""
     np.add(row, np.uint64(offset & _MASK64), out=z)
-    _finalise(z, tmp)
+    return _finalise(z, tmp)
+
+
+def _draw_bits(z, row, offset, tmp):
+    """z = _hash(z, row, offset, tmp) >> 11, the 53 random bits of
+    u(seed, i, draw)."""
+    _hash(z, row, offset, tmp)
     np.right_shift(z, _S11, out=z)
     return z
+
+
+def _multiply_shift(h, n, hi, lo):
+    """hi = ((h >> 32) * n) >> 32 and lo = ((h & (2^32 - 1)) * n) >> 32,
+    indices in [0, n) from the uint64 hashes h, n <= 2^32; lo may have
+    fewer columns than h, and takes the leading ones.  Each product is
+    below 2^64, so no step wraps."""
+    n = np.uint64(n)
+    np.right_shift(h, _S32, out=hi)
+    np.multiply(hi, n, out=hi)
+    np.right_shift(hi, _S32, out=hi)
+    np.bitwise_and(h[..., :lo.shape[-1]], _LOW32, out=lo)
+    np.multiply(lo, n, out=lo)
+    np.right_shift(lo, _S32, out=lo)
 
 
 def uniforms_np(seed: int, idx: np.ndarray, draw: int) -> np.ndarray:
@@ -200,30 +234,31 @@ def _cpu_count() -> int:
 def _boot_range(x, key, row, bufs, lo, hi, means, variances):
     """Moments of bootstrap members [lo, hi) into means and variances.
 
-    Member b draws stream indices b*n .. b*n + n - 1 of draw 0, whose
-    _key is `key`.  A block starting at stream index s hashes
-    (s + j)*phi + key = (s*phi + key) + j*phi (mod 2^64), so each block
-    adds one scalar to the shared row j*phi.
+    Member b hashes stream indices b*m .. b*m + m - 1 of draw 0, whose
+    _key is `key`, m = ceil(n/2).  A block starting at stream index s
+    hashes (s + j)*phi + key = (s*phi + key) + j*phi (mod 2^64), so each
+    block adds one scalar to the shared row j*phi.
     bufs = (z, tmp, ix, xs) is this range's scratch: z and tmp as long
     as row, ix and xs as long as one gather.
     """
     z, tmp, ix, xs = bufs
     n = len(x)
-    span = len(row)  # group * n, or _BLOCK when one member spans blocks
-    group = max(1, span // n)  # members per gather
-    scale = n * _INV53  # exact, so ix rounds once as in (z * _INV53) * n
+    m = (n + 1) // 2  # hashes per member
+    span = len(row)  # group * m, or _BLOCK when one member spans blocks
+    group = max(1, span // m)  # members per gather
     for b0 in range(lo, hi, group):
-        m = min(group, hi - b0)
-        for off in range(0, m * n, span):
-            k = min(span, m * n - off)
-            zk = z[:k]
-            _draw_bits(zk, row[:k], (b0 * n + off) * _PHI + key, tmp[:k])
-            # z < 2^53, so z * scale < n: the cast truncates to an index
-            np.multiply(zk.view(np.int64), scale, out=ix[off:off + k],
-                        casting="unsafe")
+        g = min(group, hi - b0)
+        idx = ix[:g * n].view(np.uint64).reshape(g, n)
+        for off in range(0, m, span):
+            k = min(span, m - off)  # k = m unless a member spans blocks
+            h = _hash(z[:g * k], row[:g * k], (b0 * m + off) * _PHI + key,
+                      tmp[:g * k]).reshape(g, k)
+            # a member's his fill columns [0, m), its los [m, n)
+            _multiply_shift(h, n, idx[:, off:off + k],
+                            idx[:, m + off:min(m + off + k, n)])
         # every index is in range, and mode="raise" would copy `out` first
-        np.take(x, ix[:m * n], out=xs[:m * n], mode="wrap")
-        for r in range(m):
+        np.take(x, ix[:g * n], out=xs[:g * n], mode="wrap")
+        for r in range(g):
             member = xs[r * n:(r + 1) * n]
             s = float(member.sum())
             ss = float(np.einsum("i,i->", member, member))
@@ -234,7 +269,7 @@ def _boot_range(x, key, row, bufs, lo, hi, means, variances):
 
 def boot_moments_np(x, n_boot, seed):
     """Bootstrap (mean, unbiased variance) pairs via counter-based
-    resampling, one contiguous member range per CPU.
+    resampling, one contiguous member range per CPU; 2 <= len(x) <= 2^32.
 
     All buffers are allocated here, on the calling thread: memory a
     worker thread frees stays with that thread's malloc arena and would
@@ -245,8 +280,9 @@ def boot_moments_np(x, n_boot, seed):
     variances = np.empty(n_boot)
     w = max(1, min(n_boot, _cpu_count()))
     bounds = [n_boot * i // w for i in range(w + 1)]
-    group = max(1, _BLOCK // n)
-    row = np.arange(min(group * n, _BLOCK), dtype=np.uint64)
+    m = (n + 1) // 2
+    group = max(1, _BLOCK // m)
+    row = np.arange(min(group * m, _BLOCK), dtype=np.uint64)
     np.multiply(row, _PHI64, out=row)
     z = np.empty((w, len(row)), dtype=np.uint64)
     tmp = np.empty_like(z)
@@ -274,6 +310,10 @@ def hbt_counts(cdf, eta, split, dark, seed, start, stop):
 
 
 def boot_moments(x, n_boot, seed):
+    # checked before the float64 copy; multiply-shift needs n <= 2^32
+    if not 2 <= len(x) <= 2**32:
+        raise DomainError(f"boot_moments: need 2 <= len(x) <= 2**32 "
+                          f"samples, got {len(x)}")
     return boot_moments_np(
         np.ascontiguousarray(x, dtype=np.float64), int(n_boot), int(seed)
     )

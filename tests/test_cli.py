@@ -290,6 +290,23 @@ class TestEstimateLoss:
         assert rep["g2"] == 4.0
         assert rep["vx_measured"] == 0.3
 
+    @pytest.mark.parametrize("g2_direct, biased", [("12.18", True),
+                                                    ("9.1", False)])
+    def test_from_sweep_bias_warning(self, capsys, tmp_path, g2_direct,
+                                     biased):
+        # the default sweep's 22.5 deg row: g2_direct 12.18 +- 0.094
+        # against an analytic 8.93 is 35 standard errors off
+        f = tmp_path / "sweep.csv"
+        f.write_text("theta_deg,g2_analytic,g2_direct,g2_direct_err,"
+                     "g2_homodyne,g2_ci_low,g2_ci_high,vx,vp\n"
+                     f"22.5,8.92706837837,{g2_direct},0.0939067236474,"
+                     "8.78,8.40,9.08,0.227674936822,1.11183619829\n")
+        code, out, _ = run(capsys, "estimate-loss", "--from-sweep", str(f))
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["g2"] == float(g2_direct)
+        assert any("g2_analytic" in w for w in rep["warnings"]) == biased
+
     def test_from_sweep_missing_column_exit_2(self, capsys, tmp_path):
         f = tmp_path / "sweep.csv"
         f.write_text("theta_deg,g2_direct,vp\n0,4.0,0.3\n")

@@ -233,6 +233,11 @@ class TestNumberEstimator:
         assert g2_estimate_numbers(samples, n_boot=50, seed=6) == (
             ratio(counts), float(vals.std(ddof=1)))
 
+    @pytest.mark.parametrize("n_samples", [-1, 2.5, "10"])
+    def test_rejects_n_samples(self, n_samples):
+        with pytest.raises(DomainError, match="n_samples"):
+            sample_photon_numbers(thermal(0.3), n_samples)
+
     def test_thermal_converges(self):
         s = sample_photon_numbers(thermal(1.0), 1_000_000, seed=23)
         value, err = g2_estimate_numbers(s, seed=1)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from wigg2 import kernels
 from wigg2.counting import CountingConfig, expected_click_g2
+from wigg2.errors import DomainError
 from wigg2.fock import photon_number_distribution
 from wigg2.kernels import (boot_moments_np, click_probs, hbt_counts_np,
                            uniforms_np)
@@ -45,33 +47,57 @@ def _pack(values):
     return int.from_bytes(lanes.tobytes(), "little")
 
 
-def _uniforms_oracle(seed, idx, draw):
+def _hashes_oracle(seed, idx, draw):
+    """(z, ones): mix64(k + i*phi) of each i in idx, packed as in
+    _mix_oracle."""
     k = _mix_oracle(seed ^ _mix_oracle((draw * _STEP) & _MASK))
-    n = len(idx)
-    ones = _pack(np.ones(n, dtype=np.uint64))
-    z = _mix_oracle((k * ones + _pack(idx) * _PHI) & (_MASK * ones), ones)
-    lanes = np.frombuffer((z >> 11).to_bytes(16 * n, "little"), dtype="<u8")
-    return lanes[::2] * 2.0**-53  # each lane's low 64 bits, < 2^53
+    ones = _pack(np.ones(len(idx), dtype=np.uint64))
+    return _mix_oracle((k * ones + _pack(idx) * _PHI) & (_MASK * ones),
+                       ones), ones
 
 
-# Frozen copy of the allocating counter-RNG bootstrap the in-place kernel
-# replaced, on the reference stream; the kernel must reproduce it bit for
-# bit.  Its sum of squares follows the kernel's BLAS-free reduction
-# (np.dot rounds differently with the number of BLAS threads).
+def _unpack(z, count):
+    """The low 64 bits of each of the count lanes of z."""
+    return np.frombuffer(z.to_bytes(16 * count, "little"), dtype="<u8")[::2]
+
+
+def _uniforms_oracle(seed, idx, draw):
+    z, _ = _hashes_oracle(seed, idx, draw)
+    return _unpack(z >> 11, len(idx)) * 2.0**-53  # each lane < 2^53
+
+
+def _indices_oracle(seed, idx, n):
+    """(hi, lo) of the multiply-shift on draw 0's hashes of idx, in
+    Python ints: hi = ((h >> 32) * n) >> 32, lo = ((h & (2^32 - 1)) * n)
+    >> 32.  Each half is below 2^32 and each product below 2^64, so no
+    lane spills into the next; the masks drop the bits z >> 32 brings
+    down from the next lane."""
+    z, ones = _hashes_oracle(seed, idx, 0)
+    low = (2**32 - 1) * ones
+    hi = ((((z >> 32) & low) * n) >> 32) & low
+    lo = (((z & low) * n) >> 32) & low
+    return _unpack(hi, len(idx)), _unpack(lo, len(idx))
+
+
+# Frozen reference of the two-indices-per-hash bootstrap on the Python-int
+# stream; the kernel must reproduce it bit for bit.  Member b hashes stream
+# indices b*m .. b*m + m - 1 (m = ceil(n/2)) and resamples x at its hi
+# indices, then its lo indices, cut to n.  Its sum of squares follows the
+# kernel's BLAS-free reduction (np.dot rounds differently with the number
+# of BLAS threads).
 def _sumsq_einsum(v):
     return np.einsum("i,i->", v, v)
 
 
 def _boot_moments_oracle(x, n_boot, seed, sumsq=_sumsq_einsum):
     n = len(x)
+    m = (n + 1) // 2
     means = np.empty(n_boot)
     variances = np.empty(n_boot)
     for b in range(n_boot):
-        idx = np.arange(np.uint64(b) * np.uint64(n),
-                        np.uint64(b) * np.uint64(n) + np.uint64(n),
-                        dtype=np.uint64)
-        u = _uniforms_oracle(seed, idx, 0)
-        xs = x[(u * n).astype(np.int64)]
+        hi, lo = _indices_oracle(seed, np.arange(b * m, b * m + m,
+                                                 dtype=np.uint64), n)
+        xs = x[np.concatenate([hi, lo])[:n].astype(np.int64)]
         s = float(xs.sum())
         ss = float(sumsq(xs))
         mean = s / n
@@ -135,30 +161,44 @@ class TestCounterRng:
 
     @pytest.mark.parametrize("seed", [0, 7, 2**63 - 2])
     def test_adjacent_bootstrap_members_uncorrelated(self, seed):
-        # member b of a bootstrap over n = N samples draws stream indices
-        # b*N .. b*N + N - 1 of draw 0
-        first = np.arange(self.N, dtype=np.uint64)
-        assert self._corr(uniforms_np(seed, first, 0),
-                          uniforms_np(seed, first + self.N, 0)) < 5 / math.sqrt(self.N)
+        # member b of a bootstrap over n = N samples hashes stream indices
+        # b*N/2 .. (b + 1)*N/2 - 1 of draw 0 and resamples at their hi
+        # then their lo indices
+        half = self.N // 2
+        first = np.arange(half, dtype=np.uint64)
+        members = [np.concatenate(_indices_oracle(seed, first + b * half,
+                                                  self.N)) for b in (0, 1)]
+        assert self._corr(*members) < 5 / math.sqrt(self.N)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 - 2])
+    def test_hi_lo_uncorrelated(self, seed):
+        # the two indices of one hash
+        hi, lo = _indices_oracle(seed, np.arange(self.N, dtype=np.uint64),
+                                 self.N)
+        assert self._corr(hi, lo) < 5 / math.sqrt(self.N)
 
     @pytest.mark.parametrize("seed", [0, 7, 2**63 - 2])
     def test_bootstrap_indices_uniform(self, seed):
-        # chi^2 of N bootstrap indices over n = 1537 bins, as the kernel
-        # forms them (floor(u * n)), within 5 sigma of its n - 1 degrees
-        # of freedom on both sides: a Weyl sequence i*phi without the
-        # finaliser would be far too even
+        # chi^2 of the N hi and, apart, the N lo indices over n = 1537
+        # bins, as the kernel forms them from N hashes, each within 5
+        # sigma of its n - 1 degrees of freedom on both sides: a Weyl
+        # sequence i*phi without the finaliser would be far too even
         n = 1537
-        u = uniforms_np(seed, np.arange(self.N, dtype=np.uint64), 0)
-        counts = np.bincount((u * n).astype(np.int64), minlength=n)
         expected = self.N / n
-        chi2 = float(((counts - expected) ** 2).sum() / expected)
-        assert abs(chi2 - (n - 1)) < 5 * math.sqrt(2 * (n - 1))
+        for ix in _indices_oracle(seed, np.arange(self.N, dtype=np.uint64),
+                                  n):
+            counts = np.bincount(ix.astype(np.int64), minlength=n)
+            chi2 = float(((counts - expected) ** 2).sum() / expected)
+            assert abs(chi2 - (n - 1)) < 5 * math.sqrt(2 * (n - 1))
 
 
 class TestBootMomentsBitIdentity:
-    # 65,535 .. 131,073: members sharing a hashed block or spanning several
+    # m = ceil(n/2) hashes per member: 65,535 .. 131,073 share a block
+    # between members or fill one; 131,071 .. 131,073 put m on either side
+    # of the 65,536-hash block, where a member starts to span two
     @pytest.mark.parametrize("n", [2, 3, 17, 65_535, 65_536, 65_537, 99_999,
-                                   100_000, 131_073])
+                                   100_000, 131_071, 131_072, 131_073,
+                                   131_074])
     @pytest.mark.parametrize("seed", [0, 7, 2**63 - 1])
     @pytest.mark.parametrize("n_boot", [1, 13])
     def test_matches_allocating_oracle(self, n, seed, n_boot):
@@ -167,6 +207,29 @@ class TestBootMomentsBitIdentity:
         m_ref, v_ref = _boot_moments_oracle(x, n_boot, seed)
         assert np.array_equal(m, m_ref)
         assert np.array_equal(v, v_ref)
+
+
+class TestBootMomentsInput:
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_too_few_samples(self, n):
+        with pytest.raises(DomainError, match="len"):
+            kernels.boot_moments(np.zeros(n), 10, 0)
+
+    def test_too_many_samples(self):
+        # a zero-stride view: 2^32 + 1 samples without 32 GiB behind them,
+        # rejected before the float64 copy
+        x = np.broadcast_to(0.0, (2**32 + 1,))
+        with pytest.raises(DomainError, match="len"):
+            kernels.boot_moments(x, 10, 0)
+
+    def test_multiply_shift_top_of_range(self):
+        # the largest hash at the largest n: (2^32 - 1) * 2^32 < 2^64
+        h = np.array([[2**64 - 1]], dtype=np.uint64)
+        hi, lo = np.empty_like(h), np.empty_like(h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernels._multiply_shift(h, 2**32, hi, lo)
+        assert hi[0, 0] == lo[0, 0] == 2**32 - 1
 
 
 class TestBootMomentsThreads:
