@@ -6,19 +6,23 @@ registers which detectors fired (>= 1 photon detected or a dark event).
 A window's click pattern therefore follows from three no-click
 probabilities averaged over the state's photon-number distribution
 (`kernels.click_probs`): q1 for detector 1, q2 for detector 2 and qb for
-both.  The simulator draws each window's pattern from them with one
-counter-based uniform, and `expected_click_g2` forms its expectation
-from the same call, so both use one model.  Aggregate counts are
-bit-identical for any worker count.
+both, and the four pattern counts of N windows are one multinomial.
+The simulator draws that multinomial once per run with the counter RNG
+(`kernels.click_counts`: three inverse-CDF binomials), so its cost does
+not grow with N, and `expected_click_g2` forms its expectation from the
+same `click_probs` call, so both use one model.  `CountingConfig.workers`
+is accepted and validated but has no effect: one draw needs no sharding,
+and the counts are the same for any value.
 
 The click estimator g2 ~ nc * N / (n1 * n2) carries an O(<n>) bias at
 larger photon numbers (threshold detectors saturate); it is the standard
-coincidence-normalization estimator for the low-flux regime.
+coincidence-normalization estimator for the low-flux regime.  Its error
+and the parametric bootstrap both treat the pattern counts as the
+multinomial they are, not as independent singles and coincidences.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import math
 
@@ -46,8 +50,9 @@ class CountingConfig:
                for v in ints):
             raise DomainError("CountingConfig: n_windows, n_max and workers "
                               f"must be integers, got {ints!r}")
-        if self.n_windows < 1:
-            raise DomainError("CountingConfig: n_windows must be >= 1")
+        if not 1 <= self.n_windows <= 2**32:
+            raise DomainError("CountingConfig: n_windows must be in "
+                              f"[1, 2**32], got {self.n_windows}")
         if not 0.0 <= self.eta_det <= 1.0:
             raise DomainError("CountingConfig: eta_det must be in [0, 1]")
         if not 0.0 <= self.dark_prob < 1.0:
@@ -67,13 +72,19 @@ class CountingRecord:
     n_windows: int
     config: CountingConfig
 
+    def __post_init__(self):
+        # the counts of some four-pattern split of n_windows windows
+        if not (0 <= self.nc <= min(self.n1, self.n2)
+                and self.n1 + self.n2 - self.nc <= self.n_windows):
+            raise DomainError(
+                "CountingRecord: need 0 <= nc <= min(n1, n2) and "
+                f"n1 + n2 - nc <= n_windows, got n1={self.n1}, n2={self.n2}, "
+                f"nc={self.nc}, n_windows={self.n_windows}")
+
 
 def simulate_hbt(state: GaussianState, config: CountingConfig) -> CountingRecord:
-    """Simulate config.n_windows detection windows on `state`.
-
-    Fully determined by config.seed; the worker count only shards the
-    window range.
-    """
+    """Simulate config.n_windows detection windows on `state`; fully
+    determined by config.seed (config.workers has no effect)."""
     dist = photon_number_distribution(state, config.n_max, tol=1e-9)
     return simulate_hbt_from_distribution(dist, config)
 
@@ -81,24 +92,10 @@ def simulate_hbt(state: GaussianState, config: CountingConfig) -> CountingRecord
 def simulate_hbt_from_distribution(
     dist: PhotonNumberDistribution, config: CountingConfig
 ) -> CountingRecord:
-    cdf = dist.cdf()
-    n = config.n_windows
-    w = min(config.workers, n)
-    bounds = [(n * i) // w for i in range(w + 1)]
-    args = [
-        (cdf, config.eta_det, config.split, config.dark_prob, config.seed,
-         bounds[i], bounds[i + 1])
-        for i in range(w)
-    ]
-    if w == 1:
-        parts = [kernels.hbt_counts(*args[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=w) as pool:
-            parts = list(pool.map(lambda a: kernels.hbt_counts(*a), args))
-    n1 = sum(p[0] for p in parts)
-    n2 = sum(p[1] for p in parts)
-    nc = sum(p[2] for p in parts)
-    return CountingRecord(n1, n2, nc, n, config)
+    n1, n2, nc = kernels.hbt_counts(dist.cdf(), config.eta_det, config.split,
+                                    config.dark_prob, config.seed, 0,
+                                    config.n_windows)
+    return CountingRecord(n1, n2, nc, config.n_windows, config)
 
 
 def expected_click_g2(dist: PhotonNumberDistribution, config: CountingConfig):
@@ -118,37 +115,49 @@ def expected_click_g2(dist: PhotonNumberDistribution, config: CountingConfig):
 
 
 def g2_estimate_clicks(rec: CountingRecord):
-    """(value, std_error) from a counting record:
-    g2 ~ nc * N / (n1 * n2), error by binomial count propagation."""
-    if rec.n1 == 0 or rec.n2 == 0:
+    """(value, std_error) from a counting record: g2 ~ nc * N / (n1 * n2),
+    error by the multinomial delta method on the pattern counts
+    c1 = n1 - nc, c2 = n2 - nc and cb = nc:
+
+        var(log g2) = cb (1/cb - 1/n1 - 1/n2)^2 + c1/n1^2 + c2/n2^2 - 1/N.
+
+    With no coincidences the error is that of one count (cb = 1), so it
+    stays positive."""
+    n1, n2, nc, N = rec.n1, rec.n2, rec.nc, rec.n_windows
+    if n1 == 0 or n2 == 0:
         raise InsufficientStatisticsError(
-            f"no singles on at least one detector (n1={rec.n1}, n2={rec.n2})"
+            f"no singles on at least one detector (n1={n1}, n2={n2})"
         )
-    N = rec.n_windows
-    value = rec.nc * N / (rec.n1 * rec.n2)
-    # Poisson on nc plus singles contributions; one-count floor when nc = 0
-    err = (N / (rec.n1 * rec.n2)) * math.sqrt(
-        max(rec.nc, 1.0) + rec.nc ** 2 / rec.n1 + rec.nc ** 2 / rec.n2
-    )
+    value = nc * N / (n1 * n2)
+    cb = max(nc, 1)
+    var = (cb * (1.0 / cb - 1.0 / n1 - 1.0 / n2) ** 2
+           + (n1 - nc) / n1 ** 2 + (n2 - nc) / n2 ** 2 - 1.0 / N)
+    # a variance up to round-off; 0 when every window clicks on both
+    err = cb * N / (n1 * n2) * math.sqrt(max(var, 0.0))
     return value, err
 
 
 def bootstrap_g2_clicks(rec: CountingRecord, n_boot: int = 200, seed: int = 0):
-    """Parametric bootstrap of the click estimator: re-draw (n1, n2, nc)
-    binomially at the observed rates.  Returns the g2 draws (invalid
-    resamples with zero singles are skipped)."""
+    """Parametric bootstrap of the click estimator: member b re-draws the
+    four-pattern multinomial at the observed rates with
+    `kernels.click_counts` at stream index b.  Returns the g2 draws
+    (members with zero singles on a detector are skipped)."""
     kernels.check_seed(seed, "bootstrap_g2_clicks")
     if not isinstance(n_boot, (int, np.integer)) or n_boot < 1:
         raise DomainError(f"bootstrap_g2_clicks: n_boot must be an integer "
                           f">= 1, got {n_boot!r}")
-    rng = np.random.default_rng(seed)
     N = rec.n_windows
-    b1, b2, bc = (rng.binomial(N, k / N, size=n_boot).astype(np.float64)
-                  for k in (rec.n1, rec.n2, rec.nc))
-    ok = (b1 > 0) & (b2 > 0)
-    if not ok.any():
+    none = N - rec.n1 - rec.n2 + rec.nc
+    # no-click rates: neither detector, detector 2 silent, detector 1 silent
+    qb, q2, q1 = none / N, (N - rec.n2) / N, (N - rec.n1) / N
+    draws = []
+    for b in range(n_boot):
+        b1, b2, bc = kernels.click_counts(N, q1, q2, qb, seed, b)
+        if b1 and b2:
+            draws.append(bc * N / (b1 * b2))
+    if not draws:
         raise InsufficientStatisticsError("all bootstrap resamples degenerate")
-    return bc[ok] * N / (b1[ok] * b2[ok])
+    return np.array(draws)
 
 
 def sample_photon_numbers(

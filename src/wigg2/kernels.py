@@ -1,5 +1,5 @@
 """Hot numeric kernels in numpy: the counter-based RNG, the HBT click
-counter and the bootstrap moment resampler.
+sampler and the bootstrap moment resampler.
 
 Every draw comes from one counter-based RNG built on splitmix64 (Steele,
 Lea & Flood, "Fast splittable pseudorandom number generators", OOPSLA
@@ -12,9 +12,7 @@ stream index i under `seed` is
 
 a double in [0, 1).  The key k is a Python int computed once per call,
 so each stream index costs one finaliser.  A draw depends only on
-(seed, i, draw): every per-window decision, and hence every integer
-count, is independent of how the index range is split across workers
-or chunks.
+(seed, i, draw), never on how a caller splits its work.
 
 The bootstrap `boot_moments_np` takes two indices from each hash.  Over
 n samples, member b hashes stream indices b*m .. b*m + m - 1 of draw 0,
@@ -44,18 +42,28 @@ The gather `np.take` runs once per group of members, into a buffer of
 the range.  Sums of squares use `np.einsum`, not BLAS (`np.dot`), so
 the moments do not depend on BLAS threading either.
 
-The HBT kernel works in chunks of 65,536 windows, which bounds its
-working set; counts do not depend on the chunk size.
+The HBT arm is one multinomial.  Threshold detectors only see whether
+each fired, so a window's click pattern depends on the state only
+through three state-averaged no-click probabilities (`click_probs`,
+shared with counting.expected_click_g2): q1 and q2 that detector 1 and
+detector 2 stay silent, qb that both do, dark events included.  N
+independent windows then give exactly
 
-Per-window draw layout for the HBT simulator: one uniform per window,
-u0 = u(seed, w, 0).  Threshold detectors only see whether each fired, so
-a window's click pattern depends on the state only through three
-state-averaged no-click probabilities (`click_probs`, shared with
-counting.expected_click_g2): q1 and q2 that detector 1 and detector 2
-stay silent, qb that both do, dark events included.  u0 picks the
-pattern: [0, qb) none, [qb, q2) detector 1 only, [q2, q2 + q1 - qb)
-detector 2 only, the rest both.  This is the exact model at O(1) cost
-per window, with no photon number drawn.
+    (none, 1 only, 2 only, both)
+        ~ Multinomial(N; qb, q2 - qb, q1 - qb, 1 - q1 - q2 + qb),
+
+which `click_counts` draws as three conditional binomials at stream
+index i: none ~ Bin(N, qb) at draw 0, 1 only ~ Bin(N - none,
+(q2 - qb)/(1 - qb)) at draw 1 and 2 only ~ Bin(rest, (q1 - qb)/(1 - q2))
+at draw 2; the windows left over click on both.  `binomial_icdf`
+inverts each binomial's CDF at its one uniform (Devroye, Non-Uniform
+Random Variate Generation, 1986, ch. X.4), from a pmf table around the
+mode built by the ratio recurrence
+p(k+1)/p(k) = (N - k) p / ((k + 1)(1 - p)) over mode +- (10 sigma + 40)
+and normalised by its own sum: O(sigma) work, sigma = sqrt(N p (1 - p)),
+whatever N.  The mass the table leaves out is below 1e-20.  The HBT
+counts of windows [start, stop) are click_counts at stream index start,
+so they cost the same at any window count or photon number.
 """
 
 from __future__ import annotations
@@ -101,12 +109,17 @@ _INV53 = 1.0 / 9007199254740992.0  # 2^-53
 _BLOCK = 65_536  # stream indices hashed per step of the bootstrap
 
 
-def _mix64(z: int) -> int:
-    """splitmix64 output function of the Python int z, mod 2^64."""
-    z = (z + _PHI) & _MASK64
+def _finalise_int(z: int) -> int:
+    """splitmix64 finaliser (mix64 without its + phi) of the Python int
+    z < 2^64."""
     z = ((z ^ (z >> 30)) * _C1) & _MASK64
     z = ((z ^ (z >> 27)) * _C2) & _MASK64
     return z ^ (z >> 31)
+
+
+def _mix64(z: int) -> int:
+    """splitmix64 output function of the Python int z, mod 2^64."""
+    return _finalise_int((z + _PHI) & _MASK64)
 
 
 def _key(seed, draw) -> int:
@@ -114,6 +127,13 @@ def _key(seed, draw) -> int:
     mix64(k + i*phi) is the finaliser of i*phi + _key(seed, draw)."""
     k = _mix64(int(seed) ^ _mix64((int(draw) * _STEP) & _MASK64))
     return (k + _PHI) & _MASK64
+
+
+def _uniform(seed, i, draw) -> float:
+    """u(seed, i, draw) of the module docstring for one stream index, in
+    Python ints."""
+    return (_finalise_int((int(i) * _PHI + _key(seed, draw)) & _MASK64)
+            >> 11) * _INV53
 
 
 def _finalise(z, tmp):
@@ -192,35 +212,58 @@ def click_probs(cdf, eta, split, dark):
     return (1.0 - dark) * q1, (1.0 - dark) * q2, (1.0 - dark) ** 2 * qb
 
 
-def hbt_counts_np(cdf, eta, split, dark, seed, start, stop, chunk=65_536):
-    """Click/coincidence counts for windows [start, stop).
+def binomial_icdf(n, p, u):
+    """The Bin(n, p) variate at uniform u in [0, 1) (scalar or array):
+    the smallest k with u < F(k), F the CDF of the pmf table of the
+    module docstring, scaled by the table's own sum."""
+    if n == 0 or p <= 0.0:
+        return np.zeros(np.shape(u), dtype=np.int64)[()]
+    if p >= 1.0:
+        return np.full(np.shape(u), n, dtype=np.int64)[()]
+    q = 1.0 - p
+    mode = min(int((n + 1) * p), n)
+    half = math.ceil(10.0 * math.sqrt(n * p * q) + 40.0)
+    lo, hi = max(mode - half, 0), min(mode + half, n)
+    odds = p / q
+    # p(k)/p(mode), falling away from the mode on both sides, so the
+    # running products never overflow; far tails underflow to 0
+    k = np.arange(mode, hi, dtype=np.float64)
+    up = np.cumprod((n - k) / (k + 1.0) * odds)
+    k = np.arange(mode, lo, -1, dtype=np.float64)
+    down = np.cumprod(k / (n - k + 1.0) / odds)
+    cdf = np.cumsum(np.concatenate((down[::-1], [1.0], up)))
+    # u * cdf[-1] may round up to cdf[-1] itself
+    j = np.searchsorted(cdf, np.multiply(u, cdf[-1]), side="right")
+    return lo + np.minimum(j, hi - lo)
 
-    Window w draws u = u(seed, w, 0) and compares its 53 bits with the
-    three integer cuts of qb, q2 and q2 + (q1 - qb); see the module
-    docstring.  A chunk starting at window lo hashes w*phi = lo*phi +
-    j*phi (mod 2^64), one scalar added to the shared row j*phi.
-    """
-    n1 = n2 = nc = 0
+
+def click_counts(n, q1, q2, qb, seed, i):
+    """(n1, n2, nc) of n windows with no-click probabilities q1, q2 and
+    qb (0 <= qb <= q1, q2 <= 1): the multinomial of the module
+    docstring, drawn at stream index i under seed; n <= 2^32 bounds the
+    pmf tables at about 0.7M entries."""
+    if not 0 <= n <= 2**32:
+        raise DomainError(f"click_counts: need 0 <= n <= 2**32 windows, "
+                          f"got {n}")
+
+    def draw(m, num, den, d):
+        # num <= den; when den is 0 so is m, as no window is left to draw
+        if m == 0:
+            return 0
+        return int(binomial_icdf(m, min(num / den, 1.0), _uniform(seed, i, d)))
+
+    none = draw(n, qb, 1.0, 0)
+    only1 = draw(n - none, q2 - qb, 1.0 - qb, 1)
+    only2 = draw(n - none - only1, q1 - qb, 1.0 - q2, 2)
+    both = n - none - only1 - only2
+    return only1 + both, only2 + both, both
+
+
+def hbt_counts_np(cdf, eta, split, dark, seed, start, stop):
+    """Click/coincidence counts (n1, n2, nc) for windows [start, stop),
+    drawn at stream index start; see the module docstring."""
     q1, q2, qb = click_probs(cdf, eta, split, dark)
-    # u = bits * 2^-53 < c exactly when bits < ceil(c * 2^53); the cuts
-    # stay in order, since q1 - qb >= 0 and ceil is monotone
-    cuts = [np.uint64(min(math.ceil(c * 2.0**53), 2**53))
-            for c in (qb, q2, q2 + (q1 - qb))]
-    key = _key(seed, 0)
-    row = np.arange(max(0, min(chunk, stop - start)), dtype=np.uint64)
-    np.multiply(row, _PHI64, out=row)
-    z, tmp = np.empty_like(row), np.empty_like(row)
-    below = np.empty(len(row), dtype=bool)
-    for lo in range(start, stop, chunk):
-        k = min(chunk, stop - lo)
-        bits = _draw_bits(z[:k], row[:k], lo * _PHI + key, tmp[:k])
-        # windows below each cut: no click, detector 2 silent, not both
-        none, silent2, not_both = (int(np.count_nonzero(
-            np.less(bits, c, out=below[:k]))) for c in cuts)
-        n1 += silent2 - none + k - not_both
-        n2 += k - silent2
-        nc += k - not_both
-    return n1, n2, nc
+    return click_counts(max(0, stop - start), q1, q2, qb, seed, start)
 
 
 def _cpu_count() -> int:

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from wigg2 import kernels
 from wigg2.counting import (CountingConfig, CountingRecord,
                             bootstrap_g2_clicks, g2_estimate_clicks,
                             g2_estimate_numbers, sample_photon_numbers,
-                            simulate_hbt)
+                            simulate_hbt, simulate_hbt_from_distribution)
 from wigg2.errors import (DomainError, InsufficientStatisticsError,
                           TruncationError)
+from wigg2.fock import photon_number_distribution
 from wigg2.moments import g2_gaussian
 from wigg2.states import (coherent, squeezed_vacuum_with_mean_photon, thermal,
                           vacuum)
@@ -31,6 +33,12 @@ class TestConfig:
     def test_integer_fields(self, field, value):
         with pytest.raises(DomainError, match=field):
             CountingConfig(**{"n_windows": 1000, field: value})
+
+    def test_window_bound(self):
+        # the pmf tables of the click sampler stay below about 0.7M entries
+        assert CountingConfig(n_windows=2**32).n_windows == 2**32
+        with pytest.raises(DomainError, match="n_windows"):
+            CountingConfig(n_windows=2**32 + 1)
 
     def test_numpy_integer_fields_accepted(self):
         cfg = CountingConfig(n_windows=np.int64(1000), n_max=np.int32(16),
@@ -99,6 +107,14 @@ class TestClickEstimator:
         assert value == 0.0
         assert err > 0
 
+    @pytest.mark.parametrize("n1, n2, nc, N", [
+        (100, 100, 150, 1000),  # more coincidences than singles
+        (900, 900, 100, 1000),  # more clicking windows than windows
+        (5, 5, -1, 1000)])
+    def test_inconsistent_counts_rejected(self, n1, n2, nc, N):
+        with pytest.raises(DomainError, match="CountingRecord"):
+            CountingRecord(n1, n2, nc, N, CountingConfig(n_windows=N))
+
     def test_zero_singles_error(self):
         rec = CountingRecord(0, 5, 0, 100, CountingConfig(n_windows=100))
         with pytest.raises(InsufficientStatisticsError):
@@ -116,7 +132,6 @@ class TestClickEstimator:
         # near-vacuum light (O(eta * g2 * <n>)); the simulation must track
         # the exact click-probability prediction, not the photon-level g2
         from wigg2.counting import expected_click_g2
-        from wigg2.fock import photon_number_distribution
         st = squeezed_vacuum_with_mean_photon(0.01)
         cfg = CountingConfig(n_windows=5_000_000, eta_det=0.5, seed=13,
                              n_max=32)
@@ -130,7 +145,6 @@ class TestClickEstimator:
     def test_expected_g2_without_clicks(self, state, eta):
         # no click probability at all; the vacuum's p(0) rounds to 1 + 2^-52
         from wigg2.counting import expected_click_g2
-        from wigg2.fock import photon_number_distribution
         dist = photon_number_distribution(state, 32)
         with pytest.raises(DomainError, match="never clicks"):
             expected_click_g2(dist, CountingConfig(n_windows=10, eta_det=eta))
@@ -179,14 +193,27 @@ class TestClickEstimator:
             bootstrap_g2_clicks(rec, n_boot=n_boot)
 
     def test_bootstrap_matches_member_loop(self):
-        # the same binomial draws, evaluated member by member in Python
-        # ints; rates low enough that some members have no singles
+        # member b draws the four-pattern multinomial at the observed
+        # rates from counter uniforms u(seed, b, 0..2), as three
+        # conditional binomials; rates low enough that some members have
+        # no singles
         N = 20_000
         rec = CountingRecord(3, 2, 1, N, CountingConfig(n_windows=N))
-        rng = np.random.default_rng(8)
-        b1, b2, bc = (rng.binomial(N, k / N, size=300).tolist()
-                      for k in (3, 2, 1))
-        ref = [c * N / (x * y) for x, y, c in zip(b1, b2, bc) if x and y]
+        # no-click rates: neither detector, detector 2 and detector 1
+        qb, q2, q1 = (N - 4) / N, (N - 2) / N, (N - 3) / N
+        ref = []
+        for b in range(300):
+            u = [kernels._uniform(8, b, d) for d in range(3)]
+            none = int(kernels.binomial_icdf(N, qb, u[0]))
+            only1 = int(kernels.binomial_icdf(N - none, (q2 - qb) / (1 - qb),
+                                              u[1]))
+            rest = N - none - only1
+            only2 = int(kernels.binomial_icdf(rest, (q1 - qb) / (1 - q2),
+                                              u[2])) if rest else 0
+            both = rest - only2
+            x, y = only1 + both, only2 + both
+            if x and y:
+                ref.append(both * N / (x * y))
         assert len(ref) < 300
         assert bootstrap_g2_clicks(rec, n_boot=300, seed=8).tolist() == ref
 
@@ -196,6 +223,31 @@ class TestClickEstimator:
         draws = bootstrap_g2_clicks(rec, n_boot=100, seed=5)
         value, err = g2_estimate_clicks(rec)
         assert abs(np.mean(draws) - value) < 3 * err
+
+
+class TestClickErrorBars:
+    # the sweep's regime: squeezed vacuum with <n> = 0.2 at eta = 1, where
+    # singles and coincidences are strongly correlated
+    N, SEEDS = 1_000_000, 500
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        dist = photon_number_distribution(
+            squeezed_vacuum_with_mean_photon(0.2), 64, tol=1e-9)
+        return [simulate_hbt_from_distribution(
+                    dist, CountingConfig(n_windows=self.N, seed=s))
+                for s in range(self.SEEDS)]
+
+    def test_reported_error_matches_spread(self, records):
+        values, errs = zip(*(g2_estimate_clicks(r) for r in records))
+        ratio = float(np.median(errs)) / float(np.std(values, ddof=1))
+        assert abs(ratio - 1.0) < 0.15, ratio
+
+    def test_bootstrap_matches_spread(self, records):
+        values = [g2_estimate_clicks(r)[0] for r in records]
+        boot = bootstrap_g2_clicks(records[0], n_boot=400, seed=3)
+        ratio = float(boot.std(ddof=1)) / float(np.std(values, ddof=1))
+        assert abs(ratio - 1.0) < 0.15, ratio
 
 
 class TestNumberEstimator:

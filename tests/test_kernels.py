@@ -13,8 +13,8 @@ from wigg2 import kernels
 from wigg2.counting import CountingConfig, expected_click_g2
 from wigg2.errors import DomainError
 from wigg2.fock import photon_number_distribution
-from wigg2.kernels import (boot_moments_np, click_probs, hbt_counts_np,
-                           uniforms_np)
+from wigg2.kernels import (binomial_icdf, boot_moments_np, click_counts,
+                           click_probs, hbt_counts_np, uniforms_np)
 from wigg2.states import thermal
 
 
@@ -131,6 +131,7 @@ class TestCounterRng:
     def test_golden_values(self, seed, idx, draw, expected):
         u = uniforms_np(seed, np.array([idx], dtype=np.uint64), draw)
         assert u[0] == expected
+        assert kernels._uniform(seed, idx, draw) == expected
 
     def test_matches_oracle(self):
         idx = np.arange(2**40, 2**40 + 5000, dtype=np.uint64)
@@ -288,6 +289,8 @@ class TestBootMomentsThreads:
         assert len(digests) == 1
 
 
+
+
 class TestBackendEquivalence:
     def test_hbt_counts_match(self):
         # the public wrapper runs the numpy kernel: identical counts
@@ -296,20 +299,6 @@ class TestBackendEquivalence:
             a = hbt_counts_np(cdf, 0.5, 0.5, 0.01, seed, 0, 50_000)
             b = kernels.hbt_counts(cdf, 0.5, 0.5, 0.01, seed, 0, 50_000)
             assert a == tuple(b)
-
-    def test_hbt_counts_shard_invariance(self):
-        cdf = np.cumsum([0.9, 0.08, 0.02])
-        whole = hbt_counts_np(cdf, 0.7, 0.5, 0.0, 5, 0, 30_000)
-        parts = [hbt_counts_np(cdf, 0.7, 0.5, 0.0, 5, lo, lo + 10_000)
-                 for lo in (0, 10_000, 20_000)]
-        assert whole == tuple(sum(p[i] for p in parts) for i in range(3))
-
-    @pytest.mark.parametrize("dark", [0.0, 0.02])
-    def test_hbt_counts_chunk_invariance(self, dark):
-        cdf = np.cumsum([0.6, 0.25, 0.1, 0.04, 0.01])
-        counts = {hbt_counts_np(cdf, 0.6, 0.4, dark, 13, 0, 300_000, chunk=c)
-                  for c in (4_099, 65_536, 1_000_000)}
-        assert len(counts) == 1
 
     def test_boot_moments_match(self):
         # the public wrapper runs the numpy kernel on a float64 copy
@@ -326,57 +315,39 @@ class TestBackendEquivalence:
         assert abs(v.mean() - x.var(ddof=1)) < 0.02
 
 
-def _point_mass(n):
-    cdf = np.zeros(n + 1)
-    cdf[n] = 1.0
-    return cdf
-
-
-class TestClickPattern:
-    @pytest.mark.parametrize("eta", [0.5, 0.95])
-    def test_no_underflow_at_large_photon_number(self, eta):
-        # 1100 photons at eta >= 0.5: both detectors fire in every window
-        # (the no-click probabilities are below 1e-137)
-        assert hbt_counts_np(_point_mass(1100), eta, 0.5, 0.0, 3, 0,
-                             10_000) == (10_000, 10_000, 10_000)
-
-    @pytest.mark.parametrize("n", [0, 1, 6])
-    def test_pattern_frequencies(self, n):
-        eta, split, N = 0.6, 0.3, 200_000
-        n1, n2, nc = hbt_counts_np(_point_mass(n), eta, split, 0.0, 41, 0, N)
-        qb = (1 - eta) ** n
-        q1 = (1 - eta * split) ** n
-        q2 = (1 - eta * (1 - split)) ** n
-        observed = (N - n1 - n2 + nc, n1 - nc, n2 - nc, nc)
-        expected = (qb, q2 - qb, q1 - qb, 1 - q1 - q2 + qb)
-        for count, p in zip(observed, expected):
-            p = min(max(p, 0.0), 1.0)  # round-off of an exact 0 (n = 1)
-            assert abs(count - N * p) <= 5 * math.sqrt(N * p * (1 - p))
-
-    @settings(max_examples=40, deadline=None)
-    @given(weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
-           mass=st.floats(0.5, 1.0),
-           eta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-           split=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-           dark=st.floats(0.0, 0.1, exclude_max=True),
-           seed=st.integers(0, 2**63 - 1),
-           windows=st.integers(1, 3000),
-           cut=st.floats(0.0, 1.0))
-    def test_count_invariants(self, weights, mass, eta, split, dark, seed,
-                              windows, cut):
-        w = np.asarray(weights) + 1e-3
-        cdf = mass * np.cumsum(w) / w.sum()
-        n1, n2, nc = hbt_counts_np(cdf, eta, split, dark, seed, 0, windows)
-        assert 0 <= nc <= min(n1, n2) <= windows
-        mid = int(cut * windows)
-        a = hbt_counts_np(cdf, eta, split, dark, seed, 0, mid)
-        b = hbt_counts_np(cdf, eta, split, dark, seed, mid, windows)
-        assert (n1, n2, nc) == tuple(x + y for x, y in zip(a, b))
+# Frozen oracle: the per-window HBT kernel the multinomial sampler
+# replaced.  Window w draws u = u(seed, w, 0) and compares its 53 bits
+# with the integer cuts of qb, q2 and q2 + (q1 - qb): [0, qb) none,
+# [qb, q2) detector 1 only, [q2, q2 + q1 - qb) detector 2 only, the rest
+# both.  A chunk starting at window lo hashes w*phi = lo*phi + j*phi
+# (mod 2^64), one scalar added to the shared row j*phi.
+def _per_window_counts(cdf, eta, split, dark, seed, start, stop,
+                       chunk=65_536):
+    n1 = n2 = nc = 0
+    q1, q2, qb = click_probs(cdf, eta, split, dark)
+    # u = bits * 2^-53 < c exactly when bits < ceil(c * 2^53)
+    cuts = [np.uint64(min(math.ceil(c * 2.0**53), 2**53))
+            for c in (qb, q2, q2 + (q1 - qb))]
+    key = kernels._key(seed, 0)
+    row = np.arange(max(0, min(chunk, stop - start)), dtype=np.uint64)
+    np.multiply(row, kernels._PHI64, out=row)
+    z, tmp = np.empty_like(row), np.empty_like(row)
+    below = np.empty(len(row), dtype=bool)
+    for lo in range(start, stop, chunk):
+        k = min(chunk, stop - lo)
+        bits = kernels._draw_bits(z[:k], row[:k], lo * _PHI + key, tmp[:k])
+        # windows below each cut: no click, detector 2 silent, not both
+        none, silent2, not_both = (int(np.count_nonzero(
+            np.less(bits, c, out=below[:k]))) for c in cuts)
+        n1 += silent2 - none + k - not_both
+        n2 += k - silent2
+        nc += k - not_both
+    return n1, n2, nc
 
 
 def _counts_reference(cdf, eta, split, dark, seed, start, stop):
-    """Counts from the Python-int stream, with the click-pattern cuts of
-    the module docstring computed in plain Python floats."""
+    """The per-window counts from the Python-int stream, with the
+    click-pattern cuts computed in plain Python floats."""
     cdf = [float(c) for c in cdf]
     p = [c - b for b, c in zip([0.0] + cdf[:-1], cdf)]
     p[-1] += 1.0 - cdf[-1]  # missing mass counts as the last n
@@ -401,7 +372,51 @@ def _counts_reference(cdf, eta, split, dark, seed, start, stop):
     return n1, n2, nc
 
 
-class TestClickProbs:
+def _chi2_sf(x, dof):
+    """P(chi^2 with dof degrees of freedom > x), from the series of the
+    regularised lower incomplete gamma function P(dof/2, x/2)."""
+    if x <= 0.0:
+        return 1.0
+    a, y = dof / 2.0, x / 2.0
+    term = math.exp(a * math.log(y) - y - math.lgamma(a + 1.0))
+    total, n = 0.0, 0
+    while term > 1e-17 * total:
+        total += term
+        n += 1
+        term *= y / (a + n)
+    return max(0.0, 1.0 - total)
+
+
+def _homogeneity_pvalue(a, b, bins=10):
+    """p-value of the chi^2 test that samples a and b share one law, on
+    bins cut at the pooled deciles (ties go to the bin above)."""
+    pooled = np.concatenate([a, b])
+    edges = np.unique(np.quantile(pooled, np.linspace(0, 1, bins + 1)[1:-1]))
+    table = np.array([np.bincount(np.searchsorted(edges, s, side="right"),
+                                  minlength=len(edges) + 1) for s in (a, b)])
+    table = table[:, table.sum(axis=0) > 0]
+    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
+    assert expected.min() >= 5, "bins too thin for the chi^2 law"
+    chi2 = float(np.sum((table - expected) ** 2 / expected))
+    return _chi2_sf(chi2, table.shape[1] - 1)
+
+
+def _binom_pmf(n, p, kmax=None):
+    """Exact-formula Bin(n, p) pmf from math.comb, for k <= kmax."""
+    q = 1.0 - p
+    return [math.comb(n, k) * p ** k * q ** (n - k)
+            for k in range(min(n, n if kmax is None else kmax) + 1)]
+
+
+class TestChi2Helper:
+    @pytest.mark.parametrize("x, dof, sf", [
+        (17.0, 22, 0.7633619791340178), (21.107513466160444, 3, 1e-4),
+        (33.719948438964906, 9, 1e-4)])
+    def test_survival_function(self, x, dof, sf):
+        assert _chi2_sf(x, dof) == pytest.approx(sf, rel=1e-9)
+
+
+class TestPerWindowOracle:
     @pytest.mark.parametrize("cdf, eta, split, dark, seed, start, chunk", [
         (np.cumsum([0.6, 0.25, 0.1, 0.04, 0.01]), 0.6, 0.4, 0.02, 2**63 - 5,
          0, 65_536),
@@ -410,13 +425,177 @@ class TestClickProbs:
         (0.8 * np.cumsum(np.full(40, 1 / 40)), 0.3, 0.7, 0.005, 2**62 + 1,
          2**40, 3_001),
     ])
-    def test_counts_match_reference(self, cdf, eta, split, dark, seed, start,
-                                    chunk):
+    def test_matches_reference(self, cdf, eta, split, dark, seed, start,
+                               chunk):
         stop = start + 4_096
-        assert hbt_counts_np(cdf, eta, split, dark, seed, start, stop,
-                             chunk=chunk) == _counts_reference(
+        assert _per_window_counts(cdf, eta, split, dark, seed, start, stop,
+                                  chunk=chunk) == _counts_reference(
             cdf, eta, split, dark, seed, start, stop)
 
+
+class TestSamplerLaw:
+    SEEDS = 500
+
+    @pytest.mark.parametrize("regime", ["low_flux", "bright"])
+    def test_matches_per_window_oracle(self, regime):
+        # the sampler and the frozen per-window oracle draw the same law:
+        # a chi^2 homogeneity test on each count and on g2 over many seeds
+        # (disjoint seed sets, so the two streams never share a uniform)
+        if regime == "low_flux":
+            dist = photon_number_distribution(thermal(0.05), 32)
+            args = (dist.cdf(), 0.5, 0.5, 0.001)
+        else:  # hbt_bright's squeezed vacuum with <n> = 5 at eta 0.5
+            from wigg2.states import squeezed_vacuum_with_mean_photon
+            dist = photon_number_distribution(
+                squeezed_vacuum_with_mean_photon(5.0), 256)
+            args = (dist.cdf(), 0.5, 0.5, 0.0)
+        N = 50_000
+        ours = np.array([hbt_counts_np(*args, s, 0, N)
+                         for s in range(self.SEEDS)], dtype=np.float64)
+        oracle = np.array([_per_window_counts(*args, 10_000 + s, 0, N)
+                           for s in range(self.SEEDS)], dtype=np.float64)
+
+        def stats(c):
+            n1, n2, nc = c.T
+            return n1, n2, nc, nc * N / (n1 * n2)
+
+        for name, a, b in zip(("n1", "n2", "nc", "g2"), stats(ours),
+                              stats(oracle)):
+            assert _homogeneity_pvalue(a, b) > 1e-4, name
+
+
+class TestBinomialIcdf:
+    @pytest.mark.parametrize("n, p, expected", [
+        (0, 0.3, 0), (0, 0.0, 0), (0, 1.0, 0), (5, 0.0, 0), (5, 1.0, 5),
+        (1, 0.0, 0), (1, 1.0, 1)])
+    def test_degenerate(self, n, p, expected):
+        for u in (0.0, 0.5, 1.0 - 2.0**-53):
+            assert binomial_icdf(n, p, u) == expected
+
+    @pytest.mark.parametrize("n, p", [
+        (1, 0.5), (1, 1e-12), (1, 1.0 - 1e-12), (50, 1e-12),
+        (50, 1.0 - 1e-12), (40, 0.5), (1000, 0.01), (1000, 0.97),
+        (10**6, 1e-12)])
+    def test_breakpoints_match_exact_cdf(self, n, p):
+        # u in [F(k-1), F(k)) must give k: probe 1e-9 inside each end
+        pmf = _binom_pmf(n, p, kmax=30 if n > 1000 else None)
+        prev = 0.0
+        for k, pk in enumerate(pmf):
+            cdf = math.fsum(pmf[:k + 1])
+            if pk > 1e-7:
+                assert binomial_icdf(n, p, prev + 1e-9) == k
+                assert binomial_icdf(n, p, cdf - 1e-9) == k
+            prev = cdf
+        assert 0 <= binomial_icdf(n, p, 1.0 - 2.0**-53) <= n
+
+    def test_breakpoints_large_n(self):
+        # n = 1e6: the table spans mode +- (10 sigma + 40) of a 1e6-term
+        # pmf; the exact CDF, from lgamma, is good to about 1e-9 here
+        n, p = 10**6, 0.3
+        sigma = math.sqrt(n * p * (1 - p))
+        ks = range(int(n * p - 12 * sigma), int(n * p + 5 * sigma))
+        logc = math.lgamma(n + 1)
+        pmf = [math.exp(logc - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                        + k * math.log(p) + (n - k) * math.log1p(-p))
+               for k in ks]
+        cdf = np.cumsum(pmf)
+        for j in range(len(pmf) - 1, 0, -97):
+            if pmf[j] > 1e-5:
+                assert binomial_icdf(n, p, cdf[j - 1] + 1e-6) == ks[j]
+                assert binomial_icdf(n, p, cdf[j] - 1e-6) == ks[j]
+
+    @pytest.mark.parametrize("n, p", [(40, 0.5), (1000, 0.01), (1000, 0.97),
+                                      (25, 0.2)])
+    def test_counter_draws_follow_exact_pmf(self, n, p):
+        M = 20_000
+        u = uniforms_np(2024, np.arange(M, dtype=np.uint64), 0)
+        ks = binomial_icdf(n, p, u)
+        assert [binomial_icdf(n, p, x) for x in u[:50].tolist()] == \
+            ks[:50].tolist()
+        observed = np.bincount(ks, minlength=n + 1)
+        expected = M * np.array(_binom_pmf(n, p))
+        big = expected >= 5
+        obs = np.append(observed[big], observed[~big].sum())
+        exp = np.append(expected[big], expected[~big].sum())
+        chi2 = float(np.sum((obs - exp) ** 2 / exp))
+        assert _chi2_sf(chi2, len(obs) - 1) > 1e-4
+
+
+class TestClickPattern:
+    @pytest.mark.parametrize("eta", [0.5, 0.95])
+    def test_no_underflow_at_large_photon_number(self, eta):
+        # 1100 photons at eta >= 0.5: both detectors fire in every window
+        # (the no-click probabilities are below 1e-137)
+        assert hbt_counts_np(_point_mass(1100), eta, 0.5, 0.0, 3, 0,
+                             10_000) == (10_000, 10_000, 10_000)
+
+    def test_vacuum_never_clicks(self):
+        assert hbt_counts_np(_point_mass(0), 0.9, 0.5, 0.0, 3, 0,
+                             10**6) == (0, 0, 0)
+
+    @pytest.mark.parametrize("n", [0, 1, 6])
+    def test_pattern_frequencies(self, n):
+        eta, split, N = 0.6, 0.3, 200_000
+        n1, n2, nc = hbt_counts_np(_point_mass(n), eta, split, 0.0, 41, 0, N)
+        qb = (1 - eta) ** n
+        q1 = (1 - eta * split) ** n
+        q2 = (1 - eta * (1 - split)) ** n
+        observed = (N - n1 - n2 + nc, n1 - nc, n2 - nc, nc)
+        expected = (qb, q2 - qb, q1 - qb, 1 - q1 - q2 + qb)
+        for count, p in zip(observed, expected):
+            p = min(max(p, 0.0), 1.0)  # round-off of an exact 0 (n = 1)
+            assert abs(count - N * p) <= 5 * math.sqrt(N * p * (1 - p))
+
+    @settings(max_examples=40, deadline=None)
+    @given(weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+           mass=st.floats(0.5, 1.0),
+           eta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           split=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           dark=st.floats(0.0, 0.1, exclude_max=True),
+           seed=st.integers(0, 2**63 - 1),
+           start=st.integers(0, 2**40),
+           windows=st.integers(0, 2**32))
+    def test_count_invariants(self, weights, mass, eta, split, dark, seed,
+                              start, windows):
+        w = np.asarray(weights) + 1e-3
+        cdf = mass * np.cumsum(w) / w.sum()
+        counts = hbt_counts_np(cdf, eta, split, dark, seed, start,
+                               start + windows)
+        n1, n2, nc = counts
+        assert 0 <= nc <= min(n1, n2) <= windows
+        assert counts == hbt_counts_np(cdf, eta, split, dark, seed, start,
+                                       start + windows)
+
+    def test_window_bound(self):
+        cdf = np.cumsum([0.5, 0.3, 0.2])
+        n1, n2, nc = hbt_counts_np(cdf, 0.5, 0.5, 0.0, 1, 0, 2**32)
+        assert 0 <= nc <= min(n1, n2) <= 2**32
+        with pytest.raises(DomainError, match="2\\*\\*32"):
+            hbt_counts_np(cdf, 0.5, 0.5, 0.0, 1, 0, 2**32 + 1)
+        with pytest.raises(DomainError, match="2\\*\\*32"):
+            click_counts(2**32 + 1, 0.5, 0.5, 0.25, 1, 0)
+
+    def test_conditional_binomials(self):
+        # click_counts is the three conditional binomials of the module
+        # docstring at draws 0, 1 and 2 of one stream index
+        n, q1, q2, qb, seed, i = 10**5, 0.8, 0.7, 0.6, 5, 17
+        u = [kernels._uniform(seed, i, d) for d in range(3)]
+        none = int(binomial_icdf(n, qb, u[0]))
+        only1 = int(binomial_icdf(n - none, (q2 - qb) / (1 - qb), u[1]))
+        only2 = int(binomial_icdf(n - none - only1, (q1 - qb) / (1 - q2),
+                                  u[2]))
+        both = n - none - only1 - only2
+        assert click_counts(n, q1, q2, qb, seed, i) == (only1 + both,
+                                                        only2 + both, both)
+
+
+def _point_mass(n):
+    cdf = np.zeros(n + 1)
+    cdf[n] = 1.0
+    return cdf
+
+
+class TestClickProbs:
     def test_missing_mass_counts_as_n_max(self):
         half = np.array([0.2, 0.5, 0.5])  # cdf[-1] = 0.5
         full = np.array([0.2, 0.5, 1.0])  # the other half at n_max = 2
