@@ -53,6 +53,8 @@ class CountingConfig:
         if not 1 <= self.n_windows <= 2**32:
             raise DomainError("CountingConfig: n_windows must be in "
                               f"[1, 2**32], got {self.n_windows}")
+        if self.n_max < 0:
+            raise DomainError(f"CountingConfig: n_max must be >= 0, got {self.n_max}")
         if not 0.0 <= self.eta_det <= 1.0:
             raise DomainError("CountingConfig: eta_det must be in [0, 1]")
         if not 0.0 <= self.dark_prob < 1.0:

@@ -1,21 +1,34 @@
-"""Photon-number statistics of Gaussian states via the Fock recursion.
+"""Photon-number statistics of Gaussian states from the Fock-basis
+Hermite form.
 
 rho_mn = T G_mn, with G the renormalised two-index Hermite polynomials
 of the Husimi generating function (Quesada et al., PRA 100, 022341
 (2019)).  With W = [[1, i], [1, -i]]/sqrt(2), X the swap, zeta = W mu and
 sigma_Q = W V W^dagger + I/2: B = (I - sigma_Q^-1) X, gamma = sigma_Q^-1
-zeta, T = exp(-zeta^dagger sigma_Q^-1 zeta / 2) / sqrt(det sigma_Q), and
-    G_{m+1,n} = (gamma_0 G_{m,n} + B_00 sqrt(m) G_{m-1,n}
-                 + B_01 sqrt(n) G_{m,n-1}) / sqrt(m+1),
-row 0 likewise with gamma_1 and B_11.  p(n) = T Re G_nn then costs
-O(n_max^2) time and O(n_max) memory.  This is the Fock-basis route for
-the Wigner-moment identities (the midpoint quadrature in `moments` is
-the independent one) and the counting simulator's sampling distribution.
+zeta and T = exp(-zeta^dagger sigma_Q^-1 zeta / 2) / sqrt(det sigma_Q).
+B is Hermitian-symmetric (B_11 = conj B_00, gamma_1 = conj gamma_0), so
+the generating function factorises and the diagonal is one binomial sum
+over the pure row G_{0,j}:
+    G_nn = sum_{k=0..n} C(n, k) b^k |G_{0,n-k}|^2,
+    b = B_01 = (det V - 1/4) / det(V + I/2)
+      = (det K + tr K/2) / (1 + tr K + det K),  K = V - I/2.
+b >= 0 is the uncertainty relation and b = 0 for a pure state.  The row
+comes from the scalar recursion G_{0,j+1} = (gamma_1 G_{0,j} + B_11
+sqrt(j) G_{0,j-1}) / sqrt(j+1) in linear scale (so an overflow, from
+<n> ~ 700, still shows as a non-finite p(n)); every term of the sum is
+non-negative and is formed as exp(log C(n, k) + k log b +
+log|G_{0,n-k}|^2) over lower-triangular blocks of rows.  p(n) = T G_nn
+costs O(n_max^2) array work and O(n_max * block) memory, and O(n_max)
+when b = 0, where only the k = 0 column is left.  This is the
+Fock-basis route for the Wigner-moment identities (the midpoint
+quadrature in `moments` is the independent one) and the counting
+simulator's sampling distribution.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,11 +37,16 @@ from .errors import DomainError, TruncationError
 from .states import GaussianState
 
 
+def _check_count(value, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < 0:
+        raise DomainError(f"{what} must be an integer >= 0, got {value!r}")
+
+
 def fock_wigner(n: int, x, p):
     """Wigner function of the n-photon Fock state, by stable Laguerre
     recurrence.  Accepts scalars or arrays for (x, p)."""
-    if n < 0:
-        raise DomainError(f"fock_wigner: n must be >= 0, got {n}")
+    _check_count(n, "fock_wigner: n")
     t = 2.0 * (np.asarray(x, dtype=float) ** 2 + np.asarray(p, dtype=float) ** 2)
     lm1 = np.ones_like(t)
     if n == 0:
@@ -55,7 +73,12 @@ class PhotonNumberDistribution:
     tail_mass: float
 
     def __post_init__(self):
+        _check_count(self.n_max, "PhotonNumberDistribution: n_max")
         probs = np.asarray(self.probs, dtype=float).copy()
+        if probs.shape != (self.n_max + 1,):
+            raise DomainError(f"PhotonNumberDistribution: probs must have "
+                              f"shape ({self.n_max + 1},) for n_max="
+                              f"{self.n_max}, got {probs.shape}")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
@@ -68,30 +91,62 @@ class PhotonNumberDistribution:
 
 
 _W = np.array([[1.0, 1.0j], [1.0, -1.0j]]) / math.sqrt(2.0)
+# rows of p(n) per array pass: scratch memory is O(n_max * _BLOCK)
+_BLOCK = 64
 
 
-def _hermite_diagonal(b, gamma, n_max: int) -> np.ndarray:
-    """Re G_nn for n = 0..n_max.  Row m + 1 of G is needed only from
-    column m + 1 on; it overwrites that tail of the older kept row."""
-    g0, g1, b00, b01, b11 = (complex(v) for v in (
-        gamma[0], gamma[1], b[0, 0], b[0, 1], b[1, 1]))
+def _binomial_ratio(cov) -> float:
+    """b = (det V - 1/4) / det(V + I/2) = (det K + tr K/2) / (1 + tr K +
+    det K) with K = V - I/2, unclamped: >= 0 up to round-off for a
+    physical state, 0 for a pure one."""
+    kxx, kpp, kxp = cov.vxx - 0.5, cov.vpp - 0.5, cov.vxp
+    det_k = kxx * kpp - kxp * kxp
+    return (det_k + 0.5 * (kxx + kpp)) / (1.0 + kxx + kpp + det_k)
+
+
+def _hermite_row(g1: complex, b11: complex, n_max: int) -> np.ndarray:
+    """G_{0,j} for j = 0..n_max, in linear scale."""
     lower, g = 0.0j, 1.0 + 0.0j
     row = [g]
     for n in range(n_max):
         lower, g = g, (g1 * g + b11 * math.sqrt(n) * lower) / math.sqrt(n + 1)
         row.append(g)
-    root = np.sqrt(np.arange(n_max + 1.0))
-    b01_root = b01 * root
-    cur, prev = np.array(row), np.zeros(n_max + 1, dtype=complex)
-    diag = np.ones(n_max + 1)
-    for m in range(n_max):
-        k = m + 1
-        tail = prev[k:]
-        tail *= b00 * root[m]
-        tail += g0 * cur[k:] + b01_root[k:] * cur[m:-1]
-        tail /= root[k]
-        prev, cur = cur, prev
-        diag[k] = cur[k].real
+    return np.array(row)
+
+
+def _toeplitz(v: np.ndarray, fill: float) -> np.ndarray:
+    """Read-only view t[n, k] = v[n - k], and `fill` where k > n."""
+    m = len(v)
+    padded = np.concatenate((np.full(m - 1, fill), v))
+    step = padded.strides[0]
+    return np.lib.stride_tricks.as_strided(padded[m - 1:], (m, m), (step, -step),
+                                           writeable=False)
+
+
+def _hermite_diagonal(b: float, row: np.ndarray) -> np.ndarray:
+    """G_nn = sum_k C(n, k) b^k |G_{0,n-k}|^2 for n = 0..len(row) - 1,
+    each term formed as exp(log C(n, k) + k log b + log|G_{0,n-k}|^2)
+    over a lower-triangular block of _BLOCK rows at a time."""
+    u = row.real ** 2 + row.imag ** 2
+    if b == 0.0:
+        return u
+    n_max = len(row) - 1
+    lg = np.array([math.lgamma(j + 1.0) for j in range(n_max + 1)])
+    with np.errstate(divide="ignore"):
+        lu = np.log(u)
+    kb = np.arange(n_max + 1) * math.log(b)
+    tlg, tlu = _toeplitz(lg, np.inf), _toeplitz(lu, -np.inf)
+    diag = np.empty(n_max + 1)
+    for n0 in range(0, n_max + 1, _BLOCK):
+        n1 = min(n0 + _BLOCK, n_max + 1)
+        # log C(n, k) in full before the b and u logs join it, so that
+        # C(n, 0) = C(n, n) = 1 exactly
+        t = np.subtract.outer(lg[n0:n1], lg[:n1])
+        t -= tlg[n0:n1, :n1]
+        t += kb[:n1]
+        t += tlu[n0:n1, :n1]
+        np.exp(t, out=t)
+        t.sum(axis=1, out=diag[n0:n1])
     return diag
 
 
@@ -101,11 +156,22 @@ def photon_number_distribution(
     """Photon-number probabilities of a Gaussian state up to n_max.
 
     Raises TruncationError (with a suggested n_max) if the tail mass
-    beyond n_max exceeds tol, and DomainError if the recursion
-    overflows to non-finite probabilities or tail mass.
+    beyond n_max exceeds tol, and DomainError for an n_max that is not
+    an integer >= 0, a tol that is not a number >= 0, a covariance below
+    the uncertainty bound det V >= 1/4, or non-finite probabilities or
+    tail mass.
     """
-    if n_max < 0:
-        raise DomainError(f"photon_number_distribution: n_max must be >= 0, got {n_max}")
+    _check_count(n_max, "photon_number_distribution: n_max")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0.0:
+        raise DomainError(f"photon_number_distribution: tol must be a number "
+                          f">= 0, got {tol!r}")
+    b = _binomial_ratio(state.cov)
+    if b < 0.0:
+        c = state.cov
+        if c.det - 0.25 < -1e-12 * (c.vxx * c.vpp + c.vxp * c.vxp):
+            raise DomainError(f"photon_number_distribution: det V = {c.det!r} "
+                              "< 1/4, the covariance of no quantum state")
+        b = 0.0  # a pure state's round-off
     zeta = _W @ state.mean_vector()
     sigma_q = _W @ state.cov.matrix() @ _W.conj().T + 0.5 * np.eye(2)
     inv = np.linalg.inv(sigma_q)
@@ -113,14 +179,15 @@ def photon_number_distribution(
             / math.sqrt(float(np.linalg.det(sigma_q).real)))
     # an overflow shows up as non-finite probabilities, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        probs = pref * _hermite_diagonal((np.eye(2) - inv)[:, ::-1],
-                                         inv @ zeta, n_max)
+        # gamma_1 = (sigma_Q^-1 zeta)_1 and B_11 = -(sigma_Q^-1)_10
+        row = _hermite_row(complex((inv @ zeta)[1]), complex(-inv[1, 0]), n_max)
+        probs = pref * _hermite_diagonal(b, row)
     if not np.isfinite(probs).all():
-        # G_nn peaks near e^<n>: overflow from <n> ~ 700, whatever n_max
+        # |G_{0,j}|^2 peaks near e^<n>: overflow from <n> ~ 700, whatever n_max
         raise DomainError(
             f"photon_number_distribution: non-finite probabilities at "
             f"n_max={n_max} ({int(np.count_nonzero(~np.isfinite(probs)))} "
-            f"of {n_max + 1}); the Fock recursion overflowed"
+            f"of {n_max + 1}); the Fock-basis sum overflowed"
         )
     # round-off: the vacuum's p(0) comes out as 1 + 2^-52
     np.clip(probs, 0.0, 1.0, out=probs)

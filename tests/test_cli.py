@@ -114,6 +114,15 @@ class TestPn:
         assert "non-finite" in err
         assert "nan" not in out.lower()
 
+    @pytest.mark.parametrize("tol", ["nan", "-1e-3"])
+    def test_bad_tol_exit_3(self, capsys, tol):
+        # a NaN tol used to accept any tail (tail_mass 4.9e-4 here)
+        code, out, err = run(capsys, "pn", "--thermal", "1", "--n-max", "10",
+                             f"--tol={tol}")
+        assert code == 3
+        assert "tol" in err
+        assert out == ""
+
     def test_manifest_names_state(self, capsys, tmp_path):
         params = []
         for nbar in ("1.0", "2.0"):

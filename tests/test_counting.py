@@ -34,6 +34,11 @@ class TestConfig:
         with pytest.raises(DomainError, match=field):
             CountingConfig(**{"n_windows": 1000, field: value})
 
+    def test_negative_n_max_rejected_at_construction(self):
+        with pytest.raises(DomainError, match="n_max"):
+            CountingConfig(n_windows=1000, n_max=-1)
+        assert CountingConfig(n_windows=1000, n_max=0).n_max == 0
+
     def test_window_bound(self):
         # the pmf tables of the click sampler stay below about 0.7M entries
         assert CountingConfig(n_windows=2**32).n_windows == 2**32

@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wigg2 import fock
+from wigg2.counting import CountingConfig, expected_click_g2
 from wigg2.errors import DomainError, TruncationError
 from wigg2.fock import (PhotonNumberDistribution, fock_wigner, g2_from_pn,
                         photon_number_distribution)
+from wigg2.kernels import click_probs
 from wigg2.moments import g2_gaussian, weyl_moments_analytic
-from wigg2.states import (attenuate, coherent, squeezed_vacuum,
-                          squeezed_vacuum_with_mean_photon, thermal, vacuum)
+from wigg2.states import (CovarianceMatrix, GaussianState, PhasePoint,
+                          attenuate, coherent, displace, hwp_mix, reduce_mode,
+                          squeezed_vacuum, squeezed_vacuum_with_mean_photon,
+                          thermal, two_mode_squeezed_vacuum, vacuum)
 
 from conftest import random_physical_state
 
@@ -48,6 +53,50 @@ def _quadrature_oracle(state, n_max):
             sign = -sign
     probs[probs < 0.0] = 0.0
     return probs
+
+
+# Frozen copy of the two-index Hermite recursion that the binomial sum
+# replaced: G_{m+1,n} = (gamma_0 G_{m,n} + B_00 sqrt(m) G_{m-1,n} + B_01
+# sqrt(n) G_{m,n-1}) / sqrt(m+1) row by row, p(n) = T Re G_nn clipped to
+# [0, 1].  Row m + 1 is needed only from column m + 1 on; it overwrites
+# that tail of the older kept row.
+def _recursion_oracle(state, n_max):
+    w = np.array([[1.0, 1.0j], [1.0, -1.0j]]) / math.sqrt(2.0)
+    zeta = w @ state.mean_vector()
+    sigma_q = w @ state.cov.matrix() @ w.conj().T + 0.5 * np.eye(2)
+    inv = np.linalg.inv(sigma_q)
+    pref = (math.exp(-0.5 * float((zeta.conj() @ inv @ zeta).real))
+            / math.sqrt(float(np.linalg.det(sigma_q).real)))
+    b, gamma = (np.eye(2) - inv)[:, ::-1], inv @ zeta
+    g0, g1, b00, b01, b11 = (complex(v) for v in (
+        gamma[0], gamma[1], b[0, 0], b[0, 1], b[1, 1]))
+    lower, g = 0.0j, 1.0 + 0.0j
+    row = [g]
+    for n in range(n_max):
+        lower, g = g, (g1 * g + b11 * math.sqrt(n) * lower) / math.sqrt(n + 1)
+        row.append(g)
+    root = np.sqrt(np.arange(n_max + 1.0))
+    b01_root = b01 * root
+    cur, prev = np.array(row), np.zeros(n_max + 1, dtype=complex)
+    diag = np.ones(n_max + 1)
+    for m in range(n_max):
+        k = m + 1
+        tail = prev[k:]
+        tail *= b00 * root[m]
+        tail += g0 * cur[k:] + b01_root[k:] * cur[m:-1]
+        tail /= root[k]
+        prev, cur = cur, prev
+        diag[k] = cur[k].real
+    return np.clip(pref * diag, 0.0, 1.0)
+
+
+def _assert_matches_oracle(probs, want):
+    """Absolute error <= 1e-12 everywhere, relative error <= 1e-10
+    wherever the oracle's p >= 1e-250."""
+    err = np.abs(probs - want)
+    assert err.max() <= 1e-12
+    big = want >= 1e-250
+    assert (err[big] <= 1e-10 * want[big]).all(), (err[big] / want[big]).max()
 
 
 def physical_states(max_mean=2.5, max_nbar=3.0):
@@ -226,3 +275,121 @@ class TestConsistency:
             m = weyl_moments_analytic(st)
             assert nw == pytest.approx(m.nw, abs=1e-7, rel=1e-7)
             assert nw2 == pytest.approx(m.nw2, abs=1e-7, rel=1e-7)
+
+
+class TestBinomialForm:
+    @settings(max_examples=60, deadline=None)
+    @given(state=physical_states(max_mean=6.0, max_nbar=20.0),
+           n_max=st.integers(0, 300))
+    def test_matches_recursion_oracle(self, state, n_max):
+        d = photon_number_distribution(state, n_max, tol=1.0)
+        _assert_matches_oracle(d.probs, _recursion_oracle(state, n_max))
+
+    @pytest.mark.parametrize("n_max", [fock._BLOCK - 1, fock._BLOCK,
+                                       fock._BLOCK + 1, 2 * fock._BLOCK + 1])
+    def test_block_edges(self, n_max):
+        mixed = [thermal(3.0),
+                 displace(attenuate(squeezed_vacuum(0.3, 0.7), 0.6), 1.5, -2.0),
+                 attenuate(squeezed_vacuum_with_mean_photon(5.0), 0.5)]
+        for state in mixed:
+            assert fock._binomial_ratio(state.cov) > 0.0
+            d = photon_number_distribution(state, n_max, tol=1.0)
+            _assert_matches_oracle(d.probs, _recursion_oracle(state, n_max))
+
+    def test_thermal_20_across_many_blocks(self):
+        # C(n, n) = 1 exactly: log C(n, k) is formed before k log b joins
+        # it, else lgamma(n + 1) ~ 1.4e4 leaves its round-off in p(n)
+        nbar, n_max = 20.0, 2048
+        d = photon_number_distribution(thermal(nbar), n_max)
+        n = np.arange(n_max + 1)
+        want = (nbar / (nbar + 1.0)) ** n / (nbar + 1.0)
+        big = want >= 1e-250
+        np.testing.assert_allclose(d.probs[big], want[big], rtol=1e-13, atol=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), pure=st.booleans())
+    def test_binomial_ratio_non_negative(self, seed, pure):
+        state = random_physical_state(np.random.default_rng(seed), max_mean=6.0,
+                                      max_nbar=20.0, pure=pure)
+        b = fock._binomial_ratio(state.cov)
+        assert -1e-15 <= b < 1.0
+        if pure:
+            assert abs(b) <= 1e-15
+
+    def test_binomial_ratio_closed_forms(self):
+        for nbar in (0.0, 0.3, 20.0):
+            assert fock._binomial_ratio(thermal(nbar).cov) == pytest.approx(
+                nbar / (nbar + 1.0), rel=1e-15, abs=0.0)
+        # a pure state of any squeezing: b = 0 up to round-off, clamped
+        for mean in (0.2, 5.0, 100.0):
+            st_ = squeezed_vacuum_with_mean_photon(mean, 0.3)
+            assert abs(fock._binomial_ratio(st_.cov)) <= 1e-13
+
+    def test_unphysical_covariance_rejected(self):
+        # det V = 0.09 < 1/4: b < 0 has no binomial form and no state
+        state = GaussianState(PhasePoint(0.0, 0.0), CovarianceMatrix(0.3, 0.3))
+        with pytest.raises(DomainError, match="1/4"):
+            photon_number_distribution(state, 10, tol=1.0)
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("n_max", [2.5, 10.0, True, -1, "10"])
+    def test_n_max_must_be_an_integer(self, n_max):
+        # the vacuum has no tail: nothing else can raise
+        with pytest.raises(DomainError, match="n_max must be an integer"):
+            photon_number_distribution(vacuum(), n_max)
+
+    def test_numpy_integer_n_max_accepted(self):
+        d = photon_number_distribution(thermal(1.0), np.int64(40))
+        assert d.probs.shape == (41,)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-3, -1e-300])
+    def test_tol_must_be_a_non_negative_number(self, tol):
+        # not a TruncationError: no n_max can meet a negative tol
+        with pytest.raises(DomainError, match="tol must be") as exc:
+            photon_number_distribution(vacuum(), 10, tol=tol)
+        assert not isinstance(exc.value, TruncationError)
+
+    def test_tol_zero_and_inf_accepted(self):
+        assert photon_number_distribution(vacuum(), 4, tol=0.0).tail_mass == 0.0
+        d = photon_number_distribution(thermal(1.0), 10, tol=math.inf)
+        assert d.tail_mass == pytest.approx(0.5 ** 11, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True])
+    def test_fock_wigner_n_must_be_an_integer(self, n):
+        with pytest.raises(DomainError, match="n must be an integer"):
+            fock_wigner(n, 0.0, 0.0)
+
+    @pytest.mark.parametrize("probs,n_max", [([1.0], 1), ([0.5, 0.5], 0),
+                                             ([[0.5, 0.5]], 1)])
+    def test_distribution_shape_must_match_n_max(self, probs, n_max):
+        with pytest.raises(DomainError, match="shape"):
+            PhotonNumberDistribution(np.array(probs), n_max, 0.0)
+
+
+def _oracle_distribution(state, n_max):
+    probs = _recursion_oracle(state, n_max)
+    return PhotonNumberDistribution(probs, n_max, max(0.0, 1.0 - probs.sum()))
+
+
+class TestClickModelAgreement:
+    """The click model sees the same distribution as with the recursion:
+    the bright-squeezing benchmark state and the six rows of the sweep
+    benchmark (`sweep --r 0.4 --thetas 0,5,10,15,20,22.5`)."""
+
+    CASES = [(squeezed_vacuum_with_mean_photon(5.0),
+              CountingConfig(n_windows=1_000_000, eta_det=0.5, n_max=256))] + [
+        (reduce_mode(hwp_mix(two_mode_squeezed_vacuum(0.4), th), 1),
+         CountingConfig(n_windows=1_000_000))
+        for th in (0.0, 5.0, 10.0, 15.0, 20.0, 22.5)]
+
+    @pytest.mark.parametrize("state,cfg", CASES)
+    def test_click_probs_and_expected_g2(self, state, cfg):
+        new = photon_number_distribution(state, cfg.n_max)
+        old = _oracle_distribution(state, cfg.n_max)
+        args = (cfg.eta_det, cfg.split, cfg.dark_prob)
+        for q_new, q_old in zip(click_probs(new.cdf(), *args),
+                                click_probs(old.cdf(), *args)):
+            assert abs(q_new - q_old) <= 1e-13
+        assert expected_click_g2(new, cfg) == pytest.approx(
+            expected_click_g2(old, cfg), abs=1e-12, rel=0.0)
