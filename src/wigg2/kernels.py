@@ -14,7 +14,7 @@ a double in [0, 1).  The key k is a Python int computed once per call,
 so each stream index costs one finaliser.  A draw depends only on
 (seed, i, draw), never on how a caller splits its work.
 
-The bootstrap `boot_moments_np` takes two indices from each hash.  Over
+The bootstrap takes two indices from each hash.  Over
 n samples, member b hashes stream indices b*m .. b*m + m - 1 of draw 0,
 m = ceil(n/2); with h = mix64(k + i*phi) the full 64-bit hash (no >> 11),
 each hash gives
@@ -27,20 +27,27 @@ summed in that order.  Each 32-bit half takes one of 2^32 values, so an
 index has probability (1 + e)/n with |e| < n/2^32: a bias of at most
 2.3e-5 at n = 100,000.  n may not exceed 2^32.
 
-The members run as one contiguous range per CPU in the process's
-affinity mask: one range runs on the calling thread, the others on a
-thread pool, and each member writes its own output slot, so the result
-does not depend on the number of ranges.
+`boot_moments_sets` bootstraps all the sample sets of a reconstruction
+(one per homodyne angle) in one call.  Member b of set k has the
+flattened index k*n_boot + b, and that index range runs as one
+contiguous range per CPU in the process's affinity mask: one range runs
+on the calling thread, the others on one thread pool, and a range may
+start and end inside a set.  Each member writes its own output slot, so
+the result does not depend on the number of ranges; `boot_moments` is
+the same call on one set.
 Worker threads call only underscore-prefixed helpers, never a public
 function (a tracer may wrap those, and a span opened on a worker thread
 would have no parent).  Each range hashes its stream indices in place,
-_BLOCK at a time, in buffers allocated once per call: several members
-share a block when m < _BLOCK, and a member spans several blocks when
-m > _BLOCK.  Smaller blocks would make the threads contend for the GIL,
-which every numpy call takes and drops, more than the extra CPUs gain.
-The gather `np.take` runs once per group of members, into a buffer of
-the range.  Sums of squares use `np.einsum`, not BLAS (`np.dot`), so
-the moments do not depend on BLAS threading either.
+at most _BLOCK at a time, in buffers allocated once per call and sized
+for the largest set: several members share a block when m < _BLOCK,
+and a member spans several blocks when m > _BLOCK.  Every block adds
+its offset to a prefix of one row i*phi.  Smaller blocks would make the
+threads contend for the GIL, which every numpy call takes and drops,
+more than the extra CPUs gain.  The gather `np.take` runs once per
+group of members, into a buffer of the range, and one row sum gives
+the group's member sums.  Sums of squares use `np.einsum` per member,
+not BLAS (`np.dot`), so the moments do not depend on BLAS threading
+either.
 
 The HBT arm is one multinomial.  Threshold detectors only see whether
 each fired, so a window's click pattern depends on the state only
@@ -274,21 +281,29 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _boot_range(x, key, row, bufs, lo, hi, means, variances):
-    """Moments of bootstrap members [lo, hi) into means and variances.
+def _boot_layout(n):
+    """(m, group, span) of a bootstrap over n samples: m = ceil(n/2) hashes
+    per member, `group` members per gather and `span` stream indices
+    hashed per block, group * m, or _BLOCK when one member spans blocks."""
+    m = (n + 1) // 2
+    group = max(1, _BLOCK // m)
+    return m, group, min(group * m, _BLOCK)
+
+
+def _boot_set(x, key, row, bufs, lo, hi, sums, sumsqs):
+    """Sums and sums of squares of bootstrap members [lo, hi) of x into
+    sums and sumsqs.
 
     Member b hashes stream indices b*m .. b*m + m - 1 of draw 0, whose
-    _key is `key`, m = ceil(n/2).  A block starting at stream index s
-    hashes (s + j)*phi + key = (s*phi + key) + j*phi (mod 2^64), so each
-    block adds one scalar to the shared row j*phi.
-    bufs = (z, tmp, ix, xs) is this range's scratch: z and tmp as long
-    as row, ix and xs as long as one gather.
+    _key is `key`.  A block starting at stream index s hashes
+    (s + j)*phi + key = (s*phi + key) + j*phi (mod 2^64), so each block
+    adds one scalar to a prefix of the shared row j*phi.
+    bufs = (z, tmp, ix, xs) is this range's scratch: z and tmp at least
+    as long as a block, ix and xs as long as a gather.
     """
     z, tmp, ix, xs = bufs
     n = len(x)
-    m = (n + 1) // 2  # hashes per member
-    span = len(row)  # group * m, or _BLOCK when one member spans blocks
-    group = max(1, span // m)  # members per gather
+    m, group, span = _boot_layout(n)
     for b0 in range(lo, hi, group):
         g = min(group, hi - b0)
         idx = ix[:g * n].view(np.uint64).reshape(g, n)
@@ -300,49 +315,93 @@ def _boot_range(x, key, row, bufs, lo, hi, means, variances):
             _multiply_shift(h, n, idx[:, off:off + k],
                             idx[:, m + off:min(m + off + k, n)])
         # every index is in range, and mode="raise" would copy `out` first
-        np.take(x, ix[:g * n], out=xs[:g * n], mode="wrap")
-        for r in range(g):
-            member = xs[r * n:(r + 1) * n]
-            s = float(member.sum())
-            ss = float(np.einsum("i,i->", member, member))
-            mean = s / n
-            means[b0 + r] = mean
-            variances[b0 + r] = (ss - n * mean * mean) / (n - 1)
+        members = np.take(x, ix[:g * n], out=xs[:g * n],
+                          mode="wrap").reshape(g, n)
+        # a row sum along the contiguous axis is each member's own
+        # pairwise .sum(); einsum over several rows would round
+        # differently, and with the number of rows, so it stays per row
+        members.sum(axis=1, out=sums[b0:b0 + g])
+        for r, member in enumerate(members, b0):
+            sumsqs[r] = np.einsum("i,i->", member, member)
 
 
-def boot_moments_np(x, n_boot, seed):
-    """Bootstrap (mean, unbiased variance) pairs via counter-based
-    resampling, one contiguous member range per CPU; 2 <= len(x) <= 2^32.
+def _boot_range(sets, keys, row, bufs, lo, hi, sums, sumsqs):
+    """Members [lo, hi) of the flattened index k*n_boot + b of member b of
+    set k, set by set; a range may start and end inside a set."""
+    n_boot = sums.shape[1]
+    for k in range(lo // n_boot, (hi - 1) // n_boot + 1):
+        first = k * n_boot
+        _boot_set(sets[k], keys[k], row, bufs, max(lo - first, 0),
+                  min(hi - first, n_boot), sums[k], sumsqs[k])
 
-    All buffers are allocated here, on the calling thread: memory a
-    worker thread frees stays with that thread's malloc arena and would
-    add to the process's resident set.
+
+def boot_moments_sets(samples, n_boot, seeds):
+    """Bootstrap (means, unbiased variances) of several sample sets in
+    one call, each of shape (len(samples), n_boot): row k is the
+    bootstrap of samples[k] under seeds[k], n_boot members each;
+    2 <= len(samples[k]) <= 2^32.
+
+    The flattened (set, member) range runs as one contiguous range per
+    CPU on one thread pool.  All buffers are allocated here, on the
+    calling thread, once and sized for the largest set: memory a worker
+    thread frees stays with that thread's malloc arena and would add to
+    the process's resident set.
     """
-    n = len(x)
-    means = np.empty(n_boot)
-    variances = np.empty(n_boot)
-    w = max(1, min(n_boot, _cpu_count()))
-    bounds = [n_boot * i // w for i in range(w + 1)]
-    m = (n + 1) // 2
-    group = max(1, _BLOCK // m)
-    row = np.arange(min(group * m, _BLOCK), dtype=np.uint64)
+    if len(samples) == 0:
+        raise DomainError("boot_moments_sets: need at least one sample set")
+    if len(seeds) != len(samples):
+        raise DomainError(f"boot_moments_sets: {len(seeds)} seeds for "
+                          f"{len(samples)} sample sets")
+    if (isinstance(n_boot, bool) or not isinstance(n_boot, (int, np.integer))
+            or n_boot < 1):
+        raise DomainError(f"boot_moments_sets: n_boot must be an integer "
+                          f">= 1, got {n_boot!r}")
+    # checked before the float64 copy; multiply-shift needs n <= 2^32
+    for k, x in enumerate(samples):
+        if not 2 <= len(x) <= 2**32:
+            raise DomainError(f"boot_moments_sets: need 2 <= len <= 2**32 "
+                              f"samples, set {k} has len {len(x)}")
+    sets = [np.ascontiguousarray(x, dtype=np.float64) for x in samples]
+    n_boot = int(n_boot)
+    total = len(sets) * n_boot
+    w = max(1, min(total, _cpu_count()))
+    bounds = [total * i // w for i in range(w + 1)]
+    largest = -(-total // w)  # members in the largest range
+    # the outputs hold the sums until the end; allocated after the
+    # scratch, they would sit above it in the heap and keep its space
+    # from being reused by the next call
+    means = np.empty((len(sets), n_boot))
+    variances = np.empty_like(means)
+    layouts = [_boot_layout(len(x)) for x in sets]
+    row = np.arange(max(span for _, _, span in layouts), dtype=np.uint64)
     np.multiply(row, _PHI64, out=row)
     z = np.empty((w, len(row)), dtype=np.uint64)
     tmp = np.empty_like(z)
-    largest = -(-n_boot // w)  # members in the largest range
-    ix = np.empty((w, min(group, largest) * n), dtype=np.int64)
+    gather = max(min(group, n_boot, largest) * len(x)
+                 for x, (_, group, _) in zip(sets, layouts))
+    ix = np.empty((w, gather), dtype=np.int64)
     xs = np.empty(ix.shape)
-    ranges = [(x, _key(seed, 0), row, (z[i], tmp[i], ix[i], xs[i]), bounds[i],
+    keys = [_key(seed, 0) for seed in seeds]
+    ranges = [(sets, keys, row, (z[i], tmp[i], ix[i], xs[i]), bounds[i],
                bounds[i + 1], means, variances) for i in range(w)]
     if w == 1:
         _boot_range(*ranges[0])
-        return means, variances
-    with ThreadPoolExecutor(w - 1) as pool:
-        futures = [pool.submit(_boot_range, *r) for r in ranges[1:]]
-        _boot_range(*ranges[0])
-        for f in futures:
-            f.result()
+    else:
+        with ThreadPoolExecutor(w - 1) as pool:
+            futures = [pool.submit(_boot_range, *r) for r in ranges[1:]]
+            _boot_range(*ranges[0])
+            for f in futures:
+                f.result()
+    n = np.array([len(x) for x in sets], dtype=np.float64)[:, None]
+    means /= n
+    variances -= n * means * means
+    variances /= n - 1
     return means, variances
+
+
+def boot_moments_np(x, n_boot, seed):
+    """Bootstrap (mean, unbiased variance) pairs of one sample set."""
+    return tuple(a[0] for a in boot_moments_sets([x], n_boot, [seed]))
 
 
 def hbt_counts(cdf, eta, split, dark, seed, start, stop):
@@ -353,10 +412,4 @@ def hbt_counts(cdf, eta, split, dark, seed, start, stop):
 
 
 def boot_moments(x, n_boot, seed):
-    # checked before the float64 copy; multiply-shift needs n <= 2^32
-    if not 2 <= len(x) <= 2**32:
-        raise DomainError(f"boot_moments: need 2 <= len(x) <= 2**32 "
-                          f"samples, got {len(x)}")
-    return boot_moments_np(
-        np.ascontiguousarray(x, dtype=np.float64), int(n_boot), int(seed)
-    )
+    return tuple(a[0] for a in boot_moments_sets([x], n_boot, [seed]))

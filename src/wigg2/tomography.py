@@ -111,8 +111,8 @@ def _covariance_design(angles):
     to 0 and gets only the (vxx, vpp) columns."""
     c = np.cos(angles)
     s = np.sin(angles)
-    distinct = np.unique(np.round(angles, 12)).size
-    if distinct >= 3:
+    distinct = np.unique(np.round(angles, 12))
+    if distinct.size >= 3:
         A = np.column_stack([c * c, s * s, np.sin(2.0 * angles)])
         if np.linalg.matrix_rank(A, tol=1e-10) < 3:
             raise IdentifiabilityError(
@@ -120,7 +120,8 @@ def _covariance_design(angles):
                 "use >= 3 distinct angles in general position"
             )
         return A
-    if distinct == 2 and abs(abs(angles[0] - angles[1]) - math.pi / 2) < 1e-9:
+    if (distinct.size == 2
+            and abs(distinct[1] - distinct[0] - math.pi / 2) < 1e-9):
         return np.column_stack([c * c, s * s])
     raise IdentifiabilityError(
         "need >= 3 distinct angles, or exactly 2 orthogonal ones"
@@ -200,11 +201,9 @@ def estimate_covariance(
     state = GaussianState(PhasePoint(mx, mp), project_physical(vxx, vpp, vxp))
 
     # one row per angle, one column per member: one solve for all members
-    boot_means = np.empty((len(data.samples), n_boot))
-    boot_vars = np.empty((len(data.samples), n_boot))
-    for k, s in enumerate(data.samples):
-        boot_means[k], boot_vars[k] = kernels.boot_moments(s, n_boot,
-                                                            boot_seed + 7919 * k)
+    boot_means, boot_vars = kernels.boot_moments_sets(
+        data.samples, n_boot,
+        [boot_seed + 7919 * k for k in range(len(data.samples))])
     bvxx, bvpp, bvxp, _ = _solve_covariance(data.angles, boot_vars)
     bmx, bmp = _solve_mean(data.angles, boot_means)
     boot_states = tuple(

@@ -210,6 +210,21 @@ class TestBootMomentsBitIdentity:
         assert np.array_equal(v, v_ref)
 
 
+class TestBootMomentsSets:
+    def test_unequal_lengths_match_per_set_calls(self):
+        rng = np.random.default_rng(31)
+        sets = [rng.normal(0.4, 1.3, n) for n in (3, 17, 10_000, 100_003)]
+        seeds = [5 + 7919 * k for k in range(len(sets))]
+        means, variances = kernels.boot_moments_sets(sets, 6, seeds)
+        assert means.shape == variances.shape == (len(sets), 6)
+        for k, (x, seed) in enumerate(zip(sets, seeds)):
+            m, v = kernels.boot_moments(x, 6, seed)
+            m_ref, v_ref = _boot_moments_oracle(x, 6, seed)
+            assert np.array_equal(means[k], m) and np.array_equal(m, m_ref)
+            assert (np.array_equal(variances[k], v)
+                    and np.array_equal(v, v_ref))
+
+
 class TestBootMomentsInput:
     @pytest.mark.parametrize("n", [0, 1])
     def test_too_few_samples(self, n):
@@ -222,6 +237,21 @@ class TestBootMomentsInput:
         x = np.broadcast_to(0.0, (2**32 + 1,))
         with pytest.raises(DomainError, match="len"):
             kernels.boot_moments(x, 10, 0)
+
+    @pytest.mark.parametrize("n_boot", [0, -1, 2.0, True, "3", None])
+    def test_bad_member_count(self, n_boot):
+        # -1 used to reach np.empty, which raised an untyped ValueError
+        with pytest.raises(DomainError, match="n_boot"):
+            kernels.boot_moments(np.zeros(8), n_boot, 0)
+
+    def test_bad_set_lists(self):
+        x = np.zeros(8)
+        with pytest.raises(DomainError, match="at least one"):
+            kernels.boot_moments_sets([], 4, [])
+        with pytest.raises(DomainError, match="2 seeds for 3"):
+            kernels.boot_moments_sets([x, x, x], 4, [0, 1])
+        with pytest.raises(DomainError, match="set 2 has len 1"):
+            kernels.boot_moments_sets([x, x, x[:1]], 4, [0, 1, 2])
 
     def test_multiply_shift_top_of_range(self):
         # the largest hash at the largest n: (2^32 - 1) * 2^32 < 2^64
@@ -242,15 +272,25 @@ class TestBootMomentsThreads:
 
     @pytest.mark.parametrize("n,n_boot", [(10_000, 23), (100_003, 5), (3, 9)])
     def test_output_independent_of_cpu_count(self, monkeypatch, n, n_boot):
-        x = np.random.default_rng(n).normal(1.0, 2.0, n)
-        pools = []
+        rng = np.random.default_rng(n)
+        sets = [rng.normal(1.0, 2.0, size) for size in (n, 17, n + 1, 2)]
+        seeds = [99, 99 + 7919, 3, 2**63 - 1]
+        total = len(sets) * n_boot  # flattened (set, member) count
+        pools, cuts = [], []
 
         class Pool(kernels.ThreadPoolExecutor):
             def __init__(self, workers):
                 pools.append(workers)
                 super().__init__(workers)
 
+        boot_range = kernels._boot_range
+
+        def spy(*args):
+            cuts[-1].append(args[4:6])  # (lo, hi) of the flattened range
+            boot_range(*args)
+
         monkeypatch.setattr(kernels, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(kernels, "_boot_range", spy)
         runs = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # many more thread switches
@@ -259,11 +299,20 @@ class TestBootMomentsThreads:
                 monkeypatch.setattr(kernels.os, "sched_getaffinity",
                                     lambda pid, cpus=cpus: set(range(cpus)),
                                     raising=False)
-                runs.append(boot_moments_np(x, n_boot, 99))
+                cuts.append([])
+                runs.append(kernels.boot_moments_sets(sets, n_boot, seeds))
         finally:
             sys.setswitchinterval(interval)
-        # one pool of W - 1 workers per call with W = min(n_boot, cpus) > 1
-        assert pools == [min(n_boot, c) - 1 for c in (2, 3, 7)]
+        # one pool of W - 1 workers per call, W = min(total, cpus) > 1
+        assert pools == [min(total, c) - 1 for c in (2, 3, 7)]
+        for cpus, cut in zip((1, 2, 3, 7), cuts):
+            bounds = sorted(cut)
+            assert len(bounds) == min(total, cpus)
+            assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+            assert bounds[-1][1] == total
+            if cpus > 1:  # some range holds members of two sets
+                assert any(lo // n_boot != (hi - 1) // n_boot
+                           for lo, hi in cut)
         for m, v in runs[1:]:
             assert np.array_equal(m, runs[0][0])
             assert np.array_equal(v, runs[0][1])

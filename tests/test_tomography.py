@@ -15,7 +15,8 @@ from wigg2.states import (CovarianceMatrix, GaussianState, PhasePoint,
                           two_mode_squeezed_vacuum, vacuum)
 from wigg2 import kernels
 from wigg2.tomography import (DEFAULT_ANGLES, HomodyneDataset, SweepFit,
-                              _solve_covariance, _solve_mean,
+                              _covariance_design, _solve_covariance,
+                              _solve_mean,
                               estimate_covariance,
                               estimate_covariance_from_moments,
                               fit_sweep_model, g2_from_reconstruction,
@@ -126,6 +127,20 @@ class TestEstimateCovariance:
         assert est.cov.vxx == pytest.approx(0.25, abs=1e-12)
         assert est.cov.vxp == 0.0
 
+    def test_two_orthogonal_angles_any_order(self):
+        # orthogonality is a property of the two distinct angles, not of
+        # angles[0] and angles[1], which may repeat one angle
+        design = _covariance_design(np.array([math.pi / 2, 0.0, 0.0]))
+        repeated = _covariance_design(np.array([0.0, 0.0, math.pi / 2]))
+        np.testing.assert_array_equal(repeated, design[[1, 2, 0]])
+        angles = [0.0, 0.0, math.pi / 2]
+        data = simulate_homodyne(squeezed_vacuum(0.5, 0.0), angles, 2_000,
+                                 seed=3)
+        rec = estimate_covariance(data, n_boot=8, boot_seed=4)
+        assert rec.raw_cov[2] == 0.0
+        assert rec.raw_cov[0] == pytest.approx(0.25, rel=0.1)
+        assert all(bs.cov.vxp == 0.0 for bs in rec.bootstrap_states)
+
     def test_identifiability_errors(self):
         st = thermal(1.0)
         ms, vs = moments_of(st, [0.0])
@@ -228,6 +243,45 @@ class TestEstimateCovariance:
                 rtol=1e-12, atol=1e-12 * cov_scale)
             np.testing.assert_allclose([bs.mean.x, bs.mean.p], [mx, mp],
                                        rtol=1e-12, atol=1e-12 * max(abs(mx), abs(mp)))
+
+
+    def test_unequal_angle_lengths(self):
+        # each angle bootstraps its own length, under its own seed
+        full = simulate_homodyne(squeezed_vacuum(0.5, 0.3), ANGLES12[:4],
+                                 3_000, 0.8, seed=21)
+        samples = tuple(s[:n] for s, n in zip(full.samples,
+                                              (3_000, 17, 1_001, 250)))
+        data = HomodyneDataset(full.angles, samples, 21, 0.8)
+        rec = estimate_covariance(data, n_boot=10, boot_seed=5)
+        moments = [kernels.boot_moments(s, 10, 5 + 7919 * k)
+                   for k, s in enumerate(samples)]
+        vxx, vpp, vxp, _ = _solve_covariance(
+            data.angles, np.array([v for _, v in moments]))
+        mx, mp = _solve_mean(data.angles, np.array([m for m, _ in moments]))
+        for b, bs in enumerate(rec.bootstrap_states):
+            assert [bs.cov.vxx, bs.cov.vpp, bs.cov.vxp, bs.mean.x,
+                    bs.mean.p] == [vxx[b], vpp[b], vxp[b], mx[b], mp[b]]
+
+    def test_one_kernel_call_and_pool(self, monkeypatch):
+        calls, pools = [], []
+        sets = kernels.boot_moments_sets
+
+        def counted(*args):
+            calls.append(args)
+            return sets(*args)
+
+        class Pool(kernels.ThreadPoolExecutor):
+            def __init__(self, workers):
+                pools.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(kernels, "boot_moments_sets", counted)
+        monkeypatch.setattr(kernels, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(kernels.os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2}, raising=False)
+        data = simulate_homodyne(thermal(1.0), ANGLES12, 500, seed=9)
+        estimate_covariance(data, n_boot=20, boot_seed=11)
+        assert len(calls) == 1 and pools == [2]
 
 
 class TestG2FromReconstruction:
