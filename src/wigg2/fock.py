@@ -12,14 +12,17 @@ over the pure row G_{0,j}:
     G_nn = sum_{k=0..n} C(n, k) b^k |G_{0,n-k}|^2,
     b = B_01 = (det V - 1/4) / det(V + I/2)
       = (det K + tr K/2) / (1 + tr K + det K),  K = V - I/2.
-b >= 0 is the uncertainty relation and b = 0 for a pure state.  The row
-comes from the scalar recursion G_{0,j+1} = (gamma_1 G_{0,j} + B_11
-sqrt(j) G_{0,j-1}) / sqrt(j+1) in linear scale (so an overflow, from
-<n> ~ 700, still shows as a non-finite p(n)); every term of the sum is
-non-negative and is formed as exp(log C(n, k) + k log b +
-log|G_{0,n-k}|^2) over lower-triangular blocks of rows.  p(n) = T G_nn
-costs O(n_max^2) array work and O(n_max * block) memory, and O(n_max)
-when b = 0, where only the k = 0 column is left.  This is the
+b >= 0 is the uncertainty relation and b = 0 for a pure state, decided
+within round-off of det V - 1/4.  The row comes from the scalar
+recursion G_{0,j+1} = (gamma_1 G_{0,j} + B_11 sqrt(j) G_{0,j-1}) /
+sqrt(j+1) in linear scale (so an overflow, from <n> ~ 700, still shows
+as a non-finite p(n)).  The sum is a binomial transform of u_j =
+|G_{0,j}|^2: n_max Pascal steps r[j] <- r[j+1] + b r[j] leave, after
+step t, r[j] = sum_k C(t, k) b^k u_{j+t-k}, and G_tt = r[0].  Every
+term is non-negative and C(t, k) <= C(j+t, k), so each intermediate is
+at most G_mm with m = j + t <= n_max: nothing overflows unless p(n)
+itself does.  p(n) = T G_nn costs O(n_max^2) work and O(n_max) memory,
+and O(n_max) work when b = 0, where G_nn = u_n.  This is the
 Fock-basis route for the Wigner-moment identities (the midpoint
 quadrature in `moments` is the independent one) and the counting
 simulator's sampling distribution.
@@ -91,8 +94,6 @@ class PhotonNumberDistribution:
 
 
 _W = np.array([[1.0, 1.0j], [1.0, -1.0j]]) / math.sqrt(2.0)
-# rows of p(n) per array pass: scratch memory is O(n_max * _BLOCK)
-_BLOCK = 64
 
 
 def _binomial_ratio(cov) -> float:
@@ -114,39 +115,18 @@ def _hermite_row(g1: complex, b11: complex, n_max: int) -> np.ndarray:
     return np.array(row)
 
 
-def _toeplitz(v: np.ndarray, fill: float) -> np.ndarray:
-    """Read-only view t[n, k] = v[n - k], and `fill` where k > n."""
-    m = len(v)
-    padded = np.concatenate((np.full(m - 1, fill), v))
-    step = padded.strides[0]
-    return np.lib.stride_tricks.as_strided(padded[m - 1:], (m, m), (step, -step),
-                                           writeable=False)
-
-
 def _hermite_diagonal(b: float, row: np.ndarray) -> np.ndarray:
-    """G_nn = sum_k C(n, k) b^k |G_{0,n-k}|^2 for n = 0..len(row) - 1,
-    each term formed as exp(log C(n, k) + k log b + log|G_{0,n-k}|^2)
-    over a lower-triangular block of _BLOCK rows at a time."""
-    u = row.real ** 2 + row.imag ** 2
+    """G_nn = sum_k C(n, k) b^k |G_{0,n-k}|^2 for n = 0..len(row) - 1, by
+    the binomial transform: after t Pascal steps r[j] <- r[j+1] + b r[j],
+    r[j] = sum_k C(t, k) b^k |G_{0,j+t-k}|^2, so G_tt = r[0]."""
+    r = row.real ** 2 + row.imag ** 2
     if b == 0.0:
-        return u
-    n_max = len(row) - 1
-    lg = np.array([math.lgamma(j + 1.0) for j in range(n_max + 1)])
-    with np.errstate(divide="ignore"):
-        lu = np.log(u)
-    kb = np.arange(n_max + 1) * math.log(b)
-    tlg, tlu = _toeplitz(lg, np.inf), _toeplitz(lu, -np.inf)
-    diag = np.empty(n_max + 1)
-    for n0 in range(0, n_max + 1, _BLOCK):
-        n1 = min(n0 + _BLOCK, n_max + 1)
-        # log C(n, k) in full before the b and u logs join it, so that
-        # C(n, 0) = C(n, n) = 1 exactly
-        t = np.subtract.outer(lg[n0:n1], lg[:n1])
-        t -= tlg[n0:n1, :n1]
-        t += kb[:n1]
-        t += tlu[n0:n1, :n1]
-        np.exp(t, out=t)
-        t.sum(axis=1, out=diag[n0:n1])
+        return r
+    diag = np.empty_like(r)
+    diag[0] = r[0]
+    for n in range(1, len(diag)):
+        r = r[1:] + b * r[:-1]
+        diag[n] = r[0]
     return diag
 
 
@@ -165,13 +145,14 @@ def photon_number_distribution(
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0.0:
         raise DomainError(f"photon_number_distribution: tol must be a number "
                           f">= 0, got {tol!r}")
-    b = _binomial_ratio(state.cov)
-    if b < 0.0:
-        c = state.cov
-        if c.det - 0.25 < -1e-12 * (c.vxx * c.vpp + c.vxp * c.vxp):
-            raise DomainError(f"photon_number_distribution: det V = {c.det!r} "
-                              "< 1/4, the covariance of no quantum state")
-        b = 0.0  # a pure state's round-off
+    c = state.cov
+    excess, scale = c.det - 0.25, c.vxx * c.vpp + c.vxp * c.vxp
+    if excess < -1e-12 * scale:
+        raise DomainError(f"photon_number_distribution: det V = {c.det!r} "
+                          "< 1/4, the covariance of no quantum state")
+    # a pure state's det V - 1/4 is round-off within 3 eps * scale
+    pure = excess <= 8.0 * np.finfo(float).eps * scale
+    b = 0.0 if pure else max(_binomial_ratio(c), 0.0)
     zeta = _W @ state.mean_vector()
     sigma_q = _W @ state.cov.matrix() @ _W.conj().T + 0.5 * np.eye(2)
     inv = np.linalg.inv(sigma_q)

@@ -45,7 +45,8 @@ def infer_pure_variance(nw_pure: float) -> float:
     """Squeezed root v <= 1/2 of nw = (v + 1/(4v))/2."""
     if nw_pure < 0.5:
         raise DomainError(f"infer_pure_variance: nw must be >= 1/2, got {nw_pure}")
-    return nw_pure - math.sqrt(nw_pure * nw_pure - 0.25)
+    # nw - sqrt(nw^2 - 1/4), in the conjugate form that does not cancel
+    return 0.25 / (nw_pure + math.sqrt(nw_pure * nw_pure - 0.25))
 
 
 def infer_loss(g2_measured: float, vx_measured: float) -> LossInference:

@@ -135,6 +135,7 @@ def squeezed_vacuum(s: float, angle: float = 0.0) -> GaussianState:
     """
     if s <= 0.0:
         raise DomainError(f"squeezed_vacuum: s must be > 0, got {s}")
+    _require_finite("squeezed_vacuum", angle)
     a = s / 2.0
     b = 1.0 / (2.0 * s)
     c, sn = math.cos(angle), math.sin(angle)
@@ -149,7 +150,8 @@ def squeezed_vacuum_with_mean_photon(n: float, angle: float = 0.0) -> GaussianSt
     if n <= 0.0:
         raise DomainError(f"squeezed_vacuum_with_mean_photon: need n > 0, got {n}")
     nw = n + VACUUM_VARIANCE
-    s = 2.0 * nw - math.sqrt(4.0 * nw * nw - 1.0)
+    # s = 2 nw - sqrt(4 nw^2 - 1), in the conjugate form that does not cancel
+    s = 1.0 / (2.0 * nw + math.sqrt(4.0 * nw * nw - 1.0))
     return squeezed_vacuum(s, angle)
 
 
@@ -176,6 +178,7 @@ def wigner_eval(state: GaussianState, x, p):
 
 def rotated_variance(state: GaussianState, theta: float) -> float:
     """Variance of the rotated quadrature x_theta = x cos(theta) + p sin(theta)."""
+    _require_finite("rotated_variance", theta)
     c, s = math.cos(theta), math.sin(theta)
     V = state.cov
     return V.vxx * c * c + V.vpp * s * s + V.vxp * math.sin(2.0 * theta)
@@ -183,6 +186,7 @@ def rotated_variance(state: GaussianState, theta: float) -> float:
 
 def marginal(state: GaussianState, theta: float):
     """1-D Gaussian parameters (mean, variance) of the x_theta marginal."""
+    _require_finite("marginal", theta)
     c, s = math.cos(theta), math.sin(theta)
     mean = state.mean.x * c + state.mean.p * s
     return mean, rotated_variance(state, theta)
@@ -276,8 +280,12 @@ def two_mode_squeezed_vacuum(r: float) -> TwoModeGaussianState:
     """
     if r < 0.0:
         raise DomainError(f"two_mode_squeezed_vacuum: r must be >= 0, got {r}")
-    ch = math.cosh(2.0 * r) / 2.0
-    sh = math.sinh(2.0 * r) / 2.0
+    try:
+        ch = math.cosh(2.0 * r) / 2.0
+        sh = math.sinh(2.0 * r) / 2.0
+    except OverflowError:
+        raise DomainError(f"two_mode_squeezed_vacuum: cosh(2r) overflows "
+                          f"at r = {r}") from None
     cov = np.array([
         [ch, 0.0, sh, 0.0],
         [0.0, ch, 0.0, -sh],
@@ -296,6 +304,7 @@ def hwp_mix(state: TwoModeGaussianState, theta_hwp_deg: float) -> TwoModeGaussia
     to the twin beam at theta = 22.5 deg yields squeezed vacua with
     variances (e^{-2r}/2, e^{2r}/2) on mode 1.
     """
+    _require_finite("hwp_mix", theta_hwp_deg)
     t = math.radians(2.0 * theta_hwp_deg)
     c, s = math.cos(t), math.sin(t)
     S = np.array([

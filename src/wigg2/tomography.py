@@ -92,8 +92,10 @@ def simulate_homodyne(
 ) -> HomodyneDataset:
     """Draw per_angle quadrature samples at each angle from the marginals
     of the (attenuated) state.  Deterministic in seed."""
-    if per_angle < 2:
-        raise DomainError("simulate_homodyne: per_angle must be >= 2")
+    if isinstance(per_angle, bool) or not isinstance(per_angle, (int, np.integer)) \
+            or per_angle < 2:
+        raise DomainError(f"simulate_homodyne: per_angle must be an integer "
+                          f">= 2, got {per_angle!r}")
     kernels.check_seed(seed, "simulate_homodyne")
     lossy = attenuate(state, eta_hd)
     rng = np.random.default_rng(seed)

@@ -53,6 +53,11 @@ class TestG2:
         assert code == 3
         assert "overflows" in err
 
+    def test_non_finite_squeezing_angle_exit_3(self, capsys):
+        code, _, err = run(capsys, "g2", "--squeezed", "0.5", "inf")
+        assert code == 3
+        assert "non-finite" in err
+
     def test_usage_requires_exactly_one_state(self, capsys):
         code, _, _ = run(capsys, "g2")
         assert code == 2
@@ -226,6 +231,12 @@ class TestHomodyne:
         assert code == 3
         assert "seed" in err
 
+    def test_non_finite_angle_exit_3(self, capsys):
+        code, _, err = run(capsys, "homodyne", "--thermal", "1", "--angles",
+                           "0,inf,90", "--per-angle", "100")
+        assert code == 3
+        assert "non-finite" in err
+
     def test_malformed_angles_exit_2(self, capsys):
         code, _, _ = run(capsys, "homodyne", "--thermal", "1", "--angles",
                          "0,forty-five")
@@ -266,6 +277,20 @@ class TestSweep:
                            "--seed", "-1", "--out", str(tmp_path / "s.csv"))
         assert code == 3
         assert "seed" in err
+
+    def test_overflowing_squeezing_exit_3(self, capsys, tmp_path):
+        code, _, err = run(capsys, "sweep", "--r", "400", "--thetas", "0",
+                           "--windows", "1000", "--per-angle", "100",
+                           "--out", str(tmp_path / "s.csv"))
+        assert code == 3
+        assert "overflows" in err
+
+    def test_non_finite_theta_exit_3(self, capsys, tmp_path):
+        code, _, err = run(capsys, "sweep", "--r", "0.4", "--thetas", "inf",
+                           "--windows", "1000", "--per-angle", "100",
+                           "--out", str(tmp_path / "s.csv"))
+        assert code == 3
+        assert "non-finite" in err
 
     def test_largest_seed_exit_0(self, capsys, tmp_path):
         # per-row seeds derived from a seed near 2^63 wrap into range

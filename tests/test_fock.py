@@ -285,9 +285,8 @@ class TestBinomialForm:
         d = photon_number_distribution(state, n_max, tol=1.0)
         _assert_matches_oracle(d.probs, _recursion_oracle(state, n_max))
 
-    @pytest.mark.parametrize("n_max", [fock._BLOCK - 1, fock._BLOCK,
-                                       fock._BLOCK + 1, 2 * fock._BLOCK + 1])
-    def test_block_edges(self, n_max):
+    @pytest.mark.parametrize("n_max", [63, 64, 65, 129])
+    def test_mixed_states_at_several_n_max(self, n_max):
         mixed = [thermal(3.0),
                  displace(attenuate(squeezed_vacuum(0.3, 0.7), 0.6), 1.5, -2.0),
                  attenuate(squeezed_vacuum_with_mean_photon(5.0), 0.5)]
@@ -296,9 +295,7 @@ class TestBinomialForm:
             d = photon_number_distribution(state, n_max, tol=1.0)
             _assert_matches_oracle(d.probs, _recursion_oracle(state, n_max))
 
-    def test_thermal_20_across_many_blocks(self):
-        # C(n, n) = 1 exactly: log C(n, k) is formed before k log b joins
-        # it, else lgamma(n + 1) ~ 1.4e4 leaves its round-off in p(n)
+    def test_thermal_20_at_n_max_2048(self):
         nbar, n_max = 20.0, 2048
         d = photon_number_distribution(thermal(nbar), n_max)
         n = np.arange(n_max + 1)
@@ -324,6 +321,21 @@ class TestBinomialForm:
         for mean in (0.2, 5.0, 100.0):
             st_ = squeezed_vacuum_with_mean_photon(mean, 0.3)
             assert abs(fock._binomial_ratio(st_.cov)) <= 1e-13
+
+    @settings(max_examples=200, deadline=None)
+    @given(s=st.floats(-6.0, 6.0).map(math.exp), angle=st.floats(0.0, math.pi))
+    def test_pure_squeezed_vacuum_has_exactly_even_support(self, s, angle):
+        # det V - 1/4 of a pure state is round-off of either sign; read as
+        # a mixed state's b ~ 1e-16 it would leave odd p(n) ~ 1e-16
+        d = photon_number_distribution(squeezed_vacuum(s, angle), 64, tol=1.0)
+        assert (d.probs[1::2] == 0.0).all()
+
+    @pytest.mark.parametrize("state", [
+        reduce_mode(hwp_mix(two_mode_squeezed_vacuum(0.4), 22.5), 1),
+        squeezed_vacuum_with_mean_photon(5.0)])
+    def test_benchmark_pure_states_have_exactly_even_support(self, state):
+        d = photon_number_distribution(state, 256, tol=1.0)
+        assert (d.probs[1::2] == 0.0).all()
 
     def test_unphysical_covariance_rejected(self):
         # det V = 0.09 < 1/4: b < 0 has no binomial form and no state

@@ -45,6 +45,13 @@ class TestPureVariance:
             assert (v + 1.0 / (4.0 * v)) / 2.0 == pytest.approx(nw, rel=1e-12)
 
 
+    @pytest.mark.parametrize("nw", [1e6, 1e8, 1e12])
+    def test_large_nw(self, nw):
+        # nw - sqrt(nw^2 - 1/4) cancels: 0.0 at nw = 1e8
+        assert infer_pure_variance(nw) == pytest.approx(0.25 / (2.0 * nw),
+                                                        rel=1e-12, abs=0.0)
+
+
 class TestInferLoss:
     def test_closed_loop_over_grid(self):
         # analytic round trip: squeeze, attenuate, measure, recover eta
@@ -76,6 +83,12 @@ class TestInferLoss:
         inf = infer_loss(g2, 0.2)
         assert inf.eta > 1.02
         assert inf.warnings
+
+    def test_g2_just_above_3(self):
+        inf = infer_loss(3.0 + 1e-9, 0.3)
+        assert inf.vx_pure == pytest.approx(0.125 / inf.nw_pure, rel=1e-12,
+                                            abs=0.0)
+        assert inf.eta == pytest.approx(0.4, rel=1e-9)
 
     def test_not_squeezed_g2(self):
         with pytest.raises(NotSqueezedError):

@@ -62,6 +62,17 @@ class TestConstructors:
         st = squeezed_vacuum_with_mean_photon(0.25)
         assert g2_gaussian(st).mean_photon == pytest.approx(0.25, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [1e6, 1e7, 1e8, 1e12])
+    def test_squeezed_with_large_mean_photon(self, n):
+        # s = 2 nw - sqrt(4 nw^2 - 1) cancels: 4% off at 1e7, s = 0 at 1e8
+        c = squeezed_vacuum_with_mean_photon(n).cov
+        assert (c.vxx + c.vpp) / 2.0 - 0.5 == pytest.approx(n, rel=1e-12)
+
+    @pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+    def test_squeezed_vacuum_non_finite_angle(self, angle):
+        with pytest.raises(DomainError, match="non-finite"):
+            squeezed_vacuum(0.5, angle)
+
     def test_constructed_states_satisfy_heisenberg(self):
         rng = np.random.default_rng(1)
         states = [vacuum(), coherent(1, 2), thermal(3.0),
@@ -135,6 +146,13 @@ class TestMarginals:
         m, v = marginal(thermal(1.0), 1.0)
         assert m == 0.0
         assert v == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle(self, theta):
+        with pytest.raises(DomainError, match="non-finite"):
+            rotated_variance(thermal(1.0), theta)
+        with pytest.raises(DomainError, match="non-finite"):
+            marginal(coherent(1.0, 2.0), theta)
 
     def test_sampled_variance_matches(self):
         # 12 angles, 1e6 samples, 5 standard errors
@@ -243,6 +261,16 @@ class TestTwoMode:
         for th in [0.0, 5.0, 13.0, 22.5, 40.0]:
             red = reduce_mode(hwp_mix(tb, th), 1)
             assert red.cov.vxx + red.cov.vpp == pytest.approx(total0, rel=1e-12)
+
+    def test_tmsv_overflow_raises_domain_error(self):
+        # cosh(800) overflows a double
+        with pytest.raises(DomainError, match="overflows"):
+            two_mode_squeezed_vacuum(400.0)
+
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_hwp_non_finite_angle(self, theta):
+        with pytest.raises(DomainError, match="non-finite"):
+            hwp_mix(two_mode_squeezed_vacuum(0.4), theta)
 
     def test_reduce_validation(self):
         with pytest.raises(DomainError):

@@ -70,6 +70,16 @@ class TestInputValidation:
         with pytest.raises(DomainError):
             simulate_homodyne(vacuum(), ANGLES12[:3], 100, seed=seed)
 
+    @pytest.mark.parametrize("per_angle", [2.5, "10", True, 1])
+    def test_simulate_homodyne_rejects_per_angle(self, per_angle):
+        with pytest.raises(DomainError, match="per_angle"):
+            simulate_homodyne(vacuum(), ANGLES12[:3], per_angle, seed=1)
+
+    @pytest.mark.parametrize("theta", [math.inf, math.nan])
+    def test_simulate_homodyne_rejects_non_finite_angle(self, theta):
+        with pytest.raises(DomainError, match="non-finite"):
+            simulate_homodyne(vacuum(), [0.0, theta, 1.0], 100, seed=1)
+
     @pytest.mark.parametrize("boot_seed", [-1, 2**63, 2**64])
     def test_estimate_covariance_rejects_boot_seed(self, boot_seed):
         data = simulate_homodyne(thermal(1.0), ANGLES12[:3], 100, seed=1)
