@@ -142,7 +142,6 @@ def _add_counting_flags(p: argparse.ArgumentParser):
     p.add_argument("--split", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-max", type=int, default=64)
-    p.add_argument("--workers", type=int, default=1)
 
 
 def _state_from_args(args) -> GaussianState:
@@ -213,7 +212,7 @@ def cmd_pn(args):
 def _counting_config(args) -> CountingConfig:
     return CountingConfig(
         n_windows=args.windows, eta_det=args.eta_det, dark_prob=args.dark_prob,
-        split=args.split, seed=args.seed, n_max=args.n_max, workers=args.workers,
+        split=args.split, seed=args.seed, n_max=args.n_max,
     )
 
 

@@ -10,15 +10,16 @@ both, and the four pattern counts of N windows are one multinomial.
 The simulator draws that multinomial once per run with the counter RNG
 (`kernels.click_counts`: three inverse-CDF binomials), so its cost does
 not grow with N, and `expected_click_g2` forms its expectation from the
-same `click_probs` call, so both use one model.  `CountingConfig.workers`
-is accepted and validated but has no effect: one draw needs no sharding,
-and the counts are the same for any value.
+same `click_probs` call, so both use one model; one draw needs no
+sharding, so `CountingConfig.workers` has no effect.
 
 The click estimator g2 ~ nc * N / (n1 * n2) carries an O(<n>) bias at
 larger photon numbers (threshold detectors saturate); it is the standard
 coincidence-normalization estimator for the low-flux regime.  Its error
 and the parametric bootstrap both treat the pattern counts as the
 multinomial they are, not as independent singles and coincidences.
+Photon-number samples come from the counter RNG too, and their g2 error
+is a delta-method one, so nothing here draws from numpy's RNG.
 """
 
 from __future__ import annotations
@@ -29,13 +30,17 @@ import math
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, InsufficientStatisticsError
+from .errors import (DomainError, InsufficientStatisticsError, check_int,
+                     check_seed)
 from .fock import PhotonNumberDistribution, photon_number_distribution
 from .states import GaussianState
 
 
 @dataclass(frozen=True)
 class CountingConfig:
+    """HBT run settings; `workers` has no effect, and stays only because
+    the benchmark harness passes it."""
+
     n_windows: int
     eta_det: float = 1.0
     dark_prob: float = 0.0
@@ -45,25 +50,16 @@ class CountingConfig:
     workers: int = 1
 
     def __post_init__(self):
-        ints = (self.n_windows, self.n_max, self.workers)
-        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer))
-               for v in ints):
-            raise DomainError("CountingConfig: n_windows, n_max and workers "
-                              f"must be integers, got {ints!r}")
-        if not 1 <= self.n_windows <= 2**32:
-            raise DomainError("CountingConfig: n_windows must be in "
-                              f"[1, 2**32], got {self.n_windows}")
-        if self.n_max < 0:
-            raise DomainError(f"CountingConfig: n_max must be >= 0, got {self.n_max}")
+        check_int(self.n_windows, "CountingConfig: n_windows", 1, 2**32)
+        check_int(self.n_max, "CountingConfig: n_max", 0)
+        check_int(self.workers, "CountingConfig: workers", 1)
+        check_seed(self.seed, "CountingConfig")
         if not 0.0 <= self.eta_det <= 1.0:
             raise DomainError("CountingConfig: eta_det must be in [0, 1]")
         if not 0.0 <= self.dark_prob < 1.0:
             raise DomainError("CountingConfig: dark_prob must be in [0, 1)")
         if not 0.0 < self.split < 1.0:
             raise DomainError("CountingConfig: split must be in (0, 1)")
-        if self.workers < 1:
-            raise DomainError("CountingConfig: workers must be >= 1")
-        kernels.check_seed(self.seed, "CountingConfig")
 
 
 @dataclass(frozen=True)
@@ -75,6 +71,8 @@ class CountingRecord:
     config: CountingConfig
 
     def __post_init__(self):
+        for name in ("n1", "n2", "nc", "n_windows"):
+            check_int(getattr(self, name), f"CountingRecord: {name}", 0)
         # the counts of some four-pattern split of n_windows windows
         if not (0 <= self.nc <= min(self.n1, self.n2)
                 and self.n1 + self.n2 - self.nc <= self.n_windows):
@@ -144,10 +142,8 @@ def bootstrap_g2_clicks(rec: CountingRecord, n_boot: int = 200, seed: int = 0):
     four-pattern multinomial at the observed rates with
     `kernels.click_counts` at stream index b.  Returns the g2 draws
     (members with zero singles on a detector are skipped)."""
-    kernels.check_seed(seed, "bootstrap_g2_clicks")
-    if not isinstance(n_boot, (int, np.integer)) or n_boot < 1:
-        raise DomainError(f"bootstrap_g2_clicks: n_boot must be an integer "
-                          f">= 1, got {n_boot!r}")
+    check_seed(seed, "bootstrap_g2_clicks")
+    check_int(n_boot, "bootstrap_g2_clicks: n_boot", 1)
     N = rec.n_windows
     none = N - rec.n1 - rec.n2 + rec.nc
     # no-click rates: neither detector, detector 2 silent, detector 1 silent
@@ -168,40 +164,25 @@ def sample_photon_numbers(
     """Draw photon numbers from the state's distribution (no detector
     model).  Sample j inverts the CDF at the counter RNG's draw 0 at
     stream index j, u(seed, j, 0)."""
-    kernels.check_seed(seed, "sample_photon_numbers")
-    if not isinstance(n_samples, (int, np.integer)) or n_samples < 0:
-        raise DomainError(f"sample_photon_numbers: n_samples must be an "
-                          f"integer >= 0, got {n_samples!r}")
+    check_seed(seed, "sample_photon_numbers")
+    check_int(n_samples, "sample_photon_numbers: n_samples", 0)
     dist = photon_number_distribution(state, n_max, tol=1e-9)
     cdf = dist.cdf()
     u = kernels.uniforms_np(seed, np.arange(n_samples), 0)
     return np.minimum(np.searchsorted(cdf, u, side="right"), n_max).astype(np.int64)
 
 
-def g2_estimate_numbers(samples, n_boot: int = 200, seed: int = 0):
-    """(value, std_error) of g2 = <n(n-1)>/<n>^2 from photon-number
-    samples; std_error via seeded nonparametric bootstrap (multinomial
-    resampling of the empirical distribution)."""
-    kernels.check_seed(seed, "g2_estimate_numbers")
-    if not isinstance(n_boot, (int, np.integer)) or n_boot < 2:
-        raise DomainError(f"g2_estimate_numbers: n_boot must be an integer "
-                          f">= 2, got {n_boot!r}")
-    samples = np.asarray(samples, dtype=np.int64)
-    if samples.size == 0 or samples.sum() <= 0:
+def g2_estimate_numbers(samples):
+    """(value, std_error) of g2 = (m2 - m1)/m1^2 from a 1-D array of N
+    photon numbers (integer values in [0, 2**53)), m1 and m2 the means of
+    n and n^2.  The delta-method error is sqrt(sum_n counts_n infl(n)^2)/N
+    with infl(n) = (n^2 - m2)/m1^2 - (m1 + 2 (m2 - m1))/m1^3 (n - m1)."""
+    x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 1 or not ((0 <= x) & (x < 2**53) & (x == np.floor(x))).all():
+        raise DomainError("g2_estimate_numbers: samples must be a 1-D array "
+                          "of integer values in [0, 2**53)")
+    if not x.any():
         raise DomainError("g2_estimate_numbers: no photons in the sample")
-    counts = np.bincount(samples)
-    rng = np.random.default_rng(seed)
-    boot = rng.multinomial(samples.size, counts / samples.size, size=n_boot)
-    # row 0 is the sample, the others the members; the integer moments
-    # are below 2^53, so exact in any summation order
-    n = np.arange(len(counts), dtype=np.float64)
-    powers = np.stack([np.ones_like(n), n, n * (n - 1.0)], axis=1)
-    tot, s1, s2 = (np.vstack([counts, boot]) @ powers).T
-    mean, fac = s1 / tot, s2 / tot
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = fac / mean ** 2  # nan for a member without photons
-    value, vals = float(ratios[0]), ratios[1:]
-    vals = vals[np.isfinite(vals)]
-    if vals.size < 2:
-        raise InsufficientStatisticsError("bootstrap degenerate (all-zero resamples)")
-    return value, float(vals.std(ddof=1))
+    m1, m2 = float(x.mean()), float((x * x).mean())
+    infl = (x * x - m2) / m1 ** 2 - (m1 + 2.0 * (m2 - m1)) / m1 ** 3 * (x - m1)
+    return (m2 - m1) / m1 ** 2, math.sqrt(float((infl * infl).sum())) / x.size

@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the package.
-
-Domain/guard errors map to CLI exit code 3, statistical-instability
-errors to exit code 4.
+"""Exception hierarchy shared across the package, and the one check of
+integer arguments (float ranges are written `if not lo <= v <= hi`, which
+NaN fails).  Domain/guard errors map to CLI exit code 3,
+statistical-instability errors to exit code 4.
 """
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -68,3 +70,20 @@ class InsufficientStatisticsError(StatisticalError):
 class UnstableInferenceError(StatisticalError):
     """Bootstrap majority fell into the near-vacuum guard; the inferred
     g2 is not trustworthy."""
+
+
+def check_int(value, what: str, lo: int, hi=None) -> None:
+    """Raise DomainError unless value is an int or numpy integer, never a
+    bool, in [lo, hi] (hi None: no upper bound)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < lo or (hi is not None and value > hi)):
+        # the package's two large bounds, as powers of two
+        top = {2**32: "2**32", 2**63 - 1: "2**63 - 1"}.get(hi, hi)
+        span = f">= {lo}" if hi is None else f"in [{lo}, {top}]"
+        raise DomainError(f"{what} must be an integer {span}, got {value!r}")
+
+
+def check_seed(seed, what: str) -> None:
+    """check_int for a seed: [0, 2^63) leaves headroom for the offsets
+    callers add to derive per-angle and per-row seeds."""
+    check_int(seed, f"{what}: seed", 0, 2**63 - 1)

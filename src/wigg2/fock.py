@@ -3,9 +3,13 @@ Hermite form.
 
 rho_mn = T G_mn, with G the renormalised two-index Hermite polynomials
 of the Husimi generating function (Quesada et al., PRA 100, 022341
-(2019)).  With W = [[1, i], [1, -i]]/sqrt(2), X the swap, zeta = W mu and
-sigma_Q = W V W^dagger + I/2: B = (I - sigma_Q^-1) X, gamma = sigma_Q^-1
-zeta and T = exp(-zeta^dagger sigma_Q^-1 zeta / 2) / sqrt(det sigma_Q).
+(2019)): B = (I - sigma_Q^-1) X with X the swap, gamma = sigma_Q^-1 zeta
+and T = exp(-zeta^dagger sigma_Q^-1 zeta / 2) / sqrt(D).  With K = V - I/2
+and a = (x + i p)/sqrt(2), zeta = (a, conj a), sigma_Q = [[1 + tau, c],
+[conj c, 1 + tau]], tau = tr K/2, c = (kxx - kpp)/2 + i kxp and D = det
+sigma_Q = 1 + tr K + det K, so in closed form (exact for the vacuum)
+B_11 = conj(c)/D, gamma_1 = ((1 + tau) conj a - conj(c) a)/D and
+T = exp(-((1 + tau)|a|^2 - Re(c conj(a)^2))/D) / sqrt(D).
 B is Hermitian-symmetric (B_11 = conj B_00, gamma_1 = conj gamma_0), so
 the generating function factorises and the diagonal is one binomial sum
 over the pure row G_{0,j}:
@@ -36,20 +40,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TruncationError
+from .errors import DomainError, NearVacuumError, TruncationError, check_int
+from .moments import DEFAULT_EPSILON
 from .states import GaussianState
-
-
-def _check_count(value, what: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or value < 0:
-        raise DomainError(f"{what} must be an integer >= 0, got {value!r}")
 
 
 def fock_wigner(n: int, x, p):
     """Wigner function of the n-photon Fock state, by stable Laguerre
     recurrence.  Accepts scalars or arrays for (x, p)."""
-    _check_count(n, "fock_wigner: n")
+    check_int(n, "fock_wigner: n", 0)
     t = 2.0 * (np.asarray(x, dtype=float) ** 2 + np.asarray(p, dtype=float) ** 2)
     lm1 = np.ones_like(t)
     if n == 0:
@@ -76,7 +75,7 @@ class PhotonNumberDistribution:
     tail_mass: float
 
     def __post_init__(self):
-        _check_count(self.n_max, "PhotonNumberDistribution: n_max")
+        check_int(self.n_max, "PhotonNumberDistribution: n_max", 0)
         probs = np.asarray(self.probs, dtype=float).copy()
         if probs.shape != (self.n_max + 1,):
             raise DomainError(f"PhotonNumberDistribution: probs must have "
@@ -91,9 +90,6 @@ class PhotonNumberDistribution:
 
     def cdf(self) -> np.ndarray:
         return np.cumsum(self.probs)
-
-
-_W = np.array([[1.0, 1.0j], [1.0, -1.0j]]) / math.sqrt(2.0)
 
 
 def _binomial_ratio(cov) -> float:
@@ -141,7 +137,7 @@ def photon_number_distribution(
     the uncertainty bound det V >= 1/4, or non-finite probabilities or
     tail mass.
     """
-    _check_count(n_max, "photon_number_distribution: n_max")
+    check_int(n_max, "photon_number_distribution: n_max", 0)
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0.0:
         raise DomainError(f"photon_number_distribution: tol must be a number "
                           f">= 0, got {tol!r}")
@@ -153,15 +149,18 @@ def photon_number_distribution(
     # a pure state's det V - 1/4 is round-off within 3 eps * scale
     pure = excess <= 8.0 * np.finfo(float).eps * scale
     b = 0.0 if pure else max(_binomial_ratio(c), 0.0)
-    zeta = _W @ state.mean_vector()
-    sigma_q = _W @ state.cov.matrix() @ _W.conj().T + 0.5 * np.eye(2)
-    inv = np.linalg.inv(sigma_q)
-    pref = (math.exp(-0.5 * float((zeta.conj() @ inv @ zeta).real))
-            / math.sqrt(float(np.linalg.det(sigma_q).real)))
+    # T, gamma_1 and B_11 in closed form (module docstring)
+    kxx, kpp, kxp = c.vxx - 0.5, c.vpp - 0.5, c.vxp
+    one_tau, cq = 1.0 + 0.5 * (kxx + kpp), complex(0.5 * (kxx - kpp), kxp)
+    d = 1.0 + kxx + kpp + (kxx * kpp - kxp * kxp)
+    a = complex(state.mean.x, state.mean.p) / math.sqrt(2.0)
+    ac = a.conjugate()
+    pref = (math.exp(-(one_tau * (a * ac).real - (cq * ac * ac).real) / d)
+            / math.sqrt(d))
     # an overflow shows up as non-finite probabilities, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        # gamma_1 = (sigma_Q^-1 zeta)_1 and B_11 = -(sigma_Q^-1)_10
-        row = _hermite_row(complex((inv @ zeta)[1]), complex(-inv[1, 0]), n_max)
+        row = _hermite_row((one_tau * ac - cq.conjugate() * a) / d,
+                           cq.conjugate() / d, n_max)
         probs = pref * _hermite_diagonal(b, row)
     if not np.isfinite(probs).all():
         # |G_{0,j}|^2 peaks near e^<n>: overflow from <n> ~ 700, whatever n_max
@@ -170,7 +169,7 @@ def photon_number_distribution(
             f"n_max={n_max} ({int(np.count_nonzero(~np.isfinite(probs)))} "
             f"of {n_max + 1}); the Fock-basis sum overflowed"
         )
-    # round-off: the vacuum's p(0) comes out as 1 + 2^-52
+    # round-off can leave a p(n) a few ulps outside [0, 1]
     np.clip(probs, 0.0, 1.0, out=probs)
     tail = 1.0 - float(probs.sum())
     if tail < 0.0 and tail > -1e-9:
@@ -186,10 +185,14 @@ def photon_number_distribution(
 
 
 def g2_from_pn(dist: PhotonNumberDistribution) -> float:
-    """g2(0) = <n(n-1)> / <n>^2 from a photon-number distribution."""
+    """g2(0) = <n(n-1)> / <n>^2 from a photon-number distribution; a mean
+    photon number below moments.DEFAULT_EPSILON raises NearVacuumError,
+    as g2_gaussian does."""
     n = np.arange(dist.n_max + 1, dtype=float)
     mean = float(np.dot(dist.probs, n))
-    if mean <= 0.0:
-        raise DomainError("g2_from_pn: zero mean photon number")
+    if not mean >= DEFAULT_EPSILON:
+        raise NearVacuumError(
+            f"g2_from_pn: mean photon number {mean:.3g} below guard "
+            f"{DEFAULT_EPSILON:.3g}; g2(0) is 0/0 at vacuum")
     fac = float(np.dot(dist.probs, n * (n - 1.0)))
     return fac / mean ** 2

@@ -82,7 +82,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 
 # numpy is the only backend; these names stay for callers that report it
 HAVE_NUMBA = False
@@ -90,15 +90,6 @@ HAVE_NUMBA = False
 
 def backend_name() -> str:
     return "numpy"
-
-
-def check_seed(seed, what: str) -> None:
-    """Raise DomainError unless seed is an integer in [0, 2^63).  The
-    bound leaves headroom for the offsets callers add to derive
-    per-angle and per-row seeds inside the uint64 counter space."""
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**63:
-        raise DomainError(f"{what}: seed must be an integer in [0, 2**63), "
-                          f"got {seed!r}")
 
 
 # splitmix64 constants, as Python ints: scalar key arithmetic masks with
@@ -249,9 +240,7 @@ def click_counts(n, q1, q2, qb, seed, i):
     qb (0 <= qb <= q1, q2 <= 1): the multinomial of the module
     docstring, drawn at stream index i under seed; n <= 2^32 bounds the
     pmf tables at about 0.7M entries."""
-    if not 0 <= n <= 2**32:
-        raise DomainError(f"click_counts: need 0 <= n <= 2**32 windows, "
-                          f"got {n}")
+    check_int(n, "click_counts: n", 0, 2**32)
 
     def draw(m, num, den, d):
         # num <= den; when den is 0 so is m, as no window is left to draw
@@ -352,10 +341,7 @@ def boot_moments_sets(samples, n_boot, seeds):
     if len(seeds) != len(samples):
         raise DomainError(f"boot_moments_sets: {len(seeds)} seeds for "
                           f"{len(samples)} sample sets")
-    if (isinstance(n_boot, bool) or not isinstance(n_boot, (int, np.integer))
-            or n_boot < 1):
-        raise DomainError(f"boot_moments_sets: n_boot must be an integer "
-                          f">= 1, got {n_boot!r}")
+    check_int(n_boot, "boot_moments_sets: n_boot", 1)
     # checked before the float64 copy; multiply-shift needs n <= 2^32
     for k, x in enumerate(samples):
         if not 2 <= len(x) <= 2**32:

@@ -42,11 +42,12 @@ def infer_nw_pure(g2: float) -> float:
 
 
 def infer_pure_variance(nw_pure: float) -> float:
-    """Squeezed root v <= 1/2 of nw = (v + 1/(4v))/2."""
-    if nw_pure < 0.5:
-        raise DomainError(f"infer_pure_variance: nw must be >= 1/2, got {nw_pure}")
-    # nw - sqrt(nw^2 - 1/4), in the conjugate form that does not cancel
-    return 0.25 / (nw_pure + math.sqrt(nw_pure * nw_pure - 0.25))
+    """Squeezed root v <= 1/2 of nw = (v + 1/(4v))/2, nw finite."""
+    if not 0.5 <= nw_pure < math.inf:
+        raise DomainError(f"infer_pure_variance: need 1/2 <= nw < inf, got {nw_pure}")
+    # nw - sqrt(nw^2 - 1/4) in the conjugate form, with the root taken
+    # as sqrt(nw - 1/2) sqrt(nw + 1/2): no step cancels or overflows
+    return 0.25 / (nw_pure + math.sqrt(nw_pure - 0.5) * math.sqrt(nw_pure + 0.5))
 
 
 def infer_loss(g2_measured: float, vx_measured: float) -> LossInference:
@@ -79,7 +80,11 @@ def infer_loss(g2_measured: float, vx_measured: float) -> LossInference:
 def infer_loss_resampled(g2_draws, vx_draws, ci=(2.5, 97.5)):
     """Propagate uncertainty by pairing bootstrap draws of g2 and of the
     measured variance.  Draws outside the formula's domain are skipped
-    and counted.  Returns (eta_draws, (lo, hi), n_skipped)."""
+    and counted.  Returns (eta_draws, (lo, hi), n_skipped) for the
+    percentiles ci, 0 <= lo <= hi <= 100."""
+    lo_q, hi_q = ci
+    if not 0.0 <= lo_q <= hi_q <= 100.0:
+        raise DomainError(f"infer_loss_resampled: ci={ci!r} not in [0, 100] in order")
     g2_draws = np.asarray(g2_draws, dtype=float)
     vx_draws = np.asarray(vx_draws, dtype=float)
     n = min(g2_draws.size, vx_draws.size)
@@ -95,5 +100,5 @@ def infer_loss_resampled(g2_draws, vx_draws, ci=(2.5, 97.5)):
             f"only {len(etas)} valid resamples out of {n}; cannot form a CI"
         )
     etas = np.asarray(etas)
-    lo, hi = np.percentile(etas, list(ci))
+    lo, hi = np.percentile(etas, [lo_q, hi_q])
     return etas, (float(lo), float(hi)), skipped

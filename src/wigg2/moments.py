@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, GridTooSmallError, NearVacuumError
+from .errors import DomainError, GridTooSmallError, NearVacuumError, check_int
 from .states import GaussianState, wigner_eval
 
 DEFAULT_EPSILON = 1e-9
@@ -48,8 +48,10 @@ class QuadratureGrid:
     nodes: int = 801
 
     def __post_init__(self):
-        if self.half_width <= 0.0 or self.nodes < 2:
-            raise DomainError("QuadratureGrid: need half_width > 0 and nodes >= 2")
+        if not 0.0 < self.half_width < math.inf:
+            raise DomainError(f"QuadratureGrid: need 0 < half_width < inf, "
+                              f"got {self.half_width!r}")
+        check_int(self.nodes, "QuadratureGrid: nodes", 2)
 
 
 @dataclass(frozen=True)
@@ -102,6 +104,9 @@ def weyl_moments_numeric(
     must integrate to 1 on the grid within norm_tol, otherwise a
     GridTooSmallError reports the deficit.
     """
+    if not (0.0 < sigma < math.inf and np.isfinite(center).all()):
+        raise DomainError(f"weyl_moments_numeric: need a finite sigma > 0 and "
+                          f"center, got {sigma!r}, {center!r}")
     L = grid.half_width * sigma
     n = grid.nodes
     h = 2.0 * L / n
@@ -110,7 +115,7 @@ def weyl_moments_numeric(
     W = np.asarray(evaluator(X, P), dtype=float)
     cell = h * h
     mass = float(W.sum() * cell)
-    if abs(mass - 1.0) > norm_tol:
+    if not abs(mass - 1.0) <= norm_tol:
         raise GridTooSmallError(
             f"evaluator integrates to {mass:.9g} on the grid "
             f"(deficit {1.0 - mass:.3g}); enlarge half_width/nodes",
@@ -186,7 +191,7 @@ def fig1_table(n_grid: Sequence[float]):
     rows = []
     for n in n_grid:
         n = float(n)
-        if n <= 0.0:
-            raise DomainError(f"fig1_table: mean photon number must be > 0, got {n}")
+        if not 0.0 < n < math.inf:
+            raise DomainError(f"fig1_table: need 0 < n < inf, got n = {n}")
         rows.append((n, 1.0, 2.0, 3.0 + 1.0 / n))
     return rows

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 
 VACUUM_VARIANCE = 0.5
 
@@ -121,8 +121,8 @@ def coherent(x0: float, p0: float) -> GaussianState:
 
 def thermal(nbar: float) -> GaussianState:
     """Thermal state with mean photon number nbar; isotropic variance nbar + 1/2."""
-    if nbar < 0.0:
-        raise DomainError(f"thermal: nbar must be >= 0, got {nbar}")
+    if not 0.0 <= nbar < math.inf:
+        raise DomainError(f"thermal: nbar must be finite and >= 0, got {nbar}")
     v = nbar + VACUUM_VARIANCE
     return GaussianState(PhasePoint(0.0, 0.0), CovarianceMatrix(v, v))
 
@@ -133,8 +133,8 @@ def squeezed_vacuum(s: float, angle: float = 0.0) -> GaussianState:
     s = e^{-r} in terms of the usual squeezing parameter r; the squeezed
     axis is rotated by `angle` (radians).  det V = 1/4 exactly.
     """
-    if s <= 0.0:
-        raise DomainError(f"squeezed_vacuum: s must be > 0, got {s}")
+    if not 0.0 < s < math.inf:
+        raise DomainError(f"squeezed_vacuum: s must be finite and > 0, got {s}")
     _require_finite("squeezed_vacuum", angle)
     a = s / 2.0
     b = 1.0 / (2.0 * s)
@@ -147,11 +147,15 @@ def squeezed_vacuum(s: float, angle: float = 0.0) -> GaussianState:
 
 def squeezed_vacuum_with_mean_photon(n: float, angle: float = 0.0) -> GaussianState:
     """Pure squeezed vacuum with a given mean photon number n > 0."""
-    if n <= 0.0:
-        raise DomainError(f"squeezed_vacuum_with_mean_photon: need n > 0, got {n}")
+    if not 0.0 < n < math.inf:
+        raise DomainError(f"squeezed_vacuum_with_mean_photon: n = {n} not in (0, inf)")
     nw = n + VACUUM_VARIANCE
-    # s = 2 nw - sqrt(4 nw^2 - 1), in the conjugate form that does not cancel
-    s = 1.0 / (2.0 * nw + math.sqrt(4.0 * nw * nw - 1.0))
+    # s = 2 nw - sqrt(4 nw^2 - 1) in the conjugate form, with
+    # 4 nw^2 - 1 = 4 n (n + 1): no step cancels or overflows (< 2 ulp)
+    s = 0.5 / (nw + math.sqrt(n) * math.sqrt(n + 1.0))
+    if not (s > 0.0 and 0.5 / s < math.inf):
+        raise DomainError(f"squeezed_vacuum_with_mean_photon: n = {n} is too "
+                          "large, its anti-squeezed variance overflows")
     return squeezed_vacuum(s, angle)
 
 
@@ -278,8 +282,8 @@ def two_mode_squeezed_vacuum(r: float) -> TwoModeGaussianState:
     Diagonal blocks cosh(2r)/2 * I, off-diagonal blocks
     sinh(2r)/2 * diag(1, -1); each reduced mode is thermal(sinh^2 r).
     """
-    if r < 0.0:
-        raise DomainError(f"two_mode_squeezed_vacuum: r must be >= 0, got {r}")
+    if not 0.0 <= r < math.inf:
+        raise DomainError(f"two_mode_squeezed_vacuum: need 0 <= r < inf, got {r}")
     try:
         ch = math.cosh(2.0 * r) / 2.0
         sh = math.sinh(2.0 * r) / 2.0
@@ -318,8 +322,7 @@ def hwp_mix(state: TwoModeGaussianState, theta_hwp_deg: float) -> TwoModeGaussia
 
 def reduce_mode(state: TwoModeGaussianState, mode: int) -> GaussianState:
     """Partial trace onto one mode (1 or 2): principal 2x2 submatrix."""
-    if mode not in (1, 2):
-        raise DomainError(f"reduce_mode: mode must be 1 or 2, got {mode}")
+    check_int(mode, "reduce_mode: mode", 1, 2)
     i = 0 if mode == 1 else 2
     sub = state.cov[i:i + 2, i:i + 2]
     return GaussianState(

@@ -12,7 +12,7 @@ Detector efficiency is modeled as pre-detection attenuation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from . import kernels
 from .counting import CountingConfig, g2_estimate_clicks, simulate_hbt
 from .errors import (DomainError, IdentifiabilityError, NearVacuumError,
-                     UnstableInferenceError)
+                     UnstableInferenceError, check_int, check_seed)
 from .moments import DEFAULT_EPSILON, g2_gaussian
 from .states import (VACUUM_VARIANCE, CovarianceMatrix, GaussianState,
                      PhasePoint, attenuate, hwp_mix, marginal, reduce_mode,
@@ -43,7 +43,7 @@ class HomodyneDataset:
         angles = np.asarray(self.angles, dtype=float)
         if angles.size < 1:
             raise DomainError("HomodyneDataset: need at least one angle")
-        if np.any(angles < 0.0) or np.any(angles >= math.pi):
+        if not ((angles >= 0.0) & (angles < math.pi)).all():
             raise DomainError("HomodyneDataset: angles must lie in [0, pi)")
         samples = tuple(np.asarray(s, dtype=float) for s in self.samples)
         if len(samples) != angles.size:
@@ -53,6 +53,7 @@ class HomodyneDataset:
             if s.ndim != 1 or s.size < 2 or not np.isfinite(s).all():
                 raise DomainError(f"HomodyneDataset: sample array {k} must be "
                                   "1-D with >= 2 samples, all finite")
+        check_seed(self.seed, "HomodyneDataset")
         angles.setflags(write=False)
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "samples", samples)
@@ -92,11 +93,8 @@ def simulate_homodyne(
 ) -> HomodyneDataset:
     """Draw per_angle quadrature samples at each angle from the marginals
     of the (attenuated) state.  Deterministic in seed."""
-    if isinstance(per_angle, bool) or not isinstance(per_angle, (int, np.integer)) \
-            or per_angle < 2:
-        raise DomainError(f"simulate_homodyne: per_angle must be an integer "
-                          f">= 2, got {per_angle!r}")
-    kernels.check_seed(seed, "simulate_homodyne")
+    check_int(per_angle, "simulate_homodyne: per_angle", 2)
+    check_seed(seed, "simulate_homodyne")
     lossy = attenuate(state, eta_hd)
     rng = np.random.default_rng(seed)
     samples = []
@@ -192,10 +190,8 @@ def estimate_covariance(
 ) -> ReconstructionResult:
     """Estimate mean and covariance from a homodyne dataset, with
     per-angle bootstrap resamples (size n_boot) for interval inference."""
-    if not isinstance(n_boot, (int, np.integer)) or n_boot < 2:
-        raise DomainError(f"estimate_covariance: n_boot must be an integer "
-                          f">= 2, got {n_boot!r}")
-    kernels.check_seed(boot_seed, "estimate_covariance")
+    check_int(n_boot, "estimate_covariance: n_boot", 2)
+    check_seed(boot_seed, "estimate_covariance")
     means = np.array([s.mean() for s in data.samples])
     variances = np.array([s.var(ddof=1) for s in data.samples])
     vxx, vpp, vxp, resid = map(float, _solve_covariance(data.angles, variances))
@@ -218,6 +214,8 @@ def estimate_covariance(
 def estimate_covariance_from_moments(angles, means, variances) -> GaussianState:
     """Noiseless-moment entry point (exact roundtrip check): no bootstrap."""
     angles = np.asarray(angles, dtype=float)
+    if not np.isfinite(angles).all():
+        raise DomainError("estimate_covariance_from_moments: angles must be finite")
     vxx, vpp, vxp, _ = map(float, _solve_covariance(
         angles, np.asarray(variances, dtype=float)))
     mx, mp = map(float, _solve_mean(angles, np.asarray(means, dtype=float)))
@@ -299,7 +297,7 @@ def hwp_sweep(
     Homodyne rows where inference is unstable (near-vacuum bootstrap
     majority) report NaN for the homodyne columns.
     """
-    kernels.check_seed(seed, "hwp_sweep")
+    check_seed(seed, "hwp_sweep")
     tb = two_mode_squeezed_vacuum(r)
     rows = []
     for i, th in enumerate(thetas_deg):

@@ -153,14 +153,6 @@ class TestCount:
         header = [l for l in out1.splitlines() if not l.startswith("#")][0]
         assert header == "theta_deg,g2_direct,g2_direct_err,n1,n2,nc,n_windows"
 
-    def test_workers_do_not_change_counts(self, capsys):
-        outs = []
-        for w in ("1", "4"):
-            _, out, _ = run(capsys, "count", "--thermal", "0.2", "--windows",
-                            "200000", "--seed", "3", "--workers", w)
-            outs.append(out)
-        assert outs[0] == outs[1]
-
     def test_out_file_and_manifest(self, capsys, tmp_path):
         f = tmp_path / "count.csv"
         code, _, _ = run(capsys, "count", "--thermal", "0.1", "--windows",
@@ -409,3 +401,18 @@ class TestConfigFile:
                            "--windows", "1000", "--config", str(cfg))
         assert code == 3
         assert "windwos" in err
+
+    @pytest.mark.parametrize("command", ["count", "sweep"])
+    def test_workers_is_not_an_option(self, capsys, tmp_path, command):
+        # the counts are one draw, so there is nothing to spread over workers
+        cfg = tmp_path / "workers.cfg"
+        cfg.write_text("workers = 2\n")
+        state = ["--thermal", "0.2"] if command == "count" else ["--r", "0.4"]
+        code, _, err = run(capsys, command, *state, "--windows", "1000",
+                           "--out", str(tmp_path / "x.csv"),
+                           "--config", str(cfg))
+        assert code == 3
+        assert "workers" in err
+        with pytest.raises(SystemExit):
+            main([command, *state, "--workers", "2",
+                  "--out", str(tmp_path / "x.csv")])

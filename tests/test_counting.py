@@ -60,9 +60,7 @@ class TestConfig:
             CountingRecord(100, 100, 5, 10_000,
                            CountingConfig(n_windows=10_000)), seed=seed),
         lambda seed: sample_photon_numbers(thermal(0.1), 10, seed=seed),
-        lambda seed: g2_estimate_numbers(np.ones(10, dtype=int), seed=seed),
-    ], ids=["bootstrap_g2_clicks", "sample_photon_numbers",
-            "g2_estimate_numbers"])
+    ], ids=["bootstrap_g2_clicks", "sample_photon_numbers"])
     @pytest.mark.parametrize("seed", [-1, 2**63, 1.5])
     def test_estimator_seed_out_of_range(self, call, seed):
         with pytest.raises(DomainError, match="seed"):
@@ -264,31 +262,39 @@ class TestNumberEstimator:
         with pytest.raises(DomainError):
             g2_estimate_numbers(np.zeros(100, dtype=int))
 
-    @pytest.mark.parametrize("n_boot", [-1, 0, 1, 2.5])
-    def test_rejects_n_boot(self, n_boot):
-        # one member has no spread (ddof=1); the others are no count
-        with pytest.raises(DomainError, match="n_boot"):
-            g2_estimate_numbers(np.array([0, 1, 2, 3]), n_boot=n_boot)
-
-    @pytest.mark.parametrize("samples", [
-        sample_photon_numbers(thermal(0.3), 2_000, seed=4),
-        np.array([0] * 30 + [2]),  # about a third of the members are empty
-    ], ids=["thermal", "sparse"])
-    def test_bootstrap_matches_member_loop(self, samples):
-        def ratio(counts):
-            n = np.arange(len(counts), dtype=float)
-            tot = counts.sum()
-            mean = np.dot(counts, n) / tot
-            fac = np.dot(counts, n * (n - 1.0)) / tot
-            return fac / mean ** 2 if mean > 0 else np.nan
-
+    @pytest.mark.parametrize("state, n", [
+        (thermal(1.0), 100_000), (thermal(0.5), 10_000),
+        (coherent(math.sqrt(2.0), 0.0), 100_000), (thermal(0.01), 100_000),
+    ], ids=["thermal1", "thermal0.5", "coherent", "thermal0.01"])
+    def test_delta_error_matches_bootstrap(self, state, n):
+        # the delta-method error against the spread of a multinomial
+        # bootstrap of the empirical distribution, 2000 members
+        samples = sample_photon_numbers(state, n, seed=4)
         counts = np.bincount(samples)
         boot = np.random.default_rng(6).multinomial(
-            samples.size, counts / samples.size, size=50)
-        vals = np.array([ratio(b) for b in boot])
-        vals = vals[np.isfinite(vals)]
-        assert g2_estimate_numbers(samples, n_boot=50, seed=6) == (
-            ratio(counts), float(vals.std(ddof=1)))
+            samples.size, counts / samples.size, size=2000)
+        k = np.arange(len(counts), dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = (boot @ (k * (k - 1.0))) * samples.size / (boot @ k) ** 2
+        ratios = ratios[np.isfinite(ratios)]
+        value, err = g2_estimate_numbers(samples)
+        assert value == pytest.approx(
+            np.dot(counts, k * (k - 1.0)) * n / np.dot(counts, k) ** 2,
+            rel=1e-12)
+        assert abs(err / ratios.std(ddof=1) - 1.0) < 0.1
+
+    @pytest.mark.parametrize("samples", [
+        [-1, 2, 3], [1.5, 2.5, 0.7], [1, math.nan, 2], [1, math.inf],
+        [2.0**53, 1], [[1, 2], [3, 4]], [],
+    ], ids=["negative", "fractional", "nan", "inf", "2**53", "2-D", "empty"])
+    def test_rejects_non_count_samples(self, samples):
+        with pytest.raises(DomainError, match="g2_estimate_numbers"):
+            g2_estimate_numbers(samples)
+
+    def test_float_integer_samples_accepted(self):
+        ints = sample_photon_numbers(thermal(0.3), 1_000, seed=9)
+        assert g2_estimate_numbers(ints.astype(float)) == \
+            g2_estimate_numbers(ints)
 
     @pytest.mark.parametrize("n_samples", [-1, 2.5, "10"])
     def test_rejects_n_samples(self, n_samples):
@@ -297,13 +303,13 @@ class TestNumberEstimator:
 
     def test_thermal_converges(self):
         s = sample_photon_numbers(thermal(1.0), 1_000_000, seed=23)
-        value, err = g2_estimate_numbers(s, seed=1)
+        value, err = g2_estimate_numbers(s)
         assert abs(value - 2.0) < 3 * err
 
     def test_coherent_converges(self):
         s = sample_photon_numbers(coherent(math.sqrt(2.0), 0.0), 1_000_000,
                                   seed=29)
-        value, err = g2_estimate_numbers(s, seed=1)
+        value, err = g2_estimate_numbers(s)
         assert abs(value - 1.0) < 3 * err
 
     def test_consistency_rate(self):
@@ -313,7 +319,7 @@ class TestNumberEstimator:
         errs = []
         for n in (10_000, 100_000, 1_000_000):
             s = sample_photon_numbers(st, n, seed=31)
-            value, err = g2_estimate_numbers(s, seed=2)
+            value, err = g2_estimate_numbers(s)
             assert abs(value - target) < 4 * err
             errs.append(err)
         assert errs[2] < errs[0] / 3
