@@ -145,13 +145,21 @@ def weyl_moments_numeric_state(
     )
 
 
+def _check_epsilon(epsilon) -> None:
+    # a NaN epsilon would switch the near-vacuum guard n < epsilon off
+    if not 0.0 <= epsilon < math.inf:
+        raise DomainError(f"epsilon must be in [0, inf), got {epsilon}")
+
+
 def g2_from_moments(m: WeylMoments, epsilon: float = DEFAULT_EPSILON) -> G2Value:
     """g2(0) from symmetric moments.
 
     Near vacuum both numerator and denominator vanish: a mean photon
     number below epsilon, or <= 0 whatever epsilon, raises
-    NearVacuumError; a non-finite ratio raises DomainError.
+    NearVacuumError; a non-finite ratio raises DomainError, and so does
+    an epsilon outside [0, inf), NaN included.
     """
+    _check_epsilon(epsilon)
     n = m.nw - 0.5
     if n < epsilon or n <= 0.0:
         raise NearVacuumError(
@@ -170,8 +178,10 @@ def g2_gaussian(state: GaussianState, epsilon: float = DEFAULT_EPSILON) -> G2Val
 
     K and mu are divided by t and sqrt(t) before squaring, so weakly
     excited states keep their accuracy and no intermediate overflows.
-    A mean photon number below epsilon (or t <= 0) raises NearVacuumError.
+    A mean photon number below epsilon (or t <= 0) raises NearVacuumError;
+    an epsilon outside [0, inf), NaN included, raises DomainError.
     """
+    _check_epsilon(epsilon)
     t, k2, q = _k_form(state, per_t=True)
     n = 0.5 * t
     if n < epsilon or t <= 0.0:

@@ -7,6 +7,20 @@ sample variances are fit by
 which is the rotated-Gaussian fit expressed on sufficient statistics.
 The HWP sweep model is likewise fit by one linear least-squares solve.
 Detector efficiency is modeled as pre-detection attenuation.
+
+The bootstrap resamples in moment space too.  A reconstruction reads
+only each angle's sample mean m and unbiased variance v, whose joint law
+over n samples is normal to O(n^-1/2) with covariance
+    Sigma = [[v, mu3], [mu3, mu4 - v^2 (n - 3)/(n - 1)]] / n
+from the sample's central moments mu3, mu4 (Cramer, Mathematical Methods
+of Statistics, 1946, ch. 27), the large-n limit of resampling the n
+values.  A member draws each angle's (m, v) from that law: O(1) work.
+
+Normals come from the counter RNG of `kernels`, two per stream index by
+Box-Muller on draws 0 and 1 (`_normal_pairs`): angle k of
+`simulate_homodyne` at stream indices k*h .. k*h + h - 1 under `seed`,
+h = ceil(per_angle/2), and member b of angle k of `estimate_covariance`
+at stream index b under boot_seed + 7919 k.
 """
 
 from __future__ import annotations
@@ -96,13 +110,23 @@ def simulate_homodyne(
     check_int(per_angle, "simulate_homodyne: per_angle", 2)
     check_seed(seed, "simulate_homodyne")
     lossy = attenuate(state, eta_hd)
-    rng = np.random.default_rng(seed)
+    h = (per_angle + 1) // 2
     samples = []
-    for theta in angles:
+    for k, theta in enumerate(angles):
         m, v = marginal(lossy, theta)
-        samples.append(rng.normal(m, math.sqrt(v), per_angle))
+        z = np.concatenate(_normal_pairs(seed, np.arange(k * h, k * h + h)))
+        samples.append(m + math.sqrt(v) * z[:per_angle])
     return HomodyneDataset(np.asarray(angles, dtype=float), tuple(samples),
                            seed, eta_hd)
+
+
+def _normal_pairs(seed, idx):
+    """Two standard normals per stream index of idx under seed, by
+    Box-Muller on the counter RNG's draws u1 (draw 0) and u2 (draw 1):
+    r = sqrt(-2 log(1 - u1)), then r cos(2 pi u2) and r sin(2 pi u2)."""
+    r = np.sqrt(-2.0 * np.log1p(-kernels.uniforms_np(seed, idx, 0)))
+    phase = 2.0 * math.pi * kernels.uniforms_np(seed, idx, 1)
+    return r * np.cos(phase), r * np.sin(phase)
 
 
 def _covariance_design(angles):
@@ -183,27 +207,51 @@ def _try_state(vxx, vpp, vxp, mx, mp) -> Optional[GaussianState]:
         return None
 
 
+def _moment_law(x):
+    """(m, v, l11, l21, l22): the mean m and unbiased variance v of the
+    sample x, and the lower Cholesky factor of their covariance Sigma in
+    the module docstring, from the standardised moments g3 = mu3/v^1.5
+    and k4 = mu4/v^2 (no power of x is formed, so none overflows).
+    Sigma is positive semidefinite in exact arithmetic
+    (v Sigma22 >= m2 (m4 - m2^2) >= mu3^2, m2 and m4 the plug-in
+    moments), so only the remainder Sigma22 - Sigma12^2/Sigma11 is
+    clamped at 0.  einsum, not BLAS, so BLAS threads change nothing."""
+    n = len(x)
+    m = x.mean()
+    v = x.var(ddof=1)
+    e = (x - m) / math.sqrt(v) if v > 0.0 else np.zeros(n)
+    e2 = e * e
+    g3 = np.einsum("i,i->", e2, e) / n
+    k4 = np.einsum("i,i->", e2, e2) / n
+    rem = max(k4 - (n - 3) / (n - 1) - g3 * g3, 0.0)
+    return m, v, math.sqrt(v / n), v * g3 / math.sqrt(n), v * math.sqrt(rem / n)
+
+
 def estimate_covariance(
     data: HomodyneDataset,
     n_boot: int = BOOTSTRAP_SIZE,
     boot_seed: int = 0,
 ) -> ReconstructionResult:
-    """Estimate mean and covariance from a homodyne dataset, with
-    per-angle bootstrap resamples (size n_boot) for interval inference."""
+    """Estimate mean and covariance from a homodyne dataset, with n_boot
+    members of the moment-space bootstrap of the module docstring for
+    interval inference: with (z1, z2) its normal pair at an angle, a
+    member's mean there is m + l11 z1 and its variance v + l21 z1 + l22 z2.
+    A member whose covariance is not positive definite is None."""
     check_int(n_boot, "estimate_covariance: n_boot", 2)
     check_seed(boot_seed, "estimate_covariance")
-    means = np.array([s.mean() for s in data.samples])
-    variances = np.array([s.var(ddof=1) for s in data.samples])
+    law = np.array([_moment_law(s) for s in data.samples])
+    means, variances = law[:, 0], law[:, 1]
     vxx, vpp, vxp, resid = map(float, _solve_covariance(data.angles, variances))
     mx, mp = map(float, _solve_mean(data.angles, means))
     state = GaussianState(PhasePoint(mx, mp), project_physical(vxx, vpp, vxp))
 
     # one row per angle, one column per member: one solve for all members
-    boot_means, boot_vars = kernels.boot_moments_sets(
-        data.samples, n_boot,
-        [boot_seed + 7919 * k for k in range(len(data.samples))])
-    bvxx, bvpp, bvxp, _ = _solve_covariance(data.angles, boot_vars)
-    bmx, bmp = _solve_mean(data.angles, boot_means)
+    z1, z2 = np.swapaxes([_normal_pairs(boot_seed + 7919 * k, np.arange(n_boot))
+                          for k in range(len(law))], 0, 1)
+    m, v, l11, l21, l22 = law.T[:, :, None]
+    bvxx, bvpp, bvxp, _ = _solve_covariance(data.angles,
+                                            v + l21 * z1 + l22 * z2)
+    bmx, bmp = _solve_mean(data.angles, m + l11 * z1)
     boot_states = tuple(
         _try_state(*member)
         for member in zip(*(a.tolist() for a in (bvxx, bvpp, bvxp, bmx, bmp))))

@@ -8,9 +8,7 @@ import math
 import time
 
 import numpy as np
-import pytest
 
-from wigg2 import kernels
 from wigg2.cli import main as cli_main
 from wigg2.counting import (CountingConfig, bootstrap_g2_clicks,
                             g2_estimate_clicks, simulate_hbt)
@@ -35,13 +33,6 @@ def _report(num, desc, ok, detail=""):
     print(line)
     conftest.ACCEPTANCE_LINES.append(line)
     assert ok, f"criterion {num} failed: {desc}{tail}"
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _warm_kernels():
-    # trigger any jit compilation outside the timed sections
-    simulate_hbt(thermal(0.01), CountingConfig(n_windows=1000, seed=0))
-    kernels.boot_moments(np.zeros(16), 2, 0)
 
 
 def test_criterion_01_closed_forms():

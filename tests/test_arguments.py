@@ -16,13 +16,15 @@ from wigg2 import (CountingConfig, CountingRecord, CovarianceMatrix,
                    displace, estimate_covariance,
                    estimate_covariance_from_moments, fig1_table,
                    fit_sweep_model, fock_wigner, g2_estimate_numbers,
-                   g2_from_pn, hwp_mix, hwp_sweep, infer_loss,
+                   g2_from_moments, g2_from_pn, g2_from_reconstruction,
+                   g2_gaussian, hwp_mix, hwp_sweep, infer_loss,
                    infer_loss_resampled, infer_nw_pure, infer_pure_variance,
                    marginal, photon_number_distribution, reduce_mode,
                    rotated_variance, sample_photon_numbers, simulate_homodyne,
                    squeezed_vacuum, squeezed_vacuum_with_mean_photon, thermal,
-                   two_mode_squeezed_vacuum, vacuum, weyl_moments_numeric,
-                   weyl_moments_numeric_state, wigner_eval)
+                   two_mode_squeezed_vacuum, vacuum, weyl_moments_analytic,
+                   weyl_moments_numeric, weyl_moments_numeric_state,
+                   wigner_eval)
 from wigg2.counting import bootstrap_g2_clicks
 from wigg2.errors import DomainError
 
@@ -34,6 +36,12 @@ CFG = CountingConfig(n_windows=1000)
 REC = CountingRecord(100, 100, 5, 10_000, CFG)
 TB = two_mode_squeezed_vacuum(0.4)
 DATA = simulate_homodyne(thermal(1.0), ANGLES, 100, seed=1)
+# a mean photon number the default epsilon guards: a NaN epsilon would
+# switch that guard off
+FAINT = thermal(1e-12)
+# epsilon values to refuse; inf also trips the near-vacuum guard, so the
+# CLI test and test_epsilon_names_itself check it by its message
+BAD_EPSILON = (NAN, -INF, -1)
 
 
 def _config(field):
@@ -110,6 +118,11 @@ TABLE = [
      lambda v: weyl_moments_numeric(lambda x, p: wigner_eval(vacuum(), x, p),
                                     QuadratureGrid(nodes=64), norm_tol=v),
      (NAN, -1)),
+    ("g2_from_moments.epsilon",
+     lambda v: g2_from_moments(weyl_moments_analytic(FAINT), epsilon=v),
+     BAD_EPSILON),
+    ("g2_gaussian.epsilon", lambda v: g2_gaussian(FAINT, epsilon=v),
+     BAD_EPSILON),
     ("fig1_table.n", lambda v: fig1_table([1.0, v]),
      (NAN, INF, -INF, -1, 0.0)),
     # fock
@@ -180,6 +193,9 @@ TABLE = [
     ("fit_sweep_model.points",
      lambda v: fit_sweep_model([(0.0, 2.0), (10.0, v), (20.0, 3.0)]),
      (NAN, INF)),
+    ("g2_from_reconstruction.epsilon",
+     lambda v: g2_from_reconstruction(estimate_covariance(DATA), epsilon=v),
+     BAD_EPSILON),
     ("hwp_sweep.r", _sweep("r"), (NAN, INF, -1)),
     ("hwp_sweep.thetas_deg", _sweep("thetas_deg", lambda v: [v]), (NAN, INF)),
     ("hwp_sweep.per_angle", _sweep("per_angle"), (*NOT_INT, -1, 1)),
@@ -201,6 +217,15 @@ ROWS = [pytest.param(call, value, id=f"{name}={value!r}")
 @pytest.mark.parametrize("call, value", ROWS)
 def test_invalid_argument_raises_domain_error(call, value):
     with pytest.raises(DomainError):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [NAN, INF, -1])
+@pytest.mark.parametrize("call", [
+    lambda v: g2_from_moments(weyl_moments_analytic(thermal(1.0)), v),
+    lambda v: g2_gaussian(thermal(1.0), v)])
+def test_epsilon_names_itself(call, value):
+    with pytest.raises(DomainError, match="epsilon"):
         call(value)
 
 

@@ -47,6 +47,14 @@ class TestG2:
         assert code == 3
         assert err
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
+    def test_bad_epsilon_exit_3(self, capsys, epsilon):
+        # a NaN epsilon switched the near-vacuum guard off (exit 0, g2 2)
+        code, _, err = run(capsys, "g2", "--thermal", "1e-12",
+                           "--epsilon", epsilon)
+        assert code == 3
+        assert "epsilon" in err
+
     def test_overflowing_state_exit_3(self, capsys):
         # |mu|^2 = 1e320 overflows a double
         code, _, err = run(capsys, "g2", "--coherent", "1e160", "0")

@@ -1,9 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +8,8 @@ from wigg2 import kernels
 from wigg2.counting import CountingConfig, expected_click_g2
 from wigg2.errors import DomainError
 from wigg2.fock import photon_number_distribution
-from wigg2.kernels import (binomial_icdf, boot_moments_np, click_counts,
-                           click_probs, hbt_counts_np, uniforms_np)
+from wigg2.kernels import (binomial_icdf, click_counts, click_probs,
+                           hbt_counts, uniforms_np)
 from wigg2.states import thermal
 
 
@@ -48,12 +43,11 @@ def _pack(values):
 
 
 def _hashes_oracle(seed, idx, draw):
-    """(z, ones): mix64(k + i*phi) of each i in idx, packed as in
-    _mix_oracle."""
+    """mix64(k + i*phi) of each i in idx, packed as in _mix_oracle."""
     k = _mix_oracle(seed ^ _mix_oracle((draw * _STEP) & _MASK))
     ones = _pack(np.ones(len(idx), dtype=np.uint64))
     return _mix_oracle((k * ones + _pack(idx) * _PHI) & (_MASK * ones),
-                       ones), ones
+                       ones)
 
 
 def _unpack(z, count):
@@ -62,48 +56,8 @@ def _unpack(z, count):
 
 
 def _uniforms_oracle(seed, idx, draw):
-    z, _ = _hashes_oracle(seed, idx, draw)
+    z = _hashes_oracle(seed, idx, draw)
     return _unpack(z >> 11, len(idx)) * 2.0**-53  # each lane < 2^53
-
-
-def _indices_oracle(seed, idx, n):
-    """(hi, lo) of the multiply-shift on draw 0's hashes of idx, in
-    Python ints: hi = ((h >> 32) * n) >> 32, lo = ((h & (2^32 - 1)) * n)
-    >> 32.  Each half is below 2^32 and each product below 2^64, so no
-    lane spills into the next; the masks drop the bits z >> 32 brings
-    down from the next lane."""
-    z, ones = _hashes_oracle(seed, idx, 0)
-    low = (2**32 - 1) * ones
-    hi = ((((z >> 32) & low) * n) >> 32) & low
-    lo = (((z & low) * n) >> 32) & low
-    return _unpack(hi, len(idx)), _unpack(lo, len(idx))
-
-
-# Frozen reference of the two-indices-per-hash bootstrap on the Python-int
-# stream; the kernel must reproduce it bit for bit.  Member b hashes stream
-# indices b*m .. b*m + m - 1 (m = ceil(n/2)) and resamples x at its hi
-# indices, then its lo indices, cut to n.  Its sum of squares follows the
-# kernel's BLAS-free reduction (np.dot rounds differently with the number
-# of BLAS threads).
-def _sumsq_einsum(v):
-    return np.einsum("i,i->", v, v)
-
-
-def _boot_moments_oracle(x, n_boot, seed, sumsq=_sumsq_einsum):
-    n = len(x)
-    m = (n + 1) // 2
-    means = np.empty(n_boot)
-    variances = np.empty(n_boot)
-    for b in range(n_boot):
-        hi, lo = _indices_oracle(seed, np.arange(b * m, b * m + m,
-                                                 dtype=np.uint64), n)
-        xs = x[np.concatenate([hi, lo])[:n].astype(np.int64)]
-        s = float(xs.sum())
-        ss = float(sumsq(xs))
-        mean = s / n
-        means[b] = mean
-        variances[b] = (ss - n * mean * mean) / (n - 1)
-    return means, variances
 
 
 class TestCounterRng:
@@ -160,209 +114,6 @@ class TestCounterRng:
         assert self._corr(uniforms_np(seed, idx, 0),
                           uniforms_np(seed + 1, idx, 0)) < 5 / math.sqrt(self.N)
 
-    @pytest.mark.parametrize("seed", [0, 7, 2**63 - 2])
-    def test_adjacent_bootstrap_members_uncorrelated(self, seed):
-        # member b of a bootstrap over n = N samples hashes stream indices
-        # b*N/2 .. (b + 1)*N/2 - 1 of draw 0 and resamples at their hi
-        # then their lo indices
-        half = self.N // 2
-        first = np.arange(half, dtype=np.uint64)
-        members = [np.concatenate(_indices_oracle(seed, first + b * half,
-                                                  self.N)) for b in (0, 1)]
-        assert self._corr(*members) < 5 / math.sqrt(self.N)
-
-    @pytest.mark.parametrize("seed", [0, 7, 2**63 - 2])
-    def test_hi_lo_uncorrelated(self, seed):
-        # the two indices of one hash
-        hi, lo = _indices_oracle(seed, np.arange(self.N, dtype=np.uint64),
-                                 self.N)
-        assert self._corr(hi, lo) < 5 / math.sqrt(self.N)
-
-    @pytest.mark.parametrize("seed", [0, 7, 2**63 - 2])
-    def test_bootstrap_indices_uniform(self, seed):
-        # chi^2 of the N hi and, apart, the N lo indices over n = 1537
-        # bins, as the kernel forms them from N hashes, each within 5
-        # sigma of its n - 1 degrees of freedom on both sides: a Weyl
-        # sequence i*phi without the finaliser would be far too even
-        n = 1537
-        expected = self.N / n
-        for ix in _indices_oracle(seed, np.arange(self.N, dtype=np.uint64),
-                                  n):
-            counts = np.bincount(ix.astype(np.int64), minlength=n)
-            chi2 = float(((counts - expected) ** 2).sum() / expected)
-            assert abs(chi2 - (n - 1)) < 5 * math.sqrt(2 * (n - 1))
-
-
-class TestBootMomentsBitIdentity:
-    # m = ceil(n/2) hashes per member: 65,535 .. 131,073 share a block
-    # between members or fill one; 131,071 .. 131,073 put m on either side
-    # of the 65,536-hash block, where a member starts to span two
-    @pytest.mark.parametrize("n", [2, 3, 17, 65_535, 65_536, 65_537, 99_999,
-                                   100_000, 131_071, 131_072, 131_073,
-                                   131_074])
-    @pytest.mark.parametrize("seed", [0, 7, 2**63 - 1])
-    @pytest.mark.parametrize("n_boot", [1, 13])
-    def test_matches_allocating_oracle(self, n, seed, n_boot):
-        x = np.random.default_rng(n).normal(0.3, 1.1, n)
-        m, v = boot_moments_np(x, n_boot, seed)
-        m_ref, v_ref = _boot_moments_oracle(x, n_boot, seed)
-        assert np.array_equal(m, m_ref)
-        assert np.array_equal(v, v_ref)
-
-
-class TestBootMomentsSets:
-    def test_unequal_lengths_match_per_set_calls(self):
-        rng = np.random.default_rng(31)
-        sets = [rng.normal(0.4, 1.3, n) for n in (3, 17, 10_000, 100_003)]
-        seeds = [5 + 7919 * k for k in range(len(sets))]
-        means, variances = kernels.boot_moments_sets(sets, 6, seeds)
-        assert means.shape == variances.shape == (len(sets), 6)
-        for k, (x, seed) in enumerate(zip(sets, seeds)):
-            m, v = kernels.boot_moments(x, 6, seed)
-            m_ref, v_ref = _boot_moments_oracle(x, 6, seed)
-            assert np.array_equal(means[k], m) and np.array_equal(m, m_ref)
-            assert (np.array_equal(variances[k], v)
-                    and np.array_equal(v, v_ref))
-
-
-class TestBootMomentsInput:
-    @pytest.mark.parametrize("n", [0, 1])
-    def test_too_few_samples(self, n):
-        with pytest.raises(DomainError, match="len"):
-            kernels.boot_moments(np.zeros(n), 10, 0)
-
-    def test_too_many_samples(self):
-        # a zero-stride view: 2^32 + 1 samples without 32 GiB behind them,
-        # rejected before the float64 copy
-        x = np.broadcast_to(0.0, (2**32 + 1,))
-        with pytest.raises(DomainError, match="len"):
-            kernels.boot_moments(x, 10, 0)
-
-    @pytest.mark.parametrize("n_boot", [0, -1, 2.0, True, "3", None])
-    def test_bad_member_count(self, n_boot):
-        # -1 used to reach np.empty, which raised an untyped ValueError
-        with pytest.raises(DomainError, match="n_boot"):
-            kernels.boot_moments(np.zeros(8), n_boot, 0)
-
-    def test_bad_set_lists(self):
-        x = np.zeros(8)
-        with pytest.raises(DomainError, match="at least one"):
-            kernels.boot_moments_sets([], 4, [])
-        with pytest.raises(DomainError, match="2 seeds for 3"):
-            kernels.boot_moments_sets([x, x, x], 4, [0, 1])
-        with pytest.raises(DomainError, match="set 2 has len 1"):
-            kernels.boot_moments_sets([x, x, x[:1]], 4, [0, 1, 2])
-
-    def test_multiply_shift_top_of_range(self):
-        # the largest hash at the largest n: (2^32 - 1) * 2^32 < 2^64
-        h = np.array([[2**64 - 1]], dtype=np.uint64)
-        hi, lo = np.empty_like(h), np.empty_like(h)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            kernels._multiply_shift(h, 2**32, hi, lo)
-        assert hi[0, 0] == lo[0, 0] == 2**32 - 1
-
-
-class TestBootMomentsThreads:
-    def test_variances_match_blas_dot(self):
-        x = np.random.default_rng(4).normal(0.3, 1.1, 100_000)
-        _, v = boot_moments_np(x, 9, 17)
-        _, v_dot = _boot_moments_oracle(x, 9, 17, sumsq=lambda a: np.dot(a, a))
-        np.testing.assert_allclose(v, v_dot, rtol=1e-13, atol=0)
-
-    @pytest.mark.parametrize("n,n_boot", [(10_000, 23), (100_003, 5), (3, 9)])
-    def test_output_independent_of_cpu_count(self, monkeypatch, n, n_boot):
-        rng = np.random.default_rng(n)
-        sets = [rng.normal(1.0, 2.0, size) for size in (n, 17, n + 1, 2)]
-        seeds = [99, 99 + 7919, 3, 2**63 - 1]
-        total = len(sets) * n_boot  # flattened (set, member) count
-        pools, cuts = [], []
-
-        class Pool(kernels.ThreadPoolExecutor):
-            def __init__(self, workers):
-                pools.append(workers)
-                super().__init__(workers)
-
-        boot_range = kernels._boot_range
-
-        def spy(*args):
-            cuts[-1].append(args[4:6])  # (lo, hi) of the flattened range
-            boot_range(*args)
-
-        monkeypatch.setattr(kernels, "ThreadPoolExecutor", Pool)
-        monkeypatch.setattr(kernels, "_boot_range", spy)
-        runs = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # many more thread switches
-        try:
-            for cpus in (1, 2, 3, 7):
-                monkeypatch.setattr(kernels.os, "sched_getaffinity",
-                                    lambda pid, cpus=cpus: set(range(cpus)),
-                                    raising=False)
-                cuts.append([])
-                runs.append(kernels.boot_moments_sets(sets, n_boot, seeds))
-        finally:
-            sys.setswitchinterval(interval)
-        # one pool of W - 1 workers per call, W = min(total, cpus) > 1
-        assert pools == [min(total, c) - 1 for c in (2, 3, 7)]
-        for cpus, cut in zip((1, 2, 3, 7), cuts):
-            bounds = sorted(cut)
-            assert len(bounds) == min(total, cpus)
-            assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
-            assert bounds[-1][1] == total
-            if cpus > 1:  # some range holds members of two sets
-                assert any(lo // n_boot != (hi - 1) // n_boot
-                           for lo, hi in cut)
-        for m, v in runs[1:]:
-            assert np.array_equal(m, runs[0][0])
-            assert np.array_equal(v, runs[0][1])
-
-    def test_output_independent_of_blas_threads(self):
-        # np.dot on 100k doubles rounds differently with 1 and 2 BLAS
-        # threads; the kernel's sums do not go through BLAS
-        script = ("import hashlib, numpy as np\n"
-                  "from wigg2.kernels import boot_moments_np\n"
-                  "x = np.random.default_rng(8).normal(1.3, 0.7, 100_000)\n"
-                  "m, v = boot_moments_np(x, 8, 21)\n"
-                  "print(hashlib.sha256(m.tobytes() + v.tobytes()).hexdigest())\n")
-        src = str(Path(kernels.__file__).resolve().parents[1])
-        digests = set()
-        for threads in ("1", "2"):
-            path = filter(None, [src, os.environ.get("PYTHONPATH")])
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(path))
-            out = subprocess.run([sys.executable, "-c", script], env=env,
-                                 capture_output=True, text=True, timeout=300,
-                                 check=True)
-            digests.add(out.stdout.strip())
-        assert len(digests) == 1
-
-
-
-
-class TestBackendEquivalence:
-    def test_hbt_counts_match(self):
-        # the public wrapper runs the numpy kernel: identical counts
-        cdf = np.cumsum([0.95, 0.03, 0.015, 0.004, 0.001])
-        for seed in [0, 99]:
-            a = hbt_counts_np(cdf, 0.5, 0.5, 0.01, seed, 0, 50_000)
-            b = kernels.hbt_counts(cdf, 0.5, 0.5, 0.01, seed, 0, 50_000)
-            assert a == tuple(b)
-
-    def test_boot_moments_match(self):
-        # the public wrapper runs the numpy kernel on a float64 copy
-        x = np.random.default_rng(3).normal(1.0, 2.0, 5000)
-        m_np, v_np = boot_moments_np(x, 20, 11)
-        m, v = kernels.boot_moments(x, 20, 11)
-        assert np.allclose(m_np, m, rtol=1e-12, atol=1e-12)
-        assert np.allclose(v_np, v, rtol=1e-12)
-
-    def test_boot_moments_sane(self):
-        x = np.random.default_rng(5).normal(0.0, 1.0, 20_000)
-        m, v = kernels.boot_moments(x, 100, 2)
-        assert abs(m.mean() - x.mean()) < 0.01
-        assert abs(v.mean() - x.var(ddof=1)) < 0.02
-
 
 # Frozen oracle: the per-window HBT kernel the multinomial sampler
 # replaced.  Window w draws u = u(seed, w, 0) and compares its 53 bits
@@ -384,7 +135,8 @@ def _per_window_counts(cdf, eta, split, dark, seed, start, stop,
     below = np.empty(len(row), dtype=bool)
     for lo in range(start, stop, chunk):
         k = min(chunk, stop - lo)
-        bits = kernels._draw_bits(z[:k], row[:k], lo * _PHI + key, tmp[:k])
+        np.copyto(z[:k], row[:k])
+        bits = kernels._draw_bits(z[:k], lo * _PHI + key, tmp[:k])
         # windows below each cut: no click, detector 2 silent, not both
         none, silent2, not_both = (int(np.count_nonzero(
             np.less(bits, c, out=below[:k]))) for c in cuts)
@@ -499,7 +251,7 @@ class TestSamplerLaw:
                 squeezed_vacuum_with_mean_photon(5.0), 256)
             args = (dist.cdf(), 0.5, 0.5, 0.0)
         N = 50_000
-        ours = np.array([hbt_counts_np(*args, s, 0, N)
+        ours = np.array([hbt_counts(*args, s, 0, N)
                          for s in range(self.SEEDS)], dtype=np.float64)
         oracle = np.array([_per_window_counts(*args, 10_000 + s, 0, N)
                            for s in range(self.SEEDS)], dtype=np.float64)
@@ -575,17 +327,17 @@ class TestClickPattern:
     def test_no_underflow_at_large_photon_number(self, eta):
         # 1100 photons at eta >= 0.5: both detectors fire in every window
         # (the no-click probabilities are below 1e-137)
-        assert hbt_counts_np(_point_mass(1100), eta, 0.5, 0.0, 3, 0,
+        assert hbt_counts(_point_mass(1100), eta, 0.5, 0.0, 3, 0,
                              10_000) == (10_000, 10_000, 10_000)
 
     def test_vacuum_never_clicks(self):
-        assert hbt_counts_np(_point_mass(0), 0.9, 0.5, 0.0, 3, 0,
+        assert hbt_counts(_point_mass(0), 0.9, 0.5, 0.0, 3, 0,
                              10**6) == (0, 0, 0)
 
     @pytest.mark.parametrize("n", [0, 1, 6])
     def test_pattern_frequencies(self, n):
         eta, split, N = 0.6, 0.3, 200_000
-        n1, n2, nc = hbt_counts_np(_point_mass(n), eta, split, 0.0, 41, 0, N)
+        n1, n2, nc = hbt_counts(_point_mass(n), eta, split, 0.0, 41, 0, N)
         qb = (1 - eta) ** n
         q1 = (1 - eta * split) ** n
         q2 = (1 - eta * (1 - split)) ** n
@@ -608,19 +360,19 @@ class TestClickPattern:
                               start, windows):
         w = np.asarray(weights) + 1e-3
         cdf = mass * np.cumsum(w) / w.sum()
-        counts = hbt_counts_np(cdf, eta, split, dark, seed, start,
+        counts = hbt_counts(cdf, eta, split, dark, seed, start,
                                start + windows)
         n1, n2, nc = counts
         assert 0 <= nc <= min(n1, n2) <= windows
-        assert counts == hbt_counts_np(cdf, eta, split, dark, seed, start,
+        assert counts == hbt_counts(cdf, eta, split, dark, seed, start,
                                        start + windows)
 
     def test_window_bound(self):
         cdf = np.cumsum([0.5, 0.3, 0.2])
-        n1, n2, nc = hbt_counts_np(cdf, 0.5, 0.5, 0.0, 1, 0, 2**32)
+        n1, n2, nc = hbt_counts(cdf, 0.5, 0.5, 0.0, 1, 0, 2**32)
         assert 0 <= nc <= min(n1, n2) <= 2**32
         with pytest.raises(DomainError, match="2\\*\\*32"):
-            hbt_counts_np(cdf, 0.5, 0.5, 0.0, 1, 0, 2**32 + 1)
+            hbt_counts(cdf, 0.5, 0.5, 0.0, 1, 0, 2**32 + 1)
         with pytest.raises(DomainError, match="2\\*\\*32"):
             click_counts(2**32 + 1, 0.5, 0.5, 0.25, 1, 0)
 
@@ -650,13 +402,13 @@ class TestClickProbs:
         full = np.array([0.2, 0.5, 1.0])  # the other half at n_max = 2
         assert click_probs(half, 0.7, 0.4, 0.01) == click_probs(full, 0.7,
                                                                 0.4, 0.01)
-        assert hbt_counts_np(half, 0.7, 0.4, 0.01, 9, 0, 50_000) == \
-            hbt_counts_np(full, 0.7, 0.4, 0.01, 9, 0, 50_000)
+        assert hbt_counts(half, 0.7, 0.4, 0.01, 9, 0, 50_000) == \
+            hbt_counts(full, 0.7, 0.4, 0.01, 9, 0, 50_000)
 
     def test_pattern_frequencies_chi2(self):
         cdf = np.cumsum([0.5, 0.2, 0.15, 0.1, 0.05])
         eta, split, dark, N = 0.7, 0.35, 0.03, 400_000
-        n1, n2, nc = hbt_counts_np(cdf, eta, split, dark, 77, 0, N)
+        n1, n2, nc = hbt_counts(cdf, eta, split, dark, 77, 0, N)
         q1, q2, qb = click_probs(cdf, eta, split, dark)
         observed = np.array([N - n1 - n2 + nc, n1 - nc, n2 - nc, nc])
         expected = N * np.array([qb, q2 - qb, q1 - qb, 1 - q1 - q2 + qb])

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +18,10 @@ from wigg2.states import (CovarianceMatrix, GaussianState, PhasePoint,
                           hwp_mix, marginal, reduce_mode, squeezed_vacuum,
                           squeezed_vacuum_with_mean_photon, thermal,
                           two_mode_squeezed_vacuum, vacuum)
-from wigg2 import kernels
+from wigg2 import tomography
 from wigg2.tomography import (DEFAULT_ANGLES, HomodyneDataset, SweepFit,
-                              _covariance_design, _solve_covariance,
-                              _solve_mean,
+                              _covariance_design, _normal_pairs,
+                              _solve_covariance, _solve_mean,
                               estimate_covariance,
                               estimate_covariance_from_moments,
                               fit_sweep_model, g2_from_reconstruction,
@@ -236,62 +241,147 @@ class TestEstimateCovariance:
             assert w_out[1] == pytest.approx(max(w_in[1], 0.25 / w_in[1]),
                                              rel=1e-9)
 
-    def test_batched_bootstrap_solve(self):
-        # one least-squares solve over all members = a solve per member
-        data = simulate_homodyne(squeezed_vacuum(0.5, 0.3), ANGLES12, 5_000,
-                                 0.8, seed=12)
-        rec = estimate_covariance(data, n_boot=40, boot_seed=13)
-        moments = [kernels.boot_moments(s, 40, 13 + 7919 * k)
-                   for k, s in enumerate(data.samples)]
-        cov_scale = max(rec.raw_cov[:2])
-        for b, bs in enumerate(rec.bootstrap_states):
-            vxx, vpp, vxp, _ = _solve_covariance(
-                data.angles, np.array([v[b] for _, v in moments]))
-            mx, mp = _solve_mean(data.angles, np.array([m[b] for m, _ in moments]))
-            np.testing.assert_allclose(
-                [bs.cov.vxx, bs.cov.vpp, bs.cov.vxp], [vxx, vpp, vxp],
-                rtol=1e-12, atol=1e-12 * cov_scale)
-            np.testing.assert_allclose([bs.mean.x, bs.mean.p], [mx, mp],
-                                       rtol=1e-12, atol=1e-12 * max(abs(mx), abs(mp)))
 
+class TestMomentSpaceBootstrap:
+    def test_member_law(self):
+        # with two orthogonal angles each member's (mx, mp, vxx, vpp) is
+        # its (mean, variance) pair at angle 0 and at pi/2; skewed samples
+        # make the (mean, variance) covariance mu3/n nonzero; at n = 20
+        # the factor (n - 3)/(n - 1) moves Sigma22 of uniform samples by
+        # about 13%, and their low kurtosis keeps every member's variance
+        # positive
+        rng = np.random.default_rng(61)
+        samples = (rng.exponential(1.0, 400), rng.uniform(-1.0, 2.0, 20))
+        data = HomodyneDataset(np.array([0.0, math.pi / 2]), samples, 0, 1.0)
+        B = 20_000
+        rec = estimate_covariance(data, n_boot=B, boot_seed=62)
+        members = np.array([[bs.mean.x, bs.mean.p, bs.cov.vxx, bs.cov.vpp]
+                            for bs in rec.bootstrap_states])
+        for k, x in enumerate(samples):
+            n, m, v = len(x), x.mean(), x.var(ddof=1)
+            mu3 = np.mean((x - m) ** 3)
+            mu4 = np.mean((x - m) ** 4)
+            sigma = np.array([[v, mu3],
+                              [mu3, mu4 - v * v * (n - 3) / (n - 1)]]) / n
+            draws = members[:, [k, k + 2]]
+            se_mean = np.sqrt(np.diag(sigma) / B)
+            assert np.all(np.abs(draws.mean(axis=0) - [m, v]) < 5 * se_mean)
+            # a sample covariance entry of B normal pairs has variance
+            # (S_ij^2 + S_ii S_jj) / B
+            cov = np.cov(draws.T)
+            se_cov = np.sqrt((sigma ** 2 + np.outer(np.diag(sigma),
+                                                    np.diag(sigma))) / B)
+            assert np.all(np.abs(cov - sigma) < 5 * se_cov)
 
-    def test_unequal_angle_lengths(self):
-        # each angle bootstraps its own length, under its own seed
-        full = simulate_homodyne(squeezed_vacuum(0.5, 0.3), ANGLES12[:4],
-                                 3_000, 0.8, seed=21)
-        samples = tuple(s[:n] for s, n in zip(full.samples,
-                                              (3_000, 17, 1_001, 250)))
-        data = HomodyneDataset(full.angles, samples, 21, 0.8)
-        rec = estimate_covariance(data, n_boot=10, boot_seed=5)
-        moments = [kernels.boot_moments(s, 10, 5 + 7919 * k)
-                   for k, s in enumerate(samples)]
-        vxx, vpp, vxp, _ = _solve_covariance(
-            data.angles, np.array([v for _, v in moments]))
-        mx, mp = _solve_mean(data.angles, np.array([m for m, _ in moments]))
-        for b, bs in enumerate(rec.bootstrap_states):
-            assert [bs.cov.vxx, bs.cov.vpp, bs.cov.vxp, bs.mean.x,
-                    bs.mean.p] == [vxx[b], vpp[b], vxp[b], mx[b], mp[b]]
+    def test_interval_width_matches_nonparametric_bootstrap(self):
+        # the moment-space law is the large-n limit of resampling the n
+        # values of each angle
+        data = simulate_homodyne(squeezed_vacuum(0.5, 0.0), ANGLES12, 2000,
+                                 seed=3)
+        g = g2_from_reconstruction(estimate_covariance(data, n_boot=400,
+                                                       boot_seed=4))
+        rng = np.random.default_rng(5)
+        shape = (len(ANGLES12), 400)
+        means, variances = np.empty(shape), np.empty(shape)
+        for k, x in enumerate(data.samples):
+            for b in range(shape[1]):
+                y = x[rng.integers(0, len(x), len(x))]
+                means[k, b], variances[k, b] = y.mean(), y.var(ddof=1)
+        vxx, vpp, vxp, _ = _solve_covariance(ANGLES12, variances)
+        mx, mp = _solve_mean(ANGLES12, means)
+        values = [g2_gaussian(GaussianState(PhasePoint(*mean),
+                                            CovarianceMatrix(*cov))).value
+                  for *cov, mean in zip(vxx, vpp, vxp, zip(mx, mp))]
+        lo, hi = np.percentile(values, [2.5, 97.5])
+        assert (g.ci_high - g.ci_low) / (hi - lo) == pytest.approx(1.0,
+                                                                  abs=0.15)
 
-    def test_one_kernel_call_and_pool(self, monkeypatch):
-        calls, pools = [], []
-        sets = kernels.boot_moments_sets
+    @pytest.mark.parametrize("value", [0.0, 0.3])
+    def test_constant_samples_give_guarded_members(self, value):
+        # v = 0 at every angle (up to the round-off of a mean of 0.3s): no
+        # member is NaN, and every one is guarded, as None or near vacuum
+        samples = tuple(np.full(50, value) for _ in ANGLES12)
+        data = HomodyneDataset(ANGLES12, samples, 0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = estimate_covariance(data, n_boot=20, boot_seed=1)
+            for bs in rec.bootstrap_states:
+                assert bs is None or np.isfinite(bs.cov.matrix()).all()
+            with pytest.raises(UnstableInferenceError, match="20/20"):
+                g2_from_reconstruction(rec)
+        if value == 0.0:
+            assert rec.bootstrap_states == (None,) * 20
 
-        def counted(*args):
-            calls.append(args)
-            return sets(*args)
+    def test_one_constant_angle_gives_finite_members(self):
+        full = simulate_homodyne(thermal(1.0), ANGLES12, 500, seed=7)
+        samples = (np.zeros(500),) + full.samples[1:]
+        data = HomodyneDataset(ANGLES12, samples, 7, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = estimate_covariance(data, n_boot=50, boot_seed=8)
+        for bs in rec.bootstrap_states:
+            assert bs is None or np.isfinite(
+                [bs.cov.vxx, bs.cov.vpp, bs.cov.vxp, bs.mean.x, bs.mean.p]).all()
 
-        class Pool(kernels.ThreadPoolExecutor):
-            def __init__(self, workers):
-                pools.append(workers)
-                super().__init__(workers)
+    def test_golden_values(self):
+        # pin both counter-RNG streams: the samples of simulate_homodyne
+        # (angle 1 starts at stream index ceil(1001/2) = 501) and the
+        # bootstrap members
+        data = simulate_homodyne(squeezed_vacuum(0.5, 0.3), ANGLES12[:3],
+                                 1001, 0.8, seed=31)
+        assert data.samples[0][:4].tolist() == pytest.approx(
+            [0.1756019982266383, -0.3389485400388814, 0.008413201717506093,
+             0.04914287272146957], rel=1e-12)
+        assert data.samples[1][0] == pytest.approx(0.656987089082838,
+                                                   rel=1e-12)
+        rec = estimate_covariance(data, n_boot=5, boot_seed=32)
+        golden = [
+            (0.39542511871086644, 1.2144169234722677, -0.3014377146130562,
+             -0.03324712121828537, 0.13090519030864964),
+            (0.373106585154892, 0.9977457607858654, -0.21569963568597805,
+             -0.0022837897763339026, 0.011997813252767343),
+            (0.36631849186655374, 1.1524547405357246, -0.2513411102879534,
+             -0.024997532389887535, 0.09528329094395244),
+        ]
+        for bs, want in zip(rec.bootstrap_states, golden):
+            got = (bs.cov.vxx, bs.cov.vpp, bs.cov.vxp, bs.mean.x, bs.mean.p)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
-        monkeypatch.setattr(kernels, "boot_moments_sets", counted)
-        monkeypatch.setattr(kernels, "ThreadPoolExecutor", Pool)
-        monkeypatch.setattr(kernels.os, "sched_getaffinity",
-                            lambda pid: {0, 1, 2}, raising=False)
-        data = simulate_homodyne(thermal(1.0), ANGLES12, 500, seed=9)
-        estimate_covariance(data, n_boot=20, boot_seed=11)
-        assert len(calls) == 1 and pools == [2]
+    @pytest.mark.parametrize("seed", [0, 2**63 - 7920])
+    def test_normal_pairs(self, seed):
+        # standard normals, the pair uncorrelated, and angle k + 1's
+        # stream (seed + 7919) uncorrelated with angle k's
+        N = 200_000
+        idx = np.arange(N)
+        z1, z2 = _normal_pairs(seed, idx)
+        w1, _ = _normal_pairs(seed + 7919, idx)
+        for z in (z1, z2):
+            assert abs(z.mean()) < 5 / math.sqrt(N)
+            assert abs(z.var() - 1.0) < 5 * math.sqrt(2 / N)
+        for a, b in ((z1, z2), (z1, w1)):
+            assert abs(np.corrcoef(a, b)[0, 1]) < 5 / math.sqrt(N)
+
+    def test_independent_of_blas_threads(self):
+        # the moments are einsum sums, not BLAS products
+        script = (
+            "import hashlib\n"
+            "from wigg2.states import thermal\n"
+            "from wigg2.tomography import estimate_covariance, "
+            "simulate_homodyne\n"
+            "rec = estimate_covariance(simulate_homodyne(thermal(1.0), "
+            "per_angle=100_000, seed=8), boot_seed=21)\n"
+            "print(hashlib.sha256(repr(rec).encode()).hexdigest())\n")
+        src = str(Path(tomography.__file__).resolve().parents[1])
+        digests = set()
+        for threads in ("1", "2"):
+            path = filter(None, [src, os.environ.get("PYTHONPATH")])
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(path))
+            out = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, timeout=300,
+                                 check=True)
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1
 
 
 class TestG2FromReconstruction:
