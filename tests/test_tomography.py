@@ -1,8 +1,10 @@
+import functools
 import math
 import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +17,11 @@ from wigg2.errors import (DomainError, FitError, IdentifiabilityError,
                           UnstableInferenceError)
 from wigg2.moments import g2_gaussian
 from wigg2.states import (CovarianceMatrix, GaussianState, PhasePoint,
-                          hwp_mix, marginal, reduce_mode, squeezed_vacuum,
+                          attenuate, coherent, displace, hwp_mix, marginal,
+                          reduce_mode, squeezed_vacuum,
                           squeezed_vacuum_with_mean_photon, thermal,
                           two_mode_squeezed_vacuum, vacuum)
-from wigg2 import tomography
+from wigg2 import kernels, tomography
 from wigg2.tomography import (DEFAULT_ANGLES, HomodyneDataset, SweepFit,
                               _covariance_design, _normal_pairs,
                               _solve_covariance, _solve_mean,
@@ -244,17 +247,33 @@ class TestEstimateCovariance:
 
 class TestMomentSpaceBootstrap:
     def test_member_law(self):
-        # with two orthogonal angles each member's (mx, mp, vxx, vpp) is
-        # its (mean, variance) pair at angle 0 and at pi/2; skewed samples
-        # make the (mean, variance) covariance mu3/n nonzero; at n = 20
-        # the factor (n - 3)/(n - 1) moves Sigma22 of uniform samples by
-        # about 13%, and their low kurtosis keeps every member's variance
-        # positive
+        # skewed samples make the (mean, variance) covariance mu3/n
+        # nonzero; at n = 20 the factor (n - 3)/(n - 1) moves Sigma22 of
+        # uniform samples by about 13%, and their low kurtosis keeps every
+        # member's variance positive
         rng = np.random.default_rng(61)
-        samples = (rng.exponential(1.0, 400), rng.uniform(-1.0, 2.0, 20))
+        self._check_member_law(
+            (rng.exponential(1.0, 400), rng.uniform(-1.0, 2.0, 20)), 62)
+
+    @pytest.mark.parametrize("draw", [
+        lambda rng, n: rng.normal(0.3, 2.0, n),
+        lambda rng, n: rng.standard_t(5, n),
+        lambda rng, n: rng.lognormal(0.0, 0.5, n),
+        lambda rng, n: (rng.random(n) < 0.3).astype(float),
+    ], ids=["normal", "student_t5", "lognormal", "two_point"])
+    def test_member_law_by_distribution(self, draw):
+        # heavy tails (large mu4) and lattice values (a two-point law,
+        # the edge of Sigma's positivity) at 400 and 2000 samples
+        rng = np.random.default_rng(63)
+        self._check_member_law((draw(rng, 400), draw(rng, 2000)), 64)
+
+    @staticmethod
+    def _check_member_law(samples, boot_seed):
+        # with two orthogonal angles each member's (mx, mp, vxx, vpp) is
+        # its (mean, variance) pair at angle 0 and at pi/2
         data = HomodyneDataset(np.array([0.0, math.pi / 2]), samples, 0, 1.0)
         B = 20_000
-        rec = estimate_covariance(data, n_boot=B, boot_seed=62)
+        rec = estimate_covariance(data, n_boot=B, boot_seed=boot_seed)
         members = np.array([[bs.mean.x, bs.mean.p, bs.cov.vxx, bs.cov.vpp]
                             for bs in rec.bootstrap_states])
         for k, x in enumerate(samples):
@@ -382,6 +401,183 @@ class TestMomentSpaceBootstrap:
                                  check=True)
             digests.add(out.stdout.strip())
         assert len(digests) == 1
+
+
+# Independent references for the two counter-RNG streams, one stream
+# index at a time in Python floats (the uniforms from the Python-int
+# path of `kernels`, itself checked against an oracle in test_kernels),
+# and for the (mean, variance) law of a sample, built from Sigma of the
+# module docstring with its moments summed exactly (math.fsum).
+def _pair_oracle(seed, i):
+    u1, u2 = (kernels._uniform(seed, i, draw) for draw in (0, 1))
+    r = math.sqrt(-2.0 * math.log1p(-u1))
+    return r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)
+
+
+def _law_oracle(x):
+    """(m, v, l11, l21, l22): the sample's mean and unbiased variance and
+    the Cholesky factor of Sigma, its remainder clamped at 0."""
+    x = x.tolist()
+    n = len(x)
+    m = math.fsum(x) / n
+    d = [xi - m for xi in x]
+    v = math.fsum(di * di for di in d) / (n - 1)
+    mu3 = math.fsum(di ** 3 for di in d) / n
+    mu4 = math.fsum(di ** 4 for di in d) / n
+    l11 = math.sqrt(v / n)
+    l21 = mu3 / n / l11
+    s22 = (mu4 - v * v * (n - 3) / (n - 1)) / n
+    return m, v, l11, l21, math.sqrt(max(s22 - l21 * l21, 0.0))
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_data(n):
+    """A skewed and a flat sample of n values, at angles 0 and pi/2, and
+    their oracle laws."""
+    rng = np.random.default_rng(n)
+    samples = (rng.exponential(1.0, n) + 0.5, rng.uniform(-1.0, 2.0, n))
+    data = HomodyneDataset(np.array([0.0, math.pi / 2]), samples, 0, 1.0)
+    return data, [_law_oracle(x) for x in samples]
+
+
+class TestStreamOracles:
+    @pytest.mark.parametrize("n", [2, 3, 4, 17, 1000, 100_000])
+    @pytest.mark.parametrize("boot_seed", [0, 7, 2**63 - 1])
+    @pytest.mark.parametrize("n_boot", [2, 200])
+    def test_members_match_oracle(self, n_boot, boot_seed, n):
+        # member b of angle k draws its pair at stream index b under
+        # boot_seed + 7919 k (past 2^63 at angle 1 for the largest seed);
+        # n = 2 and 3 make the factor (n - 3)/(n - 1) of Sigma22 negative
+        # and 0; with two orthogonal angles a member's (mx, vxx) and
+        # (mp, vpp) are its (mean, variance) at angle 0 and at pi/2, and a
+        # member with a variance <= 0 is None
+        data, laws = _oracle_data(n)
+        rec = estimate_covariance(data, n_boot=n_boot, boot_seed=boot_seed)
+        assert len(rec.bootstrap_states) == n_boot
+        for b, bs in enumerate(rec.bootstrap_states):
+            (mx, vxx), (mp, vpp) = (
+                (m + l11 * z1, v + l21 * z1 + l22 * z2)
+                for k, (m, v, l11, l21, l22) in enumerate(laws)
+                for z1, z2 in [_pair_oracle(boot_seed + 7919 * k, b)])
+            if min(vxx, vpp) <= 0.0:
+                assert bs is None
+                continue
+            got = (bs.mean.x, bs.mean.p, bs.cov.vxx, bs.cov.vpp, bs.cov.vxp)
+            assert got == pytest.approx((mx, mp, vxx, vpp, 0.0), rel=1e-9,
+                                        abs=1e-12)
+
+    @pytest.mark.parametrize("per_angle", [2, 3, 4, 17, 1001, 1002])
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 - 1])
+    def test_samples_match_oracle(self, seed, per_angle):
+        # angle k: the cosines, then the sines, of the pairs at stream
+        # indices k h .. k h + h - 1, h = ceil(per_angle/2), cut to
+        # per_angle (an odd count drops the last sine)
+        state = displace(squeezed_vacuum(0.4, 0.3), 0.7, -0.4)
+        data = simulate_homodyne(state, ANGLES12[:3], per_angle, 0.8,
+                                 seed=seed)
+        h = (per_angle + 1) // 2
+        for k, theta in enumerate(ANGLES12[:3]):
+            m, v = marginal(attenuate(state, 0.8), theta)
+            cos, sin = zip(*(_pair_oracle(seed, k * h + i) for i in range(h)))
+            want = [m + math.sqrt(v) * z for z in (cos + sin)[:per_angle]]
+            assert data.samples[k].tolist() == pytest.approx(
+                want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("state, eta", [
+        (vacuum(), 1.0), (thermal(2.0), 0.7),
+        (displace(squeezed_vacuum(0.8, 0.4), 1.5, -0.5), 0.9),
+        (coherent(-2.0, 1.0), 0.5)],
+        ids=["vacuum", "thermal", "displaced_squeezed", "coherent"])
+    def test_sample_moments_match_marginal(self, state, eta):
+        n = 20_000
+        data = simulate_homodyne(state, ANGLES12, n, eta, seed=17)
+        for theta, x in zip(ANGLES12, data.samples):
+            m, v = marginal(attenuate(state, eta), theta)
+            assert abs(x.mean() - m) < 5 * math.sqrt(v / n)
+            assert abs(x.var(ddof=1) - v) < 5 * v * math.sqrt(2 / n)
+
+
+class TestNormalPairStreams:
+    # N pairs each: a correlation of independent normals is about
+    # N(0, 1/N)
+    N = 200_000
+    SEEDS = [0, 7, 2**63 - 7920]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_adjacent_members_uncorrelated(self, seed):
+        # bootstrap members b and b + 1 sit at adjacent stream indices
+        for z in _normal_pairs(seed, np.arange(self.N + 1)):
+            assert abs(np.corrcoef(z[:-1], z[1:])[0, 1]) < \
+                5 / math.sqrt(self.N)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_normal_law(self, seed):
+        # chi^2 of Phi(z) over 20 equiprobable bins, and the mass beyond
+        # |z| = 4 (Box-Muller's 53-bit u1 caps |z| near 8.6)
+        for z in _normal_pairs(seed, np.arange(self.N)):
+            phi = 0.5 + 0.5 * np.array([math.erf(t) for t in
+                                        (z / math.sqrt(2.0)).tolist()])
+            counts = np.bincount(np.minimum((phi * 20).astype(int), 19),
+                                 minlength=20)
+            expected = self.N / 20
+            # 50.80: the 0.9999 quantile of chi^2 with 19 dof
+            assert np.sum((counts - expected) ** 2 / expected) < 50.80
+            tail = self.N * math.erfc(4.0 / math.sqrt(2.0))
+            assert abs(np.count_nonzero(np.abs(z) > 4.0) - tail) < \
+                5 * math.sqrt(tail)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_angle_streams_uncorrelated(self, seed):
+        # the 12 angles of a reconstruction draw under seed + 7919 k
+        n = 50_000
+        idx = np.arange(n)
+        z = np.array([_normal_pairs(seed + 7919 * k, idx)
+                      for k in range(12)]).reshape(24, n)
+        corr = np.corrcoef(z)[np.triu_indices(24, 1)]
+        assert np.all(np.abs(corr) < 5 / math.sqrt(n))
+
+
+class TestMomentLaw:
+    @pytest.mark.parametrize("x", [
+        [0, 1], [0, 0, 3], [1, 2, 3, 4], [-2, 0, 0, 0, 5], [1] * 7 + [10],
+        [0, 1] * 50, [3] * 7])
+    def test_cholesky_of_exact_sigma(self, x):
+        # Sigma of the module docstring in exact rationals
+        n = len(x)
+        m = Fraction(sum(x), n)
+        d = [xi - m for xi in x]
+        v = sum(di ** 2 for di in d) / (n - 1)
+        mu3 = sum(di ** 3 for di in d) / n
+        mu4 = sum(di ** 4 for di in d) / n
+        sigma = (v / n, mu3 / n, (mu4 - v * v * Fraction(n - 3, n - 1)) / n)
+        gm, gv, l11, l21, l22 = tomography._moment_law(np.array(x, float))
+        assert (gm, gv) == pytest.approx((float(m), float(v)), rel=1e-14)
+        assert (l11 * l11, l11 * l21, l21 * l21 + l22 * l22) == \
+            pytest.approx(tuple(map(float, sigma)), rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("a", [-2.0, 0.5, 1e3])
+    @pytest.mark.parametrize("c", [0.0, 1e3])
+    def test_affine_equivariance(self, a, c):
+        # x -> a x + c: m -> a m + c, v -> a^2 v, mu3 -> a^3 mu3, so
+        # l11 -> |a| l11, l21 -> a |a| l21 and l22 -> a^2 l22
+        x = np.random.default_rng(9).exponential(1.0, 500)
+        m, v, l11, l21, l22 = tomography._moment_law(x)
+        assert tomography._moment_law(a * x + c) == pytest.approx(
+            (a * m + c, a * a * v, abs(a) * l11, a * abs(a) * l21,
+             a * a * l22), rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_no_power_of_x_overflows(self, scale):
+        # mu4 of these samples is out of double range; the standardised
+        # moments are not
+        x = np.random.default_rng(10).exponential(1.0, 500)
+        m, v, l11, l21, l22 = tomography._moment_law(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = tomography._moment_law(scale * x)
+        assert got == pytest.approx(
+            (scale * m, scale ** 2 * v, scale * l11, scale ** 2 * l21,
+             scale ** 2 * l22), rel=1e-12)
 
 
 class TestG2FromReconstruction:
