@@ -247,7 +247,7 @@ def cmd_homodyne(args):
     params = {"per_angle": args.per_angle, "eta_hd": args.eta_hd,
               "seed": args.seed, "angles": args.angles or "default12",
               "state": state.to_dict()}
-    lines = [f"# seed={args.seed}, eta={_fmt(args.eta_hd)}\n", "theta_rad,x\n"]
+    lines = [_manifest_comment("homodyne", params), "theta_rad,x\n"]
     for theta, samples in zip(data.angles, data.samples):
         for x in samples:
             lines.append(f"{_fmt(theta)},{_fmt(x)}\n")

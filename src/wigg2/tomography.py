@@ -16,11 +16,18 @@ from the sample's central moments mu3, mu4 (Cramer, Mathematical Methods
 of Statistics, 1946, ch. 27), the large-n limit of resampling the n
 values.  A member draws each angle's (m, v) from that law: O(1) work.
 
-Normals come from the counter RNG of `kernels`, two per stream index by
-Box-Muller on draws 0 and 1 (`_normal_pairs`): angle k of
-`simulate_homodyne` at stream indices k*h .. k*h + h - 1 under `seed`,
-h = ceil(per_angle/2), and member b of angle k of `estimate_covariance`
-at stream index b under boot_seed + 7919 k.
+Normals come from the counter RNG of `kernels`, a pair per stream index
+by Marsaglia's polar method (Marsaglia & Bray, SIAM Review 6, 260
+(1964)), with no trigonometry (`_normal_pairs`): index i tries
+(x, y) = (2u - 1, 2w - 1) on its draws d + 2j and d + 2j + 1,
+j = 0, 1, ..., until 0 < s = x^2 + y^2 < 1, and yields
+(x, y) sqrt(-2 ln s / s).  Angle k of `simulate_homodyne` takes the pairs
+at stream indices k h .. k h + h - 1 under `seed`, h = ceil(per_angle/2),
+its x's then its y's; member b of angle k of `estimate_covariance` takes
+the pair at stream index b K + k under `boot_seed`, K angles, so a member
+does not depend on n_boot.  The arms draw from disjoint ranges of draw
+numbers d, so neither shares a uniform with the other or with the HBT
+counts, whatever their seeds.
 """
 
 from __future__ import annotations
@@ -111,22 +118,95 @@ def simulate_homodyne(
     check_seed(seed, "simulate_homodyne")
     lossy = attenuate(state, eta_hd)
     h = (per_angle + 1) // 2
+    # a row of h pairs per angle, about _CHUNK pairs per call: short rows
+    # share their retries, and long ones keep no temporaries beyond a row
+    group = max(1, _CHUNK // h)
     samples = []
-    for k, theta in enumerate(angles):
-        m, v = marginal(lossy, theta)
-        z = np.concatenate(_normal_pairs(seed, np.arange(k * h, k * h + h)))
-        samples.append(m + math.sqrt(v) * z[:per_angle])
+    for k0 in range(0, len(angles), group):
+        k1 = min(k0 + group, len(angles))
+        z = _normal_pairs(seed, np.arange(k0 * h, k1 * h).reshape(-1, h),
+                          _SAMPLE_DRAWS)
+        for theta, zk in zip(angles[k0:k1], z):
+            m, v = marginal(lossy, theta)
+            x = zk.reshape(-1)[:per_angle]
+            x *= math.sqrt(v)
+            x += m
+            samples.append(x)
     return HomodyneDataset(np.asarray(angles, dtype=float), tuple(samples),
                            seed, eta_hd)
 
 
-def _normal_pairs(seed, idx):
-    """Two standard normals per stream index of idx under seed, by
-    Box-Muller on the counter RNG's draws u1 (draw 0) and u2 (draw 1):
-    r = sqrt(-2 log(1 - u1)), then r cos(2 pi u2) and r sin(2 pi u2)."""
-    r = np.sqrt(-2.0 * np.log1p(-kernels.uniforms_np(seed, idx, 0)))
-    phase = 2.0 * math.pi * kernels.uniforms_np(seed, idx, 1)
-    return r * np.cos(phase), r * np.sin(phase)
+# Each arm of a run draws from its own range of draw numbers, so that no
+# two arms share a uniform whatever their seeds: the HBT counts take
+# draws 0-2 (kernels.click_counts), homodyne samples draws
+# _SAMPLE_DRAWS + t and bootstrap members draws _MEMBER_DRAWS + t, t
+# counting the polar method's tries
+_SAMPLE_DRAWS = 1 << 62
+_MEMBER_DRAWS = 1 << 63
+# values per pass of _normal_pairs and _moment_law: their scratch stays
+# in cache, and a pass never touches fresh memory but its output
+_CHUNK = 1 << 15
+_INV52 = 2.0 ** -52
+# the least nonzero s: x and y are multiples of 2^-52
+_S_MIN = 2.0 ** -104
+
+
+def _normal_pairs(seed, idx, draw=0):
+    """Standard normals, a pair per stream index of idx under seed, by
+    Marsaglia's polar method: index i tries (x, y) = (2u - 1, 2w - 1)
+    with u and w its draws draw + 2j and draw + 2j + 1, j = 0, 1, ...,
+    until 0 < s = x^2 + y^2 < 1, and yields (x, y) sqrt(-2 ln s / s).
+    x = bits 2^-52 - 1 is exact for the 53 bits of u.  idx has shape
+    (..., h) and the result (..., 2, h): each row's x's, then its y's,
+    so a row's 2h normals are contiguous.  A pair depends only on
+    (seed, i, draw): each row is tried in chunks of _CHUNK indices, and
+    the indices rejected anywhere are retried together, by recursion on
+    draw + 2."""
+    idx = np.asarray(idx)
+    rows = idx.reshape(math.prod(idx.shape[:-1]), idx.shape[-1])
+    h = rows.shape[1]
+    out = np.empty((len(rows), 2, h))
+    keys = (kernels._key(seed, draw), kernels._key(seed, draw + 1))
+    # row 1 hashes i phi + keys[1] as (i phi + step) + keys[0]
+    step = np.uint64((keys[1] - keys[0]) & kernels._MASK64)
+    c = min(h, _CHUNK)
+    # the draws' bits are hashed in out itself; f shares tmp's memory
+    tmp = np.empty((2, c), dtype=np.uint64)
+    s = np.empty(c)
+    ok, pos = np.empty((2, c), dtype=bool)
+    retry = [np.empty(0, dtype=np.intp)]
+    for k, row in enumerate(rows):
+        for a in range(0, h, _CHUNK):
+            b = min(a + _CHUNK, h)
+            m = b - a
+            xy = out[k, :, a:b]
+            z = xy.view(np.uint64)
+            np.copyto(z[0], row[a:b], casting="unsafe")
+            np.multiply(z[0], kernels._PHI64, out=z[0])
+            np.add(z[0], step, out=z[1])
+            kernels._draw_bits(z, keys[0], tmp[:, :m])
+            np.multiply(z.view(np.int64), _INV52, out=xy)
+            xy -= 1.0
+            sm, fm, okm = s[:m], tmp[0, :m].view(np.float64), ok[:m]
+            np.multiply(xy[0], xy[0], out=sm)
+            np.multiply(xy[1], xy[1], out=fm)
+            sm += fm
+            np.less(sm, 1.0, out=okm)
+            okm &= np.greater(sm, 0.0, out=pos[:m])
+            # rejected tries get a finite factor, then are overwritten
+            np.clip(sm, _S_MIN, 1.0, out=sm)
+            np.log(sm, out=fm)
+            fm /= sm
+            fm *= -2.0
+            np.sqrt(fm, out=fm)
+            xy *= fm
+            retry.append(np.flatnonzero(~okm) + (k * h + a))
+    retry = np.concatenate(retry)
+    if retry.size:
+        k, t = np.divmod(retry, h)
+        out[k, :, t] = _normal_pairs(seed, rows.reshape(-1)[retry],
+                                     draw + 2).T
+    return out.reshape(idx.shape[:-1] + (2, h))
 
 
 def _covariance_design(angles):
@@ -215,14 +295,27 @@ def _moment_law(x):
     Sigma is positive semidefinite in exact arithmetic
     (v Sigma22 >= m2 (m4 - m2^2) >= mu3^2, m2 and m4 the plug-in
     moments), so only the remainder Sigma22 - Sigma12^2/Sigma11 is
-    clamped at 0.  einsum, not BLAS, so BLAS threads change nothing."""
+    clamped at 0.  The sums run over chunks of _CHUNK values in a
+    scratch buffer that stays in cache, and are einsum, not BLAS, so
+    BLAS threads change nothing."""
     n = len(x)
     m = x.mean()
-    v = x.var(ddof=1)
-    e = (x - m) / math.sqrt(v) if v > 0.0 else np.zeros(n)
-    e2 = e * e
-    g3 = np.einsum("i,i->", e2, e) / n
-    k4 = np.einsum("i,i->", e2, e2) / n
+    e, e2 = np.empty((2, min(n, _CHUNK)))
+
+    def centred():
+        for a in range(0, n, _CHUNK):
+            yield np.subtract(x[a:a + _CHUNK], m, out=e[:min(_CHUNK, n - a)])
+
+    v = math.fsum(np.einsum("i,i->", d, d) for d in centred()) / (n - 1)
+    s3 = s4 = 0.0
+    if v > 0.0:
+        sd = math.sqrt(v)
+        for d in centred():
+            d /= sd
+            d2 = np.multiply(d, d, out=e2[:len(d)])
+            s3 += np.einsum("i,i->", d2, d)
+            s4 += np.einsum("i,i->", d2, d2)
+    g3, k4 = s3 / n, s4 / n
     rem = max(k4 - (n - 3) / (n - 1) - g3 * g3, 0.0)
     return m, v, math.sqrt(v / n), v * g3 / math.sqrt(n), v * math.sqrt(rem / n)
 
@@ -246,8 +339,9 @@ def estimate_covariance(
     state = GaussianState(PhasePoint(mx, mp), project_physical(vxx, vpp, vxp))
 
     # one row per angle, one column per member: one solve for all members
-    z1, z2 = np.swapaxes([_normal_pairs(boot_seed + 7919 * k, np.arange(n_boot))
-                          for k in range(len(law))], 0, 1)
+    K = len(law)
+    z1, z2 = _normal_pairs(boot_seed, np.arange(n_boot * K),
+                           _MEMBER_DRAWS).reshape(2, n_boot, K).swapaxes(1, 2)
     m, v, l11, l21, l22 = law.T[:, :, None]
     bvxx, bvpp, bvxp, _ = _solve_covariance(data.angles,
                                             v + l21 * z1 + l22 * z2)

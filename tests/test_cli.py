@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from wigg2 import __version__
 from wigg2.cli import main
 
 # exit codes: 0 ok, 2 usage, 3 domain, 4 statistical instability
@@ -201,9 +202,27 @@ class TestHomodyne:
                          "--out", str(f))
         assert code == 0
         lines = f.read_text().splitlines()
-        assert lines[0].startswith("# seed=9")
+        assert lines[0].startswith(f"# wigg2 {__version__} homodyne: ")
         assert lines[1] == "theta_rad,x"
         assert len(lines) == 2 + 3 * 100
+
+    def test_header_is_manifest_comment(self, capsys, tmp_path):
+        # the same '# wigg2 <version> <subcommand>: k=v, ...' line as the
+        # other subcommands, from the params of the manifest
+        f = tmp_path / "hd.csv"
+        code, _, _ = run(capsys, "homodyne", "--thermal", "0.5", "--angles",
+                         "0,90", "--per-angle", "3", "--eta-hd", "0.8",
+                         "--seed", "9", "--out", str(f))
+        assert code == 0
+        params = json.loads((tmp_path / "hd.csv.manifest.json").read_text())[
+            "params"]
+        assert params == {"angles": "0,90", "eta_hd": 0.8, "per_angle": 3,
+                          "seed": 9, "state": {"mean": [0.0, 0.0],
+                                               "cov": [1.0, 0.0, 1.0]}}
+        assert f.read_text().splitlines()[0] == (
+            f"# wigg2 {__version__} homodyne: angles=0,90, eta_hd=0.8, "
+            "per_angle=3, seed=9, state={'mean': [0.0, 0.0], "
+            "'cov': [1.0, 0.0, 1.0]}")
 
     def test_reconstruct_json(self, capsys):
         code, out, _ = run(capsys, "homodyne", "--squeezed", "0.5", "0",

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import os
 import subprocess
@@ -22,7 +23,8 @@ from wigg2.states import (CovarianceMatrix, GaussianState, PhasePoint,
                           squeezed_vacuum_with_mean_photon, thermal,
                           two_mode_squeezed_vacuum, vacuum)
 from wigg2 import kernels, tomography
-from wigg2.tomography import (DEFAULT_ANGLES, HomodyneDataset, SweepFit,
+from wigg2.tomography import (_CHUNK, _MEMBER_DRAWS, _SAMPLE_DRAWS,
+                              DEFAULT_ANGLES, HomodyneDataset, SweepFit,
                               _covariance_design, _normal_pairs,
                               _solve_covariance, _solve_mean,
                               estimate_covariance,
@@ -349,18 +351,18 @@ class TestMomentSpaceBootstrap:
         data = simulate_homodyne(squeezed_vacuum(0.5, 0.3), ANGLES12[:3],
                                  1001, 0.8, seed=31)
         assert data.samples[0][:4].tolist() == pytest.approx(
-            [0.1756019982266383, -0.3389485400388814, 0.008413201717506093,
-             0.04914287272146957], rel=1e-12)
-        assert data.samples[1][0] == pytest.approx(0.656987089082838,
+            [0.8528658542063801, 0.12045244911567356, 0.5084958547053907,
+             -0.09528534797841165], rel=1e-12)
+        assert data.samples[1][0] == pytest.approx(-0.38792104111370906,
                                                    rel=1e-12)
         rec = estimate_covariance(data, n_boot=5, boot_seed=32)
         golden = [
-            (0.39542511871086644, 1.2144169234722677, -0.3014377146130562,
-             -0.03324712121828537, 0.13090519030864964),
-            (0.373106585154892, 0.9977457607858654, -0.21569963568597805,
-             -0.0022837897763339026, 0.011997813252767343),
-            (0.36631849186655374, 1.1524547405357246, -0.2513411102879534,
-             -0.024997532389887535, 0.09528329094395244),
+            (0.34240810276797906, 0.8624892137577135, -0.16735335749355126,
+             -0.027674503558961068, 0.04119920203273359),
+            (0.3340553999238825, 0.706764316125424, -0.11794668411479253,
+             -0.021129808941049995, 0.07318320344189704),
+            (0.3240476296161922, 0.6287300310157677, -0.055511456142776965,
+             -0.009872301974335045, -0.06317360006513452),
         ]
         for bs, want in zip(rec.bootstrap_states, golden):
             got = (bs.cov.vxx, bs.cov.vpp, bs.cov.vxp, bs.mean.x, bs.mean.p)
@@ -369,15 +371,14 @@ class TestMomentSpaceBootstrap:
     @pytest.mark.parametrize("seed", [0, 2**63 - 7920])
     def test_normal_pairs(self, seed):
         # standard normals, the pair uncorrelated, and angle k + 1's
-        # stream (seed + 7919) uncorrelated with angle k's
-        N = 200_000
-        idx = np.arange(N)
-        z1, z2 = _normal_pairs(seed, idx)
-        w1, _ = _normal_pairs(seed + 7919, idx)
-        for z in (z1, z2):
+        # members (stream indices b K + k + 1) uncorrelated with angle k's
+        N, K = 100_000, 2
+        z1, z2 = _normal_pairs(seed, np.arange(N * K), _MEMBER_DRAWS)
+        (a1, b1), (a2, _) = z1.reshape(N, K).T, z2.reshape(N, K).T
+        for z in (a1, a2):
             assert abs(z.mean()) < 5 / math.sqrt(N)
             assert abs(z.var() - 1.0) < 5 * math.sqrt(2 / N)
-        for a, b in ((z1, z2), (z1, w1)):
+        for a, b in ((a1, a2), (a1, b1)):
             assert abs(np.corrcoef(a, b)[0, 1]) < 5 / math.sqrt(N)
 
     def test_independent_of_blas_threads(self):
@@ -408,10 +409,16 @@ class TestMomentSpaceBootstrap:
 # path of `kernels`, itself checked against an oracle in test_kernels),
 # and for the (mean, variance) law of a sample, built from Sigma of the
 # module docstring with its moments summed exactly (math.fsum).
-def _pair_oracle(seed, i):
-    u1, u2 = (kernels._uniform(seed, i, draw) for draw in (0, 1))
-    r = math.sqrt(-2.0 * math.log1p(-u1))
-    return r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)
+def _pair_oracle(seed, i, draw):
+    """(z1, z2, tries): the polar-method pair of stream index i from draw
+    number `draw` on, and how many (x, y) it tried."""
+    for j in itertools.count():
+        x, y = (2.0 * kernels._uniform(seed, i, draw + 2 * j + r) - 1.0
+                for r in (0, 1))
+        s = x * x + y * y
+        if 0.0 < s < 1.0:
+            f = math.sqrt(-2.0 * math.log(s) / s)
+            return x * f, y * f, j + 1
 
 
 def _law_oracle(x):
@@ -445,43 +452,67 @@ class TestStreamOracles:
     @pytest.mark.parametrize("boot_seed", [0, 7, 2**63 - 1])
     @pytest.mark.parametrize("n_boot", [2, 200])
     def test_members_match_oracle(self, n_boot, boot_seed, n):
-        # member b of angle k draws its pair at stream index b under
-        # boot_seed + 7919 k (past 2^63 at angle 1 for the largest seed);
-        # n = 2 and 3 make the factor (n - 3)/(n - 1) of Sigma22 negative
-        # and 0; with two orthogonal angles a member's (mx, vxx) and
-        # (mp, vpp) are its (mean, variance) at angle 0 and at pi/2, and a
-        # member with a variance <= 0 is None
+        # member b of angle k draws its pair at stream index b K + k under
+        # boot_seed, K = 2 angles; n = 2 and 3 make the factor
+        # (n - 3)/(n - 1) of Sigma22 negative and 0; with two orthogonal
+        # angles a member's (mx, vxx) and (mp, vpp) are its (mean,
+        # variance) at angle 0 and at pi/2, and a member with a variance
+        # <= 0 is None
         data, laws = _oracle_data(n)
         rec = estimate_covariance(data, n_boot=n_boot, boot_seed=boot_seed)
         assert len(rec.bootstrap_states) == n_boot
+        tries = set()
         for b, bs in enumerate(rec.bootstrap_states):
-            (mx, vxx), (mp, vpp) = (
-                (m + l11 * z1, v + l21 * z1 + l22 * z2)
-                for k, (m, v, l11, l21, l22) in enumerate(laws)
-                for z1, z2 in [_pair_oracle(boot_seed + 7919 * k, b)])
+            want = []
+            for k, (m, v, l11, l21, l22) in enumerate(laws):
+                z1, z2, t = _pair_oracle(boot_seed, 2 * b + k, _MEMBER_DRAWS)
+                want.append((m + l11 * z1, v + l21 * z1 + l22 * z2))
+                tries.add(t)
+            (mx, vxx), (mp, vpp) = want
             if min(vxx, vpp) <= 0.0:
                 assert bs is None
                 continue
             got = (bs.mean.x, bs.mean.p, bs.cov.vxx, bs.cov.vpp, bs.cov.vxp)
             assert got == pytest.approx((mx, mp, vxx, vpp, 0.0), rel=1e-9,
                                         abs=1e-12)
+        if n_boot == 200:
+            # the 400 pairs checked include retried ones
+            assert {1, 2, 3} <= tries
 
     @pytest.mark.parametrize("per_angle", [2, 3, 4, 17, 1001, 1002])
     @pytest.mark.parametrize("seed", [0, 7, 2**63 - 1])
     def test_samples_match_oracle(self, seed, per_angle):
-        # angle k: the cosines, then the sines, of the pairs at stream
-        # indices k h .. k h + h - 1, h = ceil(per_angle/2), cut to
-        # per_angle (an odd count drops the last sine)
+        # angle k: the x's, then the y's, of the pairs at stream indices
+        # k h .. k h + h - 1, h = ceil(per_angle/2), cut to per_angle (an
+        # odd count drops the last y)
         state = displace(squeezed_vacuum(0.4, 0.3), 0.7, -0.4)
         data = simulate_homodyne(state, ANGLES12[:3], per_angle, 0.8,
                                  seed=seed)
         h = (per_angle + 1) // 2
+        tries = set()
         for k, theta in enumerate(ANGLES12[:3]):
             m, v = marginal(attenuate(state, 0.8), theta)
-            cos, sin = zip(*(_pair_oracle(seed, k * h + i) for i in range(h)))
-            want = [m + math.sqrt(v) * z for z in (cos + sin)[:per_angle]]
+            xs, ys, t = zip(*(_pair_oracle(seed, k * h + i, _SAMPLE_DRAWS)
+                              for i in range(h)))
+            tries.update(t)
+            want = [m + math.sqrt(v) * z for z in (xs + ys)[:per_angle]]
             assert data.samples[k].tolist() == pytest.approx(
                 want, rel=1e-12, abs=1e-12)
+        if per_angle > 1000:
+            assert {1, 2, 3} <= tries
+
+    @pytest.mark.parametrize("draw", [0, _SAMPLE_DRAWS, _MEMBER_DRAWS])
+    @pytest.mark.parametrize("seed", [0, 2**63 - 1])
+    def test_pairs_match_oracle(self, seed, draw):
+        # 3000 stream indices from 2^40 on, drawn by the first pass and by
+        # the recursion on the indices it rejected, up to pairs that took
+        # 4 tries
+        idx = np.arange(2**40, 2**40 + 3000)
+        z = _normal_pairs(seed, idx, draw)
+        want = [_pair_oracle(seed, i, draw) for i in idx.tolist()]
+        assert z.T.ravel().tolist() == pytest.approx(
+            [c for w in want for c in w[:2]], rel=1e-12, abs=1e-15)
+        assert {1, 2, 3, 4} <= {w[2] for w in want}
 
     @pytest.mark.parametrize("state, eta", [
         (vacuum(), 1.0), (thermal(2.0), 0.7),
@@ -505,7 +536,7 @@ class TestNormalPairStreams:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_adjacent_members_uncorrelated(self, seed):
-        # bootstrap members b and b + 1 sit at adjacent stream indices
+        # an angle's samples sit at adjacent stream indices
         for z in _normal_pairs(seed, np.arange(self.N + 1)):
             assert abs(np.corrcoef(z[:-1], z[1:])[0, 1]) < \
                 5 / math.sqrt(self.N)
@@ -513,7 +544,7 @@ class TestNormalPairStreams:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_normal_law(self, seed):
         # chi^2 of Phi(z) over 20 equiprobable bins, and the mass beyond
-        # |z| = 4 (Box-Muller's 53-bit u1 caps |z| near 8.6)
+        # |z| = 4 (s >= 2^-104 caps |z| at sqrt(-2 ln s), near 12.0)
         for z in _normal_pairs(seed, np.arange(self.N)):
             phi = 0.5 + 0.5 * np.array([math.erf(t) for t in
                                         (z / math.sqrt(2.0)).tolist()])
@@ -528,13 +559,98 @@ class TestNormalPairStreams:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_angle_streams_uncorrelated(self, seed):
-        # the 12 angles of a reconstruction draw under seed + 7919 k
+        # member b of angle k of a 12-angle reconstruction draws at
+        # stream index 12 b + k
         n = 50_000
-        idx = np.arange(n)
-        z = np.array([_normal_pairs(seed + 7919 * k, idx)
-                      for k in range(12)]).reshape(24, n)
+        z = _normal_pairs(seed, np.arange(12 * n), _MEMBER_DRAWS)
+        z = z.reshape(2, n, 12).swapaxes(1, 2).reshape(24, n)
         corr = np.corrcoef(z)[np.triu_indices(24, 1)]
         assert np.all(np.abs(corr) < 5 / math.sqrt(n))
+
+
+class TestStreamLayout:
+    @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                   2 * _CHUNK + 1])
+    def test_chunk_boundaries(self, n):
+        # a pair depends only on (seed, i, draw): a call, the same indices
+        # split in two or permuted, and a longer call agree exactly
+        seed = 11
+        idx = np.arange(5, 5 + n)
+        z = _normal_pairs(seed, idx, _SAMPLE_DRAWS)
+        longer = _normal_pairs(seed, np.arange(5, 5 + 2 * _CHUNK + 3),
+                               _SAMPLE_DRAWS)
+        assert np.array_equal(z, longer[:, :n])
+        for cut in (1, _CHUNK - 1, n - 1):
+            parts = [_normal_pairs(seed, part, _SAMPLE_DRAWS)
+                     for part in (idx[:cut], idx[cut:])]
+            assert np.array_equal(np.concatenate(parts, axis=1), z)
+        perm = np.random.default_rng(n).permutation(n)
+        assert np.array_equal(_normal_pairs(seed, idx[perm], _SAMPLE_DRAWS),
+                              z[:, perm])
+
+    @pytest.mark.parametrize("h", [3, _CHUNK - 1, _CHUNK + 1])
+    def test_rows(self, h):
+        # a (rows, h) call gives each row's pairs as a 1-D call would, its
+        # x's then its y's, whichever rows their retries came from
+        idx = np.arange(7, 7 + 3 * h).reshape(3, h)
+        z = _normal_pairs(13, idx, _MEMBER_DRAWS)
+        assert z.shape == (3, 2, h)
+        for row, zr in zip(idx, z):
+            assert np.array_equal(zr, _normal_pairs(13, row, _MEMBER_DRAWS))
+
+    def test_members_do_not_depend_on_n_boot(self):
+        # member b draws at stream indices b K .. b K + K - 1 whatever
+        # n_boot; the solve for all members at once may round the last
+        # bit differently
+        data = simulate_homodyne(thermal(1.0), ANGLES12, 500, seed=5)
+        few = estimate_covariance(data, n_boot=2, boot_seed=6)
+        many = estimate_covariance(data, n_boot=200, boot_seed=6)
+        for a, b in zip(few.bootstrap_states, many.bootstrap_states[:2]):
+            assert (a.cov.vxx, a.cov.vpp, a.cov.vxp, a.mean.x, a.mean.p) == \
+                pytest.approx((b.cov.vxx, b.cov.vpp, b.cov.vxp, b.mean.x,
+                               b.mean.p), rel=1e-12, abs=1e-15)
+
+
+class TestArmsShareNoDraws:
+    # `homodyne --reconstruct` bootstraps under the data's own seed, and
+    # row 0 of hwp_sweep gives its HBT counts, samples and bootstrap the
+    # same seed
+
+    def test_keys_disjoint_under_one_seed(self, monkeypatch):
+        # a uniform is the finaliser of i phi + key, so arms with no key
+        # in common share no uniform at the stream indices a run uses
+        seed = 12
+        used = []
+        key = kernels._key
+
+        def recording_key(s, draw):
+            used[-1].add(key(s, draw))
+            return key(s, draw)
+
+        monkeypatch.setattr(kernels, "_key", recording_key)
+        state = squeezed_vacuum(0.4, 0.2)
+        used.append(set())
+        simulate_hbt(state, CountingConfig(n_windows=10_000, seed=seed))
+        used.append(set())
+        data = simulate_homodyne(state, ANGLES12, 1001, seed=seed)
+        used.append(set())
+        estimate_covariance(data, n_boot=200, boot_seed=seed)
+        hbt, samples, members = used
+        assert hbt and samples and members
+        assert not (hbt & samples or hbt & members or samples & members)
+
+    def test_members_independent_of_samples(self):
+        # with two orthogonal angles member b's mean at angle 0 is
+        # m + l11 z1: its z1 must not follow the data's own normals
+        seed, B = 3, 2000
+        data = simulate_homodyne(vacuum(), [0.0, math.pi / 2], 2 * B,
+                                 seed=seed)
+        rec = estimate_covariance(data, n_boot=B, boot_seed=seed)
+        x = data.samples[0]
+        m, l11 = x.mean(), math.sqrt(x.var(ddof=1) / len(x))
+        z_members = [(bs.mean.x - m) / l11 for bs in rec.bootstrap_states]
+        z_samples = x[:B] / math.sqrt(0.5)
+        assert abs(np.corrcoef(z_members, z_samples)[0, 1]) < 5 / math.sqrt(B)
 
 
 class TestMomentLaw:
