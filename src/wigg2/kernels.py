@@ -1,5 +1,5 @@
-"""Hot numeric kernels in numpy: the counter-based RNG and the HBT click
-sampler.
+"""Hot numeric kernels in numpy: the counter-based RNG, its normal pairs
+and the HBT click sampler.
 
 Every draw comes from one counter-based RNG built on splitmix64 (Steele,
 Lea & Flood, "Fast splittable pseudorandom number generators", OOPSLA
@@ -13,6 +13,13 @@ stream index i under `seed` is
 a double in [0, 1).  The key k is a Python int computed once per call,
 so each stream index costs one finaliser.  A draw depends only on
 (seed, i, draw), never on how a caller splits its work.
+
+Normals come a pair per stream index from `normal_pairs`, by
+Marsaglia's polar method (Marsaglia & Bray, SIAM Review 6, 260 (1964)),
+with no trigonometry.  The three arms of a run draw from disjoint ranges
+of draw numbers: the HBT counts 0-2, homodyne samples SAMPLE_DRAWS + t
+and bootstrap members MEMBER_DRAWS + t, t counting the polar method's
+tries, so no two arms share a uniform, whatever their seeds.
 
 The HBT arm is one multinomial.  Threshold detectors only see whether
 each fired, so a window's click pattern depends on the state only
@@ -66,6 +73,14 @@ _PHI64 = np.uint64(_PHI)
 _ROUNDS = ((np.uint64(30), np.uint64(_C1)), (np.uint64(27), np.uint64(_C2)))
 _S11, _S31 = np.uint64(11), np.uint64(31)
 _INV53 = 1.0 / 9007199254740992.0  # 2^-53
+_INV52 = 2.0 ** -52
+_S_MIN = 2.0 ** -104  # the least nonzero s: x and y are multiples of 2^-52
+# the draw ranges of homodyne samples and bootstrap members (docstring)
+SAMPLE_DRAWS = 1 << 62
+MEMBER_DRAWS = 1 << 63
+# values per pass of normal_pairs and of tomography's moment sums: their
+# scratch stays in cache, and a pass touches no fresh memory but its output
+CHUNK = 1 << 15
 
 
 def _finalise_int(z: int) -> int:
@@ -118,6 +133,64 @@ def uniforms_np(seed: int, idx: np.ndarray, draw: int) -> np.ndarray:
     z = idx.astype(np.uint64)
     np.multiply(z, _PHI64, out=z)
     return _draw_bits(z, _key(seed, draw), np.empty_like(z)) * _INV53
+
+
+def normal_pairs(seed, idx, draw=0):
+    """Standard normals, a pair per stream index of idx under seed, by
+    Marsaglia's polar method: index i tries (x, y) = (2u - 1, 2w - 1)
+    with u and w its draws draw + 2j and draw + 2j + 1, j = 0, 1, ...,
+    until 0 < s = x^2 + y^2 < 1, and yields (x, y) sqrt(-2 ln s / s).
+    x = bits 2^-52 - 1 is exact for the 53 bits of u.  idx has shape
+    (..., h) and the result (..., 2, h): each row's x's, then its y's,
+    so a row's 2h normals are contiguous.  A pair depends only on
+    (seed, i, draw): each row is tried in chunks of CHUNK indices, and
+    the indices rejected anywhere are retried together, by recursion on
+    draw + 2."""
+    idx = np.asarray(idx)
+    rows = idx.reshape(math.prod(idx.shape[:-1]), idx.shape[-1])
+    h = rows.shape[1]
+    out = np.empty((len(rows), 2, h))
+    keys = (_key(seed, draw), _key(seed, draw + 1))
+    # row 1 hashes i phi + keys[1] as (i phi + step) + keys[0]
+    step = np.uint64((keys[1] - keys[0]) & _MASK64)
+    c = min(h, CHUNK)
+    # the draws' bits are hashed in out itself; f shares tmp's memory
+    tmp = np.empty((2, c), dtype=np.uint64)
+    s = np.empty(c)
+    ok, pos = np.empty((2, c), dtype=bool)
+    retry = [np.empty(0, dtype=np.intp)]
+    for k, row in enumerate(rows):
+        for a in range(0, h, CHUNK):
+            b = min(a + CHUNK, h)
+            m = b - a
+            xy = out[k, :, a:b]
+            z = xy.view(np.uint64)
+            np.copyto(z[0], row[a:b], casting="unsafe")
+            np.multiply(z[0], _PHI64, out=z[0])
+            np.add(z[0], step, out=z[1])
+            _draw_bits(z, keys[0], tmp[:, :m])
+            np.multiply(z.view(np.int64), _INV52, out=xy)
+            xy -= 1.0
+            sm, fm, okm = s[:m], tmp[0, :m].view(np.float64), ok[:m]
+            np.multiply(xy[0], xy[0], out=sm)
+            np.multiply(xy[1], xy[1], out=fm)
+            sm += fm
+            np.less(sm, 1.0, out=okm)
+            okm &= np.greater(sm, 0.0, out=pos[:m])
+            # rejected tries get a finite factor, then are overwritten
+            np.clip(sm, _S_MIN, 1.0, out=sm)
+            np.log(sm, out=fm)
+            fm /= sm
+            fm *= -2.0
+            np.sqrt(fm, out=fm)
+            xy *= fm
+            retry.append(np.flatnonzero(~okm) + (k * h + a))
+    retry = np.concatenate(retry)
+    if retry.size:
+        k, t = np.divmod(retry, h)
+        out[k, :, t] = normal_pairs(seed, rows.reshape(-1)[retry],
+                                    draw + 2).T
+    return out.reshape(idx.shape[:-1] + (2, h))
 
 
 def click_probs(cdf, eta, split, dark):

@@ -79,18 +79,22 @@ def infer_loss(g2_measured: float, vx_measured: float) -> LossInference:
 
 def infer_loss_resampled(g2_draws, vx_draws, ci=(2.5, 97.5)):
     """Propagate uncertainty by pairing bootstrap draws of g2 and of the
-    measured variance.  Draws outside the formula's domain are skipped
-    and counted.  Returns (eta_draws, (lo, hi), n_skipped) for the
-    percentiles ci, 0 <= lo <= hi <= 100."""
+    measured variance, two 1-D arrays of equal length.  Draws outside
+    the formula's domain are skipped and counted.  Returns (eta_draws,
+    (lo, hi), n_skipped) for the percentiles ci, 0 <= lo <= hi <= 100."""
     lo_q, hi_q = ci
     if not 0.0 <= lo_q <= hi_q <= 100.0:
         raise DomainError(f"infer_loss_resampled: ci={ci!r} not in [0, 100] in order")
     g2_draws = np.asarray(g2_draws, dtype=float)
     vx_draws = np.asarray(vx_draws, dtype=float)
-    n = min(g2_draws.size, vx_draws.size)
+    if g2_draws.ndim != 1 or g2_draws.shape != vx_draws.shape:
+        raise DomainError(
+            "infer_loss_resampled: g2_draws and vx_draws must be 1-D and of "
+            f"equal length, got shapes {g2_draws.shape} and {vx_draws.shape}")
+    n = g2_draws.size
     etas = []
     skipped = 0
-    for g2, vx in zip(g2_draws[:n], vx_draws[:n]):
+    for g2, vx in zip(g2_draws, vx_draws):
         try:
             etas.append(infer_loss(g2, vx).eta)
         except DomainError:

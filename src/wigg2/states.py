@@ -234,12 +234,6 @@ def purity(state: GaussianState) -> float:
 # ---------------------------------------------------------------------------
 # two-mode states
 
-_OMEGA4 = np.block([
-    [np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros((2, 2))],
-    [np.zeros((2, 2)), np.array([[0.0, 1.0], [-1.0, 0.0]])],
-])
-
-
 @dataclass(frozen=True)
 class TwoModeGaussianState:
     """Two-mode Gaussian state: 4-vector mean (x1, p1, x2, p2) and 4x4

@@ -4,8 +4,11 @@ reconstruction, and g2(0) inference with bootstrap intervals.
 Reconstruction is covariance estimation in moment space: the per-angle
 sample variances are fit by
     V(theta) = vxx cos^2(theta) + vpp sin^2(theta) + vxp sin(2 theta),
-which is the rotated-Gaussian fit expressed on sufficient statistics.
-The HWP sweep model is likewise fit by one linear least-squares solve.
+which is the rotated-Gaussian fit expressed on sufficient statistics,
+and the means by m(theta) = mx cos(theta) + mp sin(theta).  Each fit is
+one linear map, the pseudo-inverse of its design from one SVD, applied
+to the point estimate and to every bootstrap member alike.  The HWP
+sweep model is fit the same way.
 Detector efficiency is modeled as pre-detection attenuation.
 
 The bootstrap resamples in moment space too.  A reconstruction reads
@@ -16,18 +19,12 @@ from the sample's central moments mu3, mu4 (Cramer, Mathematical Methods
 of Statistics, 1946, ch. 27), the large-n limit of resampling the n
 values.  A member draws each angle's (m, v) from that law: O(1) work.
 
-Normals come from the counter RNG of `kernels`, a pair per stream index
-by Marsaglia's polar method (Marsaglia & Bray, SIAM Review 6, 260
-(1964)), with no trigonometry (`_normal_pairs`): index i tries
-(x, y) = (2u - 1, 2w - 1) on its draws d + 2j and d + 2j + 1,
-j = 0, 1, ..., until 0 < s = x^2 + y^2 < 1, and yields
-(x, y) sqrt(-2 ln s / s).  Angle k of `simulate_homodyne` takes the pairs
-at stream indices k h .. k h + h - 1 under `seed`, h = ceil(per_angle/2),
-its x's then its y's; member b of angle k of `estimate_covariance` takes
-the pair at stream index b K + k under `boot_seed`, K angles, so a member
-does not depend on n_boot.  The arms draw from disjoint ranges of draw
-numbers d, so neither shares a uniform with the other or with the HBT
-counts, whatever their seeds.
+Normals are polar-method pairs of `kernels.normal_pairs`.  Angle k of
+`simulate_homodyne` takes the x's, then the y's, of the pairs at stream
+indices k h .. k h + h - 1, h = ceil(per_angle/2), under `seed` and
+kernels.SAMPLE_DRAWS; member b of angle k of `estimate_covariance` the
+pair at stream index b K + k, K angles, under `boot_seed` and
+kernels.MEMBER_DRAWS, so a member does not depend on n_boot.
 """
 
 from __future__ import annotations
@@ -84,8 +81,6 @@ class HomodyneDataset:
 class ReconstructionResult:
     state: GaussianState                 # physicality-projected estimate
     raw_cov: tuple                       # (vxx, vpp, vxp) before projection
-    angle_variances: np.ndarray
-    residual: float
     bootstrap_states: tuple              # GaussianState or None per member
 
 
@@ -118,14 +113,14 @@ def simulate_homodyne(
     check_seed(seed, "simulate_homodyne")
     lossy = attenuate(state, eta_hd)
     h = (per_angle + 1) // 2
-    # a row of h pairs per angle, about _CHUNK pairs per call: short rows
-    # share their retries, and long ones keep no temporaries beyond a row
-    group = max(1, _CHUNK // h)
+    # a row of h pairs per angle, about kernels.CHUNK pairs a call: short
+    # rows share their retries, and long ones keep no temporaries beyond it
+    group = max(1, kernels.CHUNK // h)
     samples = []
     for k0 in range(0, len(angles), group):
         k1 = min(k0 + group, len(angles))
-        z = _normal_pairs(seed, np.arange(k0 * h, k1 * h).reshape(-1, h),
-                          _SAMPLE_DRAWS)
+        z = kernels.normal_pairs(seed, np.arange(k0 * h, k1 * h).reshape(
+            -1, h), kernels.SAMPLE_DRAWS)
         for theta, zk in zip(angles[k0:k1], z):
             m, v = marginal(lossy, theta)
             x = zk.reshape(-1)[:per_angle]
@@ -136,120 +131,39 @@ def simulate_homodyne(
                            seed, eta_hd)
 
 
-# Each arm of a run draws from its own range of draw numbers, so that no
-# two arms share a uniform whatever their seeds: the HBT counts take
-# draws 0-2 (kernels.click_counts), homodyne samples draws
-# _SAMPLE_DRAWS + t and bootstrap members draws _MEMBER_DRAWS + t, t
-# counting the polar method's tries
-_SAMPLE_DRAWS = 1 << 62
-_MEMBER_DRAWS = 1 << 63
-# values per pass of _normal_pairs and _moment_law: their scratch stays
-# in cache, and a pass never touches fresh memory but its output
-_CHUNK = 1 << 15
-_INV52 = 2.0 ** -52
-# the least nonzero s: x and y are multiples of 2^-52
-_S_MIN = 2.0 ** -104
+def _pinv(A, rank, message):
+    """The pseudo-inverse of the design A over its `rank` largest
+    singular values, from one SVD; fewer than `rank` singular values
+    above 1e-10 raise IdentifiabilityError(message).  An exact zero
+    column of A gets an exact zero row."""
+    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    if not s[rank - 1] > 1e-10:
+        raise IdentifiabilityError(message)
+    return vt[:rank].T @ (u[:, :rank] / s[:rank]).T
 
 
-def _normal_pairs(seed, idx, draw=0):
-    """Standard normals, a pair per stream index of idx under seed, by
-    Marsaglia's polar method: index i tries (x, y) = (2u - 1, 2w - 1)
-    with u and w its draws draw + 2j and draw + 2j + 1, j = 0, 1, ...,
-    until 0 < s = x^2 + y^2 < 1, and yields (x, y) sqrt(-2 ln s / s).
-    x = bits 2^-52 - 1 is exact for the 53 bits of u.  idx has shape
-    (..., h) and the result (..., 2, h): each row's x's, then its y's,
-    so a row's 2h normals are contiguous.  A pair depends only on
-    (seed, i, draw): each row is tried in chunks of _CHUNK indices, and
-    the indices rejected anywhere are retried together, by recursion on
-    draw + 2."""
-    idx = np.asarray(idx)
-    rows = idx.reshape(math.prod(idx.shape[:-1]), idx.shape[-1])
-    h = rows.shape[1]
-    out = np.empty((len(rows), 2, h))
-    keys = (kernels._key(seed, draw), kernels._key(seed, draw + 1))
-    # row 1 hashes i phi + keys[1] as (i phi + step) + keys[0]
-    step = np.uint64((keys[1] - keys[0]) & kernels._MASK64)
-    c = min(h, _CHUNK)
-    # the draws' bits are hashed in out itself; f shares tmp's memory
-    tmp = np.empty((2, c), dtype=np.uint64)
-    s = np.empty(c)
-    ok, pos = np.empty((2, c), dtype=bool)
-    retry = [np.empty(0, dtype=np.intp)]
-    for k, row in enumerate(rows):
-        for a in range(0, h, _CHUNK):
-            b = min(a + _CHUNK, h)
-            m = b - a
-            xy = out[k, :, a:b]
-            z = xy.view(np.uint64)
-            np.copyto(z[0], row[a:b], casting="unsafe")
-            np.multiply(z[0], kernels._PHI64, out=z[0])
-            np.add(z[0], step, out=z[1])
-            kernels._draw_bits(z, keys[0], tmp[:, :m])
-            np.multiply(z.view(np.int64), _INV52, out=xy)
-            xy -= 1.0
-            sm, fm, okm = s[:m], tmp[0, :m].view(np.float64), ok[:m]
-            np.multiply(xy[0], xy[0], out=sm)
-            np.multiply(xy[1], xy[1], out=fm)
-            sm += fm
-            np.less(sm, 1.0, out=okm)
-            okm &= np.greater(sm, 0.0, out=pos[:m])
-            # rejected tries get a finite factor, then are overwritten
-            np.clip(sm, _S_MIN, 1.0, out=sm)
-            np.log(sm, out=fm)
-            fm /= sm
-            fm *= -2.0
-            np.sqrt(fm, out=fm)
-            xy *= fm
-            retry.append(np.flatnonzero(~okm) + (k * h + a))
-    retry = np.concatenate(retry)
-    if retry.size:
-        k, t = np.divmod(retry, h)
-        out[k, :, t] = _normal_pairs(seed, rows.reshape(-1)[retry],
-                                     draw + 2).T
-    return out.reshape(idx.shape[:-1] + (2, h))
-
-
-def _covariance_design(angles):
-    """Design matrix of the angle model for (vxx, vpp, vxp), after the
-    identifiability checks.  An orthogonal pair of angles constrains vxp
-    to 0 and gets only the (vxx, vpp) columns."""
-    c = np.cos(angles)
-    s = np.sin(angles)
+def _angle_maps(angles):
+    """The maps, (3, K) and (2, K), from the K per-angle variances to
+    (vxx, vpp, vxp) and from the means to (mx, mp): the least-squares
+    solutions of the angle model.  An orthogonal pair of angles
+    constrains vxp to 0; its design's vxp column is 0, and so is the
+    vxp row of its map."""
+    c, s = np.cos(angles), np.sin(angles)
     distinct = np.unique(np.round(angles, 12))
     if distinct.size >= 3:
-        A = np.column_stack([c * c, s * s, np.sin(2.0 * angles)])
-        if np.linalg.matrix_rank(A, tol=1e-10) < 3:
-            raise IdentifiabilityError(
-                "angle set cannot determine (vxx, vpp, vxp); "
-                "use >= 3 distinct angles in general position"
-            )
-        return A
-    if (distinct.size == 2
+        rank, s2 = 3, np.sin(2.0 * angles)
+    elif (distinct.size == 2
             and abs(distinct[1] - distinct[0] - math.pi / 2) < 1e-9):
-        return np.column_stack([c * c, s * s])
-    raise IdentifiabilityError(
-        "need >= 3 distinct angles, or exactly 2 orthogonal ones"
-    )
-
-
-def _solve_covariance(angles, variances):
-    """Least-squares solve of the angle model: (vxx, vpp, vxp, residual
-    norm).  `variances` holds one value per angle, or one column per
-    right-hand side, all solved at once; each result is then an array."""
-    A = _covariance_design(angles)
-    sol, *_ = np.linalg.lstsq(A, variances, rcond=None)
-    resid = np.linalg.norm(A @ sol - variances, axis=0)
-    vxp = sol[2] if len(sol) == 3 else np.zeros_like(sol[0])
-    return sol[0], sol[1], vxp, resid
-
-
-def _solve_mean(angles, means):
-    """Least-squares (mx, mp), for one or several columns of means."""
-    A = np.column_stack([np.cos(angles), np.sin(angles)])
-    if np.linalg.matrix_rank(A, tol=1e-10) < 2:
-        raise IdentifiabilityError("angle set cannot determine the mean vector")
-    sol, *_ = np.linalg.lstsq(A, means, rcond=None)
-    return sol[0], sol[1]
+        rank, s2 = 2, np.zeros_like(angles)
+    else:
+        raise IdentifiabilityError(
+            "need >= 3 distinct angles, or exactly 2 orthogonal ones")
+    cov = _pinv(np.column_stack([c * c, s * s, s2]), rank,
+                "angle set cannot determine (vxx, vpp, vxp); "
+                "use >= 3 distinct angles in general position")
+    mean = _pinv(np.column_stack([c, s]), 2,
+                 "angle set cannot determine the mean vector")
+    return cov, mean
 
 
 # eigh's eigenvalues are exact to a few ulps of the largest one; a
@@ -266,6 +180,9 @@ def project_physical(vxx: float, vpp: float, vxp: float) -> CovarianceMatrix:
     indefinite estimate and a positive-definite one with det < 1/4 are
     treated alike.  With no positive principal variance the result is
     the vacuum covariance."""
+    if not all(map(math.isfinite, (vxx, vpp, vxp))):
+        raise DomainError("project_physical: vxx, vpp and vxp must be "
+                          f"finite, got ({vxx}, {vpp}, {vxp})")
     M = np.array([[vxx, vxp], [vxp, vpp]])
     w, v = np.linalg.eigh(M)
     if w[1] <= _EIG_TOL * float(np.max(np.abs(w))):
@@ -295,16 +212,16 @@ def _moment_law(x):
     Sigma is positive semidefinite in exact arithmetic
     (v Sigma22 >= m2 (m4 - m2^2) >= mu3^2, m2 and m4 the plug-in
     moments), so only the remainder Sigma22 - Sigma12^2/Sigma11 is
-    clamped at 0.  The sums run over chunks of _CHUNK values in a
+    clamped at 0.  The sums run over chunks of kernels.CHUNK values in a
     scratch buffer that stays in cache, and are einsum, not BLAS, so
     BLAS threads change nothing."""
-    n = len(x)
+    n, c = len(x), kernels.CHUNK
     m = x.mean()
-    e, e2 = np.empty((2, min(n, _CHUNK)))
+    e, e2 = np.empty((2, min(n, c)))
 
     def centred():
-        for a in range(0, n, _CHUNK):
-            yield np.subtract(x[a:a + _CHUNK], m, out=e[:min(_CHUNK, n - a)])
+        for a in range(0, n, c):
+            yield np.subtract(x[a:a + c], m, out=e[:min(c, n - a)])
 
     v = math.fsum(np.einsum("i,i->", d, d) for d in centred()) / (n - 1)
     s3 = s4 = 0.0
@@ -332,35 +249,44 @@ def estimate_covariance(
     A member whose covariance is not positive definite is None."""
     check_int(n_boot, "estimate_covariance: n_boot", 2)
     check_seed(boot_seed, "estimate_covariance")
-    law = np.array([_moment_law(s) for s in data.samples])
-    means, variances = law[:, 0], law[:, 1]
-    vxx, vpp, vxp, resid = map(float, _solve_covariance(data.angles, variances))
-    mx, mp = map(float, _solve_mean(data.angles, means))
-    state = GaussianState(PhasePoint(mx, mp), project_physical(vxx, vpp, vxp))
+    cov_map, mean_map = _angle_maps(data.angles)
+    m, v, l11, l21, l22 = np.array([_moment_law(s) for s in data.samples]).T
+    K = len(m)
+    z1, z2 = kernels.normal_pairs(boot_seed, np.arange(n_boot * K),
+                                  kernels.MEMBER_DRAWS).reshape(2, n_boot, K)
 
-    # one row per angle, one column per member: one solve for all members
-    K = len(law)
-    z1, z2 = _normal_pairs(boot_seed, np.arange(n_boot * K),
-                           _MEMBER_DRAWS).reshape(2, n_boot, K).swapaxes(1, 2)
-    m, v, l11, l21, l22 = law.T[:, :, None]
-    bvxx, bvpp, bvxp, _ = _solve_covariance(data.angles,
-                                            v + l21 * z1 + l22 * z2)
-    bmx, bmp = _solve_mean(data.angles, m + l11 * z1)
-    boot_states = tuple(
-        _try_state(*member)
-        for member in zip(*(a.tolist() for a in (bvxx, bvpp, bvxp, bmx, bmp))))
-    return ReconstructionResult(state, (vxx, vpp, vxp), variances, resid,
-                                boot_states)
+    def fit(pinv, rows):
+        # row 0 the point estimate's moments, row 1 + b member b's: as
+        # columns of a C-ordered block each is summed over the angles in
+        # order, so a member depends on its own normals alone, bit for bit
+        return np.einsum("ik,kb->ib", pinv,
+                         np.ascontiguousarray(rows.T)).tolist()
+
+    vxx, vpp, vxp = fit(cov_map, np.vstack((v, v + l21 * z1 + l22 * z2)))
+    mx, mp = fit(mean_map, np.vstack((m, m + l11 * z1)))
+    state = GaussianState(PhasePoint(mx[0], mp[0]),
+                          project_physical(vxx[0], vpp[0], vxp[0]))
+    boot_states = tuple(_try_state(*member) for member in zip(
+        vxx[1:], vpp[1:], vxp[1:], mx[1:], mp[1:]))
+    return ReconstructionResult(state, (vxx[0], vpp[0], vxp[0]), boot_states)
 
 
 def estimate_covariance_from_moments(angles, means, variances) -> GaussianState:
-    """Noiseless-moment entry point (exact roundtrip check): no bootstrap."""
+    """Noiseless-moment entry point (exact roundtrip check): no bootstrap.
+    means and variances hold one value per angle."""
     angles = np.asarray(angles, dtype=float)
-    if not np.isfinite(angles).all():
-        raise DomainError("estimate_covariance_from_moments: angles must be finite")
-    vxx, vpp, vxp, _ = map(float, _solve_covariance(
-        angles, np.asarray(variances, dtype=float)))
-    mx, mp = map(float, _solve_mean(angles, np.asarray(means, dtype=float)))
+    if angles.ndim != 1 or not np.isfinite(angles).all():
+        raise DomainError(
+            "estimate_covariance_from_moments: angles must be 1-D and finite")
+    means, variances = (np.asarray(y, dtype=float) for y in (means, variances))
+    for name, y in (("means", means), ("variances", variances)):
+        if y.shape != angles.shape:
+            raise DomainError(f"estimate_covariance_from_moments: {name} "
+                              f"must have shape {angles.shape}, one entry per "
+                              "angle")
+    cov_map, mean_map = _angle_maps(angles)
+    vxx, vpp, vxp = np.einsum("ik,k->i", cov_map, variances).tolist()
+    mx, mp = np.einsum("ik,k->i", mean_map, means).tolist()
     return GaussianState(PhasePoint(mx, mp), project_physical(vxx, vpp, vxp))
 
 
@@ -485,14 +411,13 @@ def fit_sweep_model(points: Sequence[tuple]) -> SweepFit:
     w = 2.0 * math.pi / 45.0
     wt = w * pts[:, 0]
     A = np.column_stack([np.ones_like(wt), np.cos(wt), np.sin(wt)])
-    if np.linalg.matrix_rank(A, tol=1e-10) < 3:
-        raise IdentifiabilityError(
-            "fit_sweep_model: need >= 3 distinct angles mod 45 degrees")
+    pinv = _pinv(A, 3, "fit_sweep_model: need >= 3 distinct angles mod 45 "
+                 "degrees")
     # centred data: a constant sweep gives P = Q = 0 exactly
     y_mean = float(pts[:, 1].mean())
     yc = pts[:, 1] - y_mean
-    sol, *_ = np.linalg.lstsq(A, yc, rcond=None)
-    C, P, Q = (float(v) for v in sol)
+    sol = np.einsum("ik,k->i", pinv, yc)
+    C, P, Q = sol.tolist()
     half_a = math.hypot(P, Q)
     b = (math.atan2(Q, -P) / w + 22.5) % 45.0 - 22.5 if half_a else 0.0
     residual = float(np.linalg.norm(A @ sol - yc))

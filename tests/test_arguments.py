@@ -27,6 +27,7 @@ from wigg2 import (CountingConfig, CountingRecord, CovarianceMatrix,
                    wigner_eval)
 from wigg2.counting import bootstrap_g2_clicks
 from wigg2.errors import DomainError
+from wigg2.tomography import project_physical
 
 NAN, INF = math.nan, math.inf
 # the values a count or seed must refuse, whatever its range
@@ -190,6 +191,18 @@ TABLE = [
     ("estimate_covariance_from_moments.angles",
      lambda v: estimate_covariance_from_moments(
          [0.0, v, 1.0], [0.0] * 3, [0.5] * 3), (NAN, INF)),
+    ("estimate_covariance_from_moments.means",
+     lambda v: estimate_covariance_from_moments(ANGLES, v, [0.5] * 3),
+     ([0.0] * 2, [0.0] * 4, [[0.0] * 3], 0.0)),
+    ("estimate_covariance_from_moments.variances",
+     lambda v: estimate_covariance_from_moments(ANGLES, [0.0] * 3, v),
+     ([0.5] * 2, [0.5] * 4, [[0.5] * 3], 0.5)),
+    ("project_physical.vxx", lambda v: project_physical(v, 1.0, 0.0),
+     (NAN, INF, -INF)),
+    ("project_physical.vpp", lambda v: project_physical(1.0, v, 0.0),
+     (NAN, INF, -INF)),
+    ("project_physical.vxp", lambda v: project_physical(1.0, 1.0, v),
+     (NAN, INF, -INF)),
     ("fit_sweep_model.points",
      lambda v: fit_sweep_model([(0.0, 2.0), (10.0, v), (20.0, 3.0)]),
      (NAN, INF)),
@@ -208,6 +221,14 @@ TABLE = [
     ("infer_loss_resampled.ci",
      lambda v: infer_loss_resampled([4.0] * 3, [0.3] * 3, ci=v),
      ((NAN, 97.5), (2.5, NAN), (-1, 97.5), (2.5, 101.0), (97.5, 2.5))),
+    ("infer_loss_resampled.g2_draws",
+     lambda v: infer_loss_resampled(v, [0.3] * 3),
+     ([4.0] * 5, [4.0] * 2, [[4.0] * 3], 4.0)),
+    ("infer_loss_resampled.vx_draws",
+     lambda v: infer_loss_resampled([4.0] * 3, v),
+     ([0.3] * 5, [0.3] * 2, [[0.3] * 3], 0.3)),
+    ("infer_loss_resampled.draws", lambda v: infer_loss_resampled(*v),
+     (([[4.0, 4.0]], [[0.3, 0.3]]),)),
 ]
 
 ROWS = [pytest.param(call, value, id=f"{name}={value!r}")
@@ -227,6 +248,20 @@ def test_invalid_argument_raises_domain_error(call, value):
 def test_epsilon_names_itself(call, value):
     with pytest.raises(DomainError, match="epsilon"):
         call(value)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: project_physical(NAN, 1.0, 0.0), "project_physical"),
+    (lambda: estimate_covariance_from_moments(ANGLES, [0.0] * 2, [0.5] * 3),
+     "means"),
+    (lambda: estimate_covariance_from_moments(ANGLES, [0.0] * 3,
+                                              [[0.5] * 3]), "variances"),
+    (lambda: infer_loss_resampled([4.0] * 5, [0.3] * 3),
+     "g2_draws and vx_draws"),
+], ids=["project_physical", "means", "variances", "draws"])
+def test_refusal_names_the_argument(call, name):
+    with pytest.raises(DomainError, match=name):
+        call()
 
 
 # numbers at the edge of the float range that are valid inputs

@@ -23,11 +23,9 @@ from wigg2.states import (CovarianceMatrix, GaussianState, PhasePoint,
                           squeezed_vacuum_with_mean_photon, thermal,
                           two_mode_squeezed_vacuum, vacuum)
 from wigg2 import kernels, tomography
-from wigg2.tomography import (_CHUNK, _MEMBER_DRAWS, _SAMPLE_DRAWS,
-                              DEFAULT_ANGLES, HomodyneDataset, SweepFit,
-                              _covariance_design, _normal_pairs,
-                              _solve_covariance, _solve_mean,
-                              estimate_covariance,
+from wigg2.kernels import CHUNK, MEMBER_DRAWS, SAMPLE_DRAWS, normal_pairs
+from wigg2.tomography import (DEFAULT_ANGLES, HomodyneDataset, SweepFit,
+                              _angle_maps, estimate_covariance,
                               estimate_covariance_from_moments,
                               fit_sweep_model, g2_from_reconstruction,
                               hwp_sweep, project_physical, simulate_homodyne)
@@ -150,9 +148,10 @@ class TestEstimateCovariance:
     def test_two_orthogonal_angles_any_order(self):
         # orthogonality is a property of the two distinct angles, not of
         # angles[0] and angles[1], which may repeat one angle
-        design = _covariance_design(np.array([math.pi / 2, 0.0, 0.0]))
-        repeated = _covariance_design(np.array([0.0, 0.0, math.pi / 2]))
-        np.testing.assert_array_equal(repeated, design[[1, 2, 0]])
+        maps = _angle_maps(np.array([math.pi / 2, 0.0, 0.0]))
+        repeated = _angle_maps(np.array([0.0, 0.0, math.pi / 2]))
+        for a, b in zip(repeated, maps):
+            np.testing.assert_allclose(a, b[:, [1, 2, 0]], rtol=0, atol=1e-15)
         angles = [0.0, 0.0, math.pi / 2]
         data = simulate_homodyne(squeezed_vacuum(0.5, 0.0), angles, 2_000,
                                  seed=3)
@@ -308,8 +307,9 @@ class TestMomentSpaceBootstrap:
             for b in range(shape[1]):
                 y = x[rng.integers(0, len(x), len(x))]
                 means[k, b], variances[k, b] = y.mean(), y.var(ddof=1)
-        vxx, vpp, vxp, _ = _solve_covariance(ANGLES12, variances)
-        mx, mp = _solve_mean(ANGLES12, means)
+        cov_map, mean_map = _angle_maps(ANGLES12)
+        vxx, vpp, vxp = cov_map @ variances
+        mx, mp = mean_map @ means
         values = [g2_gaussian(GaussianState(PhasePoint(*mean),
                                             CovarianceMatrix(*cov))).value
                   for *cov, mean in zip(vxx, vpp, vxp, zip(mx, mp))]
@@ -373,7 +373,7 @@ class TestMomentSpaceBootstrap:
         # standard normals, the pair uncorrelated, and angle k + 1's
         # members (stream indices b K + k + 1) uncorrelated with angle k's
         N, K = 100_000, 2
-        z1, z2 = _normal_pairs(seed, np.arange(N * K), _MEMBER_DRAWS)
+        z1, z2 = normal_pairs(seed, np.arange(N * K), MEMBER_DRAWS)
         (a1, b1), (a2, _) = z1.reshape(N, K).T, z2.reshape(N, K).T
         for z in (a1, a2):
             assert abs(z.mean()) < 5 / math.sqrt(N)
@@ -465,7 +465,7 @@ class TestStreamOracles:
         for b, bs in enumerate(rec.bootstrap_states):
             want = []
             for k, (m, v, l11, l21, l22) in enumerate(laws):
-                z1, z2, t = _pair_oracle(boot_seed, 2 * b + k, _MEMBER_DRAWS)
+                z1, z2, t = _pair_oracle(boot_seed, 2 * b + k, MEMBER_DRAWS)
                 want.append((m + l11 * z1, v + l21 * z1 + l22 * z2))
                 tries.add(t)
             (mx, vxx), (mp, vpp) = want
@@ -492,7 +492,7 @@ class TestStreamOracles:
         tries = set()
         for k, theta in enumerate(ANGLES12[:3]):
             m, v = marginal(attenuate(state, 0.8), theta)
-            xs, ys, t = zip(*(_pair_oracle(seed, k * h + i, _SAMPLE_DRAWS)
+            xs, ys, t = zip(*(_pair_oracle(seed, k * h + i, SAMPLE_DRAWS)
                               for i in range(h)))
             tries.update(t)
             want = [m + math.sqrt(v) * z for z in (xs + ys)[:per_angle]]
@@ -501,14 +501,14 @@ class TestStreamOracles:
         if per_angle > 1000:
             assert {1, 2, 3} <= tries
 
-    @pytest.mark.parametrize("draw", [0, _SAMPLE_DRAWS, _MEMBER_DRAWS])
+    @pytest.mark.parametrize("draw", [0, SAMPLE_DRAWS, MEMBER_DRAWS])
     @pytest.mark.parametrize("seed", [0, 2**63 - 1])
     def test_pairs_match_oracle(self, seed, draw):
         # 3000 stream indices from 2^40 on, drawn by the first pass and by
         # the recursion on the indices it rejected, up to pairs that took
         # 4 tries
         idx = np.arange(2**40, 2**40 + 3000)
-        z = _normal_pairs(seed, idx, draw)
+        z = normal_pairs(seed, idx, draw)
         want = [_pair_oracle(seed, i, draw) for i in idx.tolist()]
         assert z.T.ravel().tolist() == pytest.approx(
             [c for w in want for c in w[:2]], rel=1e-12, abs=1e-15)
@@ -537,7 +537,7 @@ class TestNormalPairStreams:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_adjacent_members_uncorrelated(self, seed):
         # an angle's samples sit at adjacent stream indices
-        for z in _normal_pairs(seed, np.arange(self.N + 1)):
+        for z in normal_pairs(seed, np.arange(self.N + 1)):
             assert abs(np.corrcoef(z[:-1], z[1:])[0, 1]) < \
                 5 / math.sqrt(self.N)
 
@@ -545,7 +545,7 @@ class TestNormalPairStreams:
     def test_normal_law(self, seed):
         # chi^2 of Phi(z) over 20 equiprobable bins, and the mass beyond
         # |z| = 4 (s >= 2^-104 caps |z| at sqrt(-2 ln s), near 12.0)
-        for z in _normal_pairs(seed, np.arange(self.N)):
+        for z in normal_pairs(seed, np.arange(self.N)):
             phi = 0.5 + 0.5 * np.array([math.erf(t) for t in
                                         (z / math.sqrt(2.0)).tolist()])
             counts = np.bincount(np.minimum((phi * 20).astype(int), 19),
@@ -562,53 +562,53 @@ class TestNormalPairStreams:
         # member b of angle k of a 12-angle reconstruction draws at
         # stream index 12 b + k
         n = 50_000
-        z = _normal_pairs(seed, np.arange(12 * n), _MEMBER_DRAWS)
+        z = normal_pairs(seed, np.arange(12 * n), MEMBER_DRAWS)
         z = z.reshape(2, n, 12).swapaxes(1, 2).reshape(24, n)
         corr = np.corrcoef(z)[np.triu_indices(24, 1)]
         assert np.all(np.abs(corr) < 5 / math.sqrt(n))
 
 
 class TestStreamLayout:
-    @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1,
-                                   2 * _CHUNK + 1])
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1,
+                                   2 * CHUNK + 1])
     def test_chunk_boundaries(self, n):
         # a pair depends only on (seed, i, draw): a call, the same indices
         # split in two or permuted, and a longer call agree exactly
         seed = 11
         idx = np.arange(5, 5 + n)
-        z = _normal_pairs(seed, idx, _SAMPLE_DRAWS)
-        longer = _normal_pairs(seed, np.arange(5, 5 + 2 * _CHUNK + 3),
-                               _SAMPLE_DRAWS)
+        z = normal_pairs(seed, idx, SAMPLE_DRAWS)
+        longer = normal_pairs(seed, np.arange(5, 5 + 2 * CHUNK + 3),
+                               SAMPLE_DRAWS)
         assert np.array_equal(z, longer[:, :n])
-        for cut in (1, _CHUNK - 1, n - 1):
-            parts = [_normal_pairs(seed, part, _SAMPLE_DRAWS)
+        for cut in (1, CHUNK - 1, n - 1):
+            parts = [normal_pairs(seed, part, SAMPLE_DRAWS)
                      for part in (idx[:cut], idx[cut:])]
             assert np.array_equal(np.concatenate(parts, axis=1), z)
         perm = np.random.default_rng(n).permutation(n)
-        assert np.array_equal(_normal_pairs(seed, idx[perm], _SAMPLE_DRAWS),
+        assert np.array_equal(normal_pairs(seed, idx[perm], SAMPLE_DRAWS),
                               z[:, perm])
 
-    @pytest.mark.parametrize("h", [3, _CHUNK - 1, _CHUNK + 1])
+    @pytest.mark.parametrize("h", [3, CHUNK - 1, CHUNK + 1])
     def test_rows(self, h):
         # a (rows, h) call gives each row's pairs as a 1-D call would, its
         # x's then its y's, whichever rows their retries came from
         idx = np.arange(7, 7 + 3 * h).reshape(3, h)
-        z = _normal_pairs(13, idx, _MEMBER_DRAWS)
+        z = normal_pairs(13, idx, MEMBER_DRAWS)
         assert z.shape == (3, 2, h)
         for row, zr in zip(idx, z):
-            assert np.array_equal(zr, _normal_pairs(13, row, _MEMBER_DRAWS))
+            assert np.array_equal(zr, normal_pairs(13, row, MEMBER_DRAWS))
 
     def test_members_do_not_depend_on_n_boot(self):
         # member b draws at stream indices b K .. b K + K - 1 whatever
-        # n_boot; the solve for all members at once may round the last
-        # bit differently
+        # n_boot, and each of its fitted values is a dot of a fixed map
+        # with its own moments: the values agree bit for bit
         data = simulate_homodyne(thermal(1.0), ANGLES12, 500, seed=5)
         few = estimate_covariance(data, n_boot=2, boot_seed=6)
         many = estimate_covariance(data, n_boot=200, boot_seed=6)
+        assert few.state == many.state and few.raw_cov == many.raw_cov
         for a, b in zip(few.bootstrap_states, many.bootstrap_states[:2]):
             assert (a.cov.vxx, a.cov.vpp, a.cov.vxp, a.mean.x, a.mean.p) == \
-                pytest.approx((b.cov.vxx, b.cov.vpp, b.cov.vxp, b.mean.x,
-                               b.mean.p), rel=1e-12, abs=1e-15)
+                (b.cov.vxx, b.cov.vpp, b.cov.vxp, b.mean.x, b.mean.p)
 
 
 class TestArmsShareNoDraws:
