@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .counting import (CountingConfig, g2_estimate_clicks, simulate_hbt)
-from .errors import DomainError, StatisticalError
+from .errors import DomainError, StatisticalError, check_seed
 from .fock import photon_number_distribution
 from .loss import infer_loss
 from .moments import fig1_table, g2_gaussian, weyl_moments_analytic
@@ -241,6 +241,9 @@ def _parse_angles_deg(spec: str) -> list[float]:
 
 def cmd_homodyne(args):
     state = _state_from_args(args)
+    check_seed(args.seed, "homodyne")
+    if args.reconstruct and not args.out:
+        raise _Usage("--reconstruct prints JSON on stdout: give the samples --out FILE")
     angles = ([math.radians(a) for a in _parse_angles_deg(args.angles)]
               if args.angles else list(DEFAULT_ANGLES))
     data = simulate_homodyne(state, angles, args.per_angle, args.eta_hd, args.seed)
@@ -393,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-hd", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=float, default=1e-9)
-    p.add_argument("--reconstruct", action="store_true")
+    p.add_argument("--reconstruct", action="store_true",
+                   help="print the reconstruction's JSON report (needs --out)")
     p.add_argument("--out", type=str)
     p.add_argument("--config", type=str)
     p.set_defaults(func=cmd_homodyne, subparser=p)

@@ -4,14 +4,15 @@
 Each detection window is independent, and a threshold detector pair only
 registers which detectors fired (>= 1 photon detected or a dark event).
 A window's click pattern therefore follows from three no-click
-probabilities averaged over the state's photon-number distribution
-(`kernels.click_probs`): q1 for detector 1, q2 for detector 2 and qb for
-both, and the four pattern counts of N windows are one multinomial.
-The simulator draws that multinomial once per run with the counter RNG
-(`kernels.click_counts`: three inverse-CDF binomials), so its cost does
-not grow with N, and `expected_click_g2` forms its expectation from the
-same `click_probs` call, so both use one model; one draw needs no
-sharding, so `CountingConfig.workers` has no effect.
+probabilities (q1, q2 and qb for detector 1, detector 2 and both), and
+the four pattern counts of N windows are one multinomial.  `simulate_hbt`
+is one path: fock.photon_number_distribution gives p(n),
+`kernels.click_probs` averages (q1, q2, qb) over it, and one
+`kernels.click_counts` draw (three inverse-CDF binomials on the counter
+RNG, stream index 0) gives the counts, at a cost that does not grow with
+N.  `expected_click_g2` uses the same `click_probs`, so both share one
+model; one draw needs no sharding, so `CountingConfig.workers` has no
+effect.
 
 The click estimator g2 ~ nc * N / (n1 * n2) carries an O(<n>) bias at
 larger photon numbers (threshold detectors saturate); it is the standard
@@ -83,19 +84,13 @@ class CountingRecord:
 
 
 def simulate_hbt(state: GaussianState, config: CountingConfig) -> CountingRecord:
-    """Simulate config.n_windows detection windows on `state`; fully
-    determined by config.seed (config.workers has no effect)."""
+    """Simulate config.n_windows windows on `state` by the module
+    docstring's path, fully determined by config.seed."""
     dist = photon_number_distribution(state, config.n_max, tol=1e-9)
-    return simulate_hbt_from_distribution(dist, config)
-
-
-def simulate_hbt_from_distribution(
-    dist: PhotonNumberDistribution, config: CountingConfig
-) -> CountingRecord:
-    n1, n2, nc = kernels.hbt_counts(dist.cdf(), config.eta_det, config.split,
-                                    config.dark_prob, config.seed, 0,
-                                    config.n_windows)
-    return CountingRecord(n1, n2, nc, config.n_windows, config)
+    q = kernels.click_probs(dist.probs, config.eta_det, config.split,
+                            config.dark_prob)
+    counts = kernels.click_counts(config.n_windows, *q, config.seed, 0)
+    return CountingRecord(*counts, config.n_windows, config)
 
 
 def expected_click_g2(dist: PhotonNumberDistribution, config: CountingConfig):
@@ -107,11 +102,17 @@ def expected_click_g2(dist: PhotonNumberDistribution, config: CountingConfig):
     by multi-photon windows), which for strongly bunched near-vacuum
     light requires small eta, not just small <n>.
     """
-    q1, q2, qb = kernels.click_probs(dist.cdf(), config.eta_det,
+    q1, q2, qb = kernels.click_probs(dist.probs, config.eta_det,
                                      config.split, config.dark_prob)
     if max(q1, q2) == 1.0:
         raise DomainError("expected_click_g2: a detector never clicks")
     return (1.0 - q1 - q2 + qb) / ((1.0 - q1) * (1.0 - q2))
+
+
+def _require_singles(rec: CountingRecord):
+    if rec.n1 == 0 or rec.n2 == 0:
+        raise InsufficientStatisticsError(
+            f"no singles on at least one detector (n1={rec.n1}, n2={rec.n2})")
 
 
 def g2_estimate_clicks(rec: CountingRecord):
@@ -123,11 +124,8 @@ def g2_estimate_clicks(rec: CountingRecord):
 
     With no coincidences the error is that of one count (cb = 1), so it
     stays positive."""
+    _require_singles(rec)
     n1, n2, nc, N = rec.n1, rec.n2, rec.nc, rec.n_windows
-    if n1 == 0 or n2 == 0:
-        raise InsufficientStatisticsError(
-            f"no singles on at least one detector (n1={n1}, n2={n2})"
-        )
     value = nc * N / (n1 * n2)
     cb = max(nc, 1)
     var = (cb * (1.0 / cb - 1.0 / n1 - 1.0 / n2) ** 2
@@ -141,9 +139,11 @@ def bootstrap_g2_clicks(rec: CountingRecord, n_boot: int = 200, seed: int = 0):
     """Parametric bootstrap of the click estimator: member b re-draws the
     four-pattern multinomial at the observed rates with
     `kernels.click_counts` at stream index b.  Returns the g2 draws
-    (members with zero singles on a detector are skipped)."""
+    (members with zero singles on a detector are skipped); a record with
+    none raises InsufficientStatisticsError, as g2_estimate_clicks does."""
     check_seed(seed, "bootstrap_g2_clicks")
     check_int(n_boot, "bootstrap_g2_clicks: n_boot", 1)
+    _require_singles(rec)
     N = rec.n_windows
     none = N - rec.n1 - rec.n2 + rec.nc
     # no-click rates: neither detector, detector 2 silent, detector 1 silent
@@ -167,7 +167,7 @@ def sample_photon_numbers(
     check_seed(seed, "sample_photon_numbers")
     check_int(n_samples, "sample_photon_numbers: n_samples", 0)
     dist = photon_number_distribution(state, n_max, tol=1e-9)
-    cdf = dist.cdf()
+    cdf = np.cumsum(dist.probs)
     u = kernels.uniforms_np(seed, np.arange(n_samples), 0)
     return np.minimum(np.searchsorted(cdf, u, side="right"), n_max).astype(np.int64)
 

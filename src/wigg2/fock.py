@@ -88,9 +88,6 @@ class PhotonNumberDistribution:
         n = np.arange(self.n_max + 1)
         return float(np.dot(self.probs, n))
 
-    def cdf(self) -> np.ndarray:
-        return np.cumsum(self.probs)
-
 
 def _binomial_ratio(cov) -> float:
     """b = (det V - 1/4) / det(V + I/2) = (det K + tr K/2) / (1 + tr K +

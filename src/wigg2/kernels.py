@@ -23,10 +23,9 @@ tries, so no two arms share a uniform, whatever their seeds.
 
 The HBT arm is one multinomial.  Threshold detectors only see whether
 each fired, so a window's click pattern depends on the state only
-through three state-averaged no-click probabilities (`click_probs`,
-shared with counting.expected_click_g2): q1 and q2 that detector 1 and
-detector 2 stay silent, qb that both do, dark events included.  N
-independent windows then give exactly
+through `click_probs`: the probabilities q1, q2 and qb that detector 1,
+detector 2 and both stay silent, averaged over p(n), dark events
+included.  N independent windows then give exactly
 
     (none, 1 only, 2 only, both)
         ~ Multinomial(N; qb, q2 - qb, q1 - qb, 1 - q1 - q2 + qb),
@@ -40,9 +39,8 @@ Random Variate Generation, 1986, ch. X.4), from a pmf table around the
 mode built by the ratio recurrence
 p(k+1)/p(k) = (N - k) p / ((k + 1)(1 - p)) over mode +- (10 sigma + 40)
 and normalised by its own sum: O(sigma) work, sigma = sqrt(N p (1 - p)),
-whatever N.  The mass the table leaves out is below 1e-20.  The HBT
-counts of windows [start, stop) are click_counts at stream index start,
-so they cost the same at any window count or photon number.
+whatever N, and the mass it leaves out is below 1e-20.  A
+counting.simulate_hbt run is one click_counts call, at stream index 0.
 """
 
 from __future__ import annotations
@@ -193,27 +191,23 @@ def normal_pairs(seed, idx, draw=0):
     return out.reshape(idx.shape[:-1] + (2, h))
 
 
-def click_probs(cdf, eta, split, dark):
+def click_probs(p, eta, split, dark):
     """(q1, q2, qb): the probabilities that detector 1, detector 2 and
-    both detectors stay silent in a window, averaged over the photon
-    numbers of `cdf` (n = 0..len(cdf) - 1; mass missing above cdf[-1]
-    counts as the last n).  The beam splitter sends each photon to
-    detector 1 with probability `split`; each detector has efficiency
-    eta and fires a dark event with probability `dark`, so given n
-    they are (1-dark)(1-eta split)^n, (1-dark)(1-eta(1-split))^n and
-    (1-dark)^2 (1-eta)^n.  Every sum is exactly rounded (math.fsum),
-    so nothing depends on BLAS or summation order."""
-    p = np.diff(cdf, prepend=0.0)
-    p[-1] += 1.0 - cdf[-1]
+    both stay silent in a window, averaged over p(n), n = 0..len(p) - 1
+    (mass missing from sum p counts as the last n).  Given n they are
+    (1-dark)(1-eta split)^n, (1-dark)(1-eta(1-split))^n and
+    (1-dark)^2 (1-eta)^n: `split` of the photons go to detector 1, and
+    each detector has efficiency eta and dark-event probability `dark`.
+    Every sum is exactly rounded (math.fsum), whatever BLAS or order."""
+    p = np.asarray(p, dtype=np.float64).tolist()
+    p[-1] += 1.0 - math.fsum(p)
     n = np.arange(len(p), dtype=np.float64)
-    p = p.tolist()
     q1, q2, qb = (math.fsum(map(operator.mul, p, (q ** n).tolist()))
                   for q in (1.0 - eta * split, 1.0 - eta * (1.0 - split),
                             1.0 - eta))
-    # a cdf may end a few ulps above 1 (cumsum round-off, or a caller's
-    # own cdf), which must not give q > 1; qb <= q1, q2 keeps every
-    # pattern count >= 0 should pow round a hair out of order; the dark
-    # factors below preserve both
+    # fock may leave sum p up to 1e-9 above 1, which must not give q > 1;
+    # qb <= q1, q2 keeps every pattern count >= 0 should pow round a hair
+    # out of order; the dark factors below preserve both
     q1, q2 = min(q1, 1.0), min(q2, 1.0)
     qb = min(qb, q1, q2)
     return (1.0 - dark) * q1, (1.0 - dark) * q2, (1.0 - dark) ** 2 * qb
@@ -262,10 +256,3 @@ def click_counts(n, q1, q2, qb, seed, i):
     only2 = draw(n - none - only1, q1 - qb, 1.0 - q2, 2)
     both = n - none - only1 - only2
     return only1 + both, only2 + both, both
-
-
-def hbt_counts(cdf, eta, split, dark, seed, start, stop):
-    """Click/coincidence counts (n1, n2, nc) for windows [start, stop),
-    drawn at stream index start; see the module docstring."""
-    q1, q2, qb = click_probs(cdf, eta, split, dark)
-    return click_counts(max(0, stop - start), q1, q2, qb, seed, start)

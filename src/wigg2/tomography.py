@@ -166,8 +166,9 @@ def _angle_maps(angles):
     return cov, mean
 
 
-# eigh's eigenvalues are exact to a few ulps of the largest one; a
-# principal variance within this relative distance of 0 counts as <= 0
+# eigh's eigenvalues are exact to a few ulps of the largest one: a
+# principal variance within this relative distance of 0 counts as <= 0,
+# and two within it of each other as equal
 _EIG_TOL = 8 * np.finfo(float).eps
 
 
@@ -179,19 +180,29 @@ def project_physical(vxx: float, vpp: float, vxp: float) -> CovarianceMatrix:
     the result is continuous in the estimate, across w0 = 0 too: an
     indefinite estimate and a positive-definite one with det < 1/4 are
     treated alike.  With no positive principal variance the result is
-    the vacuum covariance."""
+    the vacuum covariance; with w0 = w1 up to round-off any basis is an
+    eigenbasis, and the axes hold det V exactly.  det V of three doubles
+    is known to about eps (vxx vpp + vxp^2), so a rotated result where
+    that exceeds 1e-9 of det V = 1/4 raises DomainError."""
     if not all(map(math.isfinite, (vxx, vpp, vxp))):
         raise DomainError("project_physical: vxx, vpp and vxp must be "
                           f"finite, got ({vxx}, {vpp}, {vxp})")
-    M = np.array([[vxx, vxp], [vxp, vpp]])
-    w, v = np.linalg.eigh(M)
-    if w[1] <= _EIG_TOL * float(np.max(np.abs(w))):
+    w, v = np.linalg.eigh([[vxx, vxp], [vxp, vpp]])
+    w0, w1 = w.tolist()
+    if w1 <= _EIG_TOL * max(abs(w0), w1):
         return CovarianceMatrix(VACUUM_VARIANCE, VACUUM_VARIANCE, 0.0)
-    if w[0] >= 0.25 / w[1]:
+    if w0 >= 0.25 / w1:
         return CovarianceMatrix(float(vxx), float(vpp), float(vxp))
-    w[0] = 0.25 / w[1]
-    M = v @ np.diag(w) @ v.T
-    return CovarianceMatrix(float(M[0, 0]), float(M[1, 1]), float(M[0, 1]))
+    if w1 - w0 <= _EIG_TOL * w1:
+        return (CovarianceMatrix(0.25 / w1, w1, 0.0) if vxx <= vpp
+                else CovarianceMatrix(w1, 0.25 / w1, 0.0))
+    w[0] = 0.25 / w1
+    (vxx, vxp), (_, vpp) = (v @ np.diag(w) @ v.T).tolist()
+    if not np.finfo(float).eps * (abs(vxx * vpp) + vxp * vxp) <= 0.25e-9:
+        raise DomainError(
+            "project_physical: det V = 1/4 is lost to round-off with the "
+            f"raised principal variance {0.25 / w1:.3g} off the axes")
+    return CovarianceMatrix(vxx, vpp, vxp)
 
 
 def _try_state(vxx, vpp, vxp, mx, mp) -> Optional[GaussianState]:

@@ -250,6 +250,14 @@ class TestHomodyne:
         assert code == 3
         assert "seed" in err
 
+    def test_reconstruct_without_out_exit_2(self, capsys):
+        # samples CSV and JSON report would share stdout, and neither parse
+        code, out, err = run(capsys, "homodyne", "--squeezed", "0.5", "0",
+                             "--per-angle", "100", "--reconstruct")
+        assert code == 2
+        assert out == ""
+        assert "--out" in err
+
     def test_non_finite_angle_exit_3(self, capsys):
         code, _, err = run(capsys, "homodyne", "--thermal", "1", "--angles",
                            "0,inf,90", "--per-angle", "100")

@@ -7,13 +7,14 @@ from wigg2 import kernels
 from wigg2.counting import (CountingConfig, CountingRecord,
                             bootstrap_g2_clicks, g2_estimate_clicks,
                             g2_estimate_numbers, sample_photon_numbers,
-                            simulate_hbt, simulate_hbt_from_distribution)
+                            simulate_hbt)
 from wigg2.errors import (DomainError, InsufficientStatisticsError,
                           TruncationError)
 from wigg2.fock import photon_number_distribution
 from wigg2.moments import g2_gaussian
-from wigg2.states import (coherent, squeezed_vacuum_with_mean_photon, thermal,
-                          vacuum)
+from wigg2.states import (coherent, hwp_mix, reduce_mode,
+                          squeezed_vacuum_with_mean_photon, thermal,
+                          two_mode_squeezed_vacuum, vacuum)
 
 
 class TestConfig:
@@ -95,6 +96,39 @@ class TestSimulateHbt:
         assert abs(rec.n1 / rec.n_windows - 0.01) < 0.002
 
 
+def _sweep_row(theta):
+    return reduce_mode(hwp_mix(two_mode_squeezed_vacuum(0.4), theta), 1)
+
+
+class TestHbtStream:
+    # Golden (n1, n2, nc) of simulate_hbt: the hbt_bright benchmark's
+    # state and config, rows 0 (0 deg) and 5 (22.5 deg) of
+    # `wigg2 sweep --r 0.4 --thetas 0,5,10,15,20,22.5 --seed 1` at their
+    # row seeds 1 + 1_000_003 i, and `wigg2 count --thermal 0.2 --windows
+    # 100000000 --seed 5`.  Any change to the click model's arithmetic or
+    # to the counter RNG's draws 0-2 moves them; README lists the other
+    # stream pins to rewrite with them.
+    BRIGHT = dict(n_windows=1_000_000, eta_det=0.5, n_max=256)
+
+    @pytest.mark.parametrize("state, config, counts", [
+        (squeezed_vacuum_with_mean_photon(5.0),
+         CountingConfig(seed=0, **BRIGHT), (440349, 440236, 338875)),
+        (squeezed_vacuum_with_mean_photon(5.0),
+         CountingConfig(seed=1, **BRIGHT), (440431, 440216, 339172)),
+        (_sweep_row(0.0), CountingConfig(n_windows=1_000_000, seed=1),
+         (77977, 77964, 11364)),
+        (_sweep_row(22.5),
+         CountingConfig(n_windows=1_000_000, seed=1 + 5 * 1_000_003),
+         (58267, 58163, 40968)),
+        (thermal(0.2), CountingConfig(n_windows=100_000_000, seed=5),
+         (9098974, 9091574, 1514817)),
+    ], ids=["bright-seed0", "bright-seed1", "sweep-0deg", "sweep-22.5deg",
+            "thermal-1e8"])
+    def test_golden_counts(self, state, config, counts):
+        rec = simulate_hbt(state, config)
+        assert (rec.n1, rec.n2, rec.nc) == counts
+
+
 class TestClickEstimator:
     def test_arithmetic_identity(self):
         rec = CountingRecord(10_000, 10_000, 20, 10_000_000,
@@ -122,6 +156,14 @@ class TestClickEstimator:
         rec = CountingRecord(0, 5, 0, 100, CountingConfig(n_windows=100))
         with pytest.raises(InsufficientStatisticsError):
             g2_estimate_clicks(rec)
+
+    @pytest.mark.parametrize("n1, n2, N", [(0, 0, 0), (0, 5, 100)],
+                             ids=["no-windows", "no-singles"])
+    def test_bootstrap_without_singles(self, n1, n2, N):
+        # a zero-window record divided by zero before the singles check
+        rec = CountingRecord(n1, n2, 0, N, CountingConfig(n_windows=100))
+        with pytest.raises(InsufficientStatisticsError, match="singles"):
+            bootstrap_g2_clicks(rec, n_boot=10)
 
     def test_thermal_statistical(self):
         rec = simulate_hbt(thermal(0.01),
@@ -235,10 +277,8 @@ class TestClickErrorBars:
 
     @pytest.fixture(scope="class")
     def records(self):
-        dist = photon_number_distribution(
-            squeezed_vacuum_with_mean_photon(0.2), 64, tol=1e-9)
-        return [simulate_hbt_from_distribution(
-                    dist, CountingConfig(n_windows=self.N, seed=s))
+        state = squeezed_vacuum_with_mean_photon(0.2)
+        return [simulate_hbt(state, CountingConfig(n_windows=self.N, seed=s))
                 for s in range(self.SEEDS)]
 
     def test_reported_error_matches_spread(self, records):

@@ -9,7 +9,7 @@ from wigg2.counting import CountingConfig, expected_click_g2
 from wigg2.errors import DomainError
 from wigg2.fock import photon_number_distribution
 from wigg2.kernels import (binomial_icdf, click_counts, click_probs,
-                           hbt_counts, uniforms_np)
+                           uniforms_np)
 from wigg2.states import thermal
 
 
@@ -121,10 +121,10 @@ class TestCounterRng:
 # [qb, q2) detector 1 only, [q2, q2 + q1 - qb) detector 2 only, the rest
 # both.  A chunk starting at window lo hashes w*phi = lo*phi + j*phi
 # (mod 2^64), one scalar added to the shared row j*phi.
-def _per_window_counts(cdf, eta, split, dark, seed, start, stop,
+def _per_window_counts(p, eta, split, dark, seed, start, stop,
                        chunk=65_536):
     n1 = n2 = nc = 0
-    q1, q2, qb = click_probs(cdf, eta, split, dark)
+    q1, q2, qb = click_probs(p, eta, split, dark)
     # u = bits * 2^-53 < c exactly when bits < ceil(c * 2^53)
     cuts = [np.uint64(min(math.ceil(c * 2.0**53), 2**53))
             for c in (qb, q2, q2 + (q1 - qb))]
@@ -146,12 +146,11 @@ def _per_window_counts(cdf, eta, split, dark, seed, start, stop,
     return n1, n2, nc
 
 
-def _counts_reference(cdf, eta, split, dark, seed, start, stop):
+def _counts_reference(p, eta, split, dark, seed, start, stop):
     """The per-window counts from the Python-int stream, with the
     click-pattern cuts computed in plain Python floats."""
-    cdf = [float(c) for c in cdf]
-    p = [c - b for b, c in zip([0.0] + cdf[:-1], cdf)]
-    p[-1] += 1.0 - cdf[-1]  # missing mass counts as the last n
+    p = [float(pn) for pn in p]
+    p[-1] += 1.0 - math.fsum(p)  # missing mass counts as the last n
 
     def silent(q):
         return math.fsum(pn * q ** n for n, pn in enumerate(p))
@@ -218,20 +217,17 @@ class TestChi2Helper:
 
 
 class TestPerWindowOracle:
-    @pytest.mark.parametrize("cdf, eta, split, dark, seed, start, chunk", [
-        (np.cumsum([0.6, 0.25, 0.1, 0.04, 0.01]), 0.6, 0.4, 0.02, 2**63 - 5,
-         0, 65_536),
-        (np.cumsum([0.2, 0.3, 0.3, 0.1]), 0.9, 0.5, 0.1, 12345, 70_000,
-         1_000),
-        (0.8 * np.cumsum(np.full(40, 1 / 40)), 0.3, 0.7, 0.005, 2**62 + 1,
-         2**40, 3_001),
+    @pytest.mark.parametrize("p, eta, split, dark, seed, start, chunk", [
+        ([0.6, 0.25, 0.1, 0.04, 0.01], 0.6, 0.4, 0.02, 2**63 - 5, 0, 65_536),
+        ([0.2, 0.3, 0.3, 0.1], 0.9, 0.5, 0.1, 12345, 70_000, 1_000),
+        (np.full(40, 0.8 / 40), 0.3, 0.7, 0.005, 2**62 + 1, 2**40, 3_001),
     ])
-    def test_matches_reference(self, cdf, eta, split, dark, seed, start,
+    def test_matches_reference(self, p, eta, split, dark, seed, start,
                                chunk):
         stop = start + 4_096
-        assert _per_window_counts(cdf, eta, split, dark, seed, start, stop,
+        assert _per_window_counts(p, eta, split, dark, seed, start, stop,
                                   chunk=chunk) == _counts_reference(
-            cdf, eta, split, dark, seed, start, stop)
+            p, eta, split, dark, seed, start, stop)
 
 
 class TestSamplerLaw:
@@ -244,14 +240,14 @@ class TestSamplerLaw:
         # (disjoint seed sets, so the two streams never share a uniform)
         if regime == "low_flux":
             dist = photon_number_distribution(thermal(0.05), 32)
-            args = (dist.cdf(), 0.5, 0.5, 0.001)
+            args = (dist.probs, 0.5, 0.5, 0.001)
         else:  # hbt_bright's squeezed vacuum with <n> = 5 at eta 0.5
             from wigg2.states import squeezed_vacuum_with_mean_photon
             dist = photon_number_distribution(
                 squeezed_vacuum_with_mean_photon(5.0), 256)
-            args = (dist.cdf(), 0.5, 0.5, 0.0)
+            args = (dist.probs, 0.5, 0.5, 0.0)
         N = 50_000
-        ours = np.array([hbt_counts(*args, s, 0, N)
+        ours = np.array([_hbt(*args, s, N)
                          for s in range(self.SEEDS)], dtype=np.float64)
         oracle = np.array([_per_window_counts(*args, 10_000 + s, 0, N)
                            for s in range(self.SEEDS)], dtype=np.float64)
@@ -327,17 +323,16 @@ class TestClickPattern:
     def test_no_underflow_at_large_photon_number(self, eta):
         # 1100 photons at eta >= 0.5: both detectors fire in every window
         # (the no-click probabilities are below 1e-137)
-        assert hbt_counts(_point_mass(1100), eta, 0.5, 0.0, 3, 0,
-                             10_000) == (10_000, 10_000, 10_000)
+        assert _hbt(_point_mass(1100), eta, 0.5, 0.0, 3,
+                    10_000) == (10_000, 10_000, 10_000)
 
     def test_vacuum_never_clicks(self):
-        assert hbt_counts(_point_mass(0), 0.9, 0.5, 0.0, 3, 0,
-                             10**6) == (0, 0, 0)
+        assert _hbt(_point_mass(0), 0.9, 0.5, 0.0, 3, 10**6) == (0, 0, 0)
 
     @pytest.mark.parametrize("n", [0, 1, 6])
     def test_pattern_frequencies(self, n):
         eta, split, N = 0.6, 0.3, 200_000
-        n1, n2, nc = hbt_counts(_point_mass(n), eta, split, 0.0, 41, 0, N)
+        n1, n2, nc = _hbt(_point_mass(n), eta, split, 0.0, 41, N)
         qb = (1 - eta) ** n
         q1 = (1 - eta * split) ** n
         q2 = (1 - eta * (1 - split)) ** n
@@ -359,20 +354,15 @@ class TestClickPattern:
     def test_count_invariants(self, weights, mass, eta, split, dark, seed,
                               start, windows):
         w = np.asarray(weights) + 1e-3
-        cdf = mass * np.cumsum(w) / w.sum()
-        counts = hbt_counts(cdf, eta, split, dark, seed, start,
-                               start + windows)
+        p = mass * w / w.sum()
+        counts = _hbt(p, eta, split, dark, seed, windows, start)
         n1, n2, nc = counts
         assert 0 <= nc <= min(n1, n2) <= windows
-        assert counts == hbt_counts(cdf, eta, split, dark, seed, start,
-                                       start + windows)
+        assert counts == _hbt(p, eta, split, dark, seed, windows, start)
 
     def test_window_bound(self):
-        cdf = np.cumsum([0.5, 0.3, 0.2])
-        n1, n2, nc = hbt_counts(cdf, 0.5, 0.5, 0.0, 1, 0, 2**32)
+        n1, n2, nc = _hbt([0.5, 0.3, 0.2], 0.5, 0.5, 0.0, 1, 2**32)
         assert 0 <= nc <= min(n1, n2) <= 2**32
-        with pytest.raises(DomainError, match="2\\*\\*32"):
-            hbt_counts(cdf, 0.5, 0.5, 0.0, 1, 0, 2**32 + 1)
         with pytest.raises(DomainError, match="2\\*\\*32"):
             click_counts(2**32 + 1, 0.5, 0.5, 0.25, 1, 0)
 
@@ -390,26 +380,40 @@ class TestClickPattern:
                                                         only2 + both, both)
 
 
+def _hbt(p, eta, split, dark, seed, n, i=0):
+    """(n1, n2, nc) of n windows at the no-click probabilities of the
+    photon-number probabilities p, drawn at stream index i."""
+    return click_counts(n, *click_probs(p, eta, split, dark), seed, i)
+
+
 def _point_mass(n):
-    cdf = np.zeros(n + 1)
-    cdf[n] = 1.0
-    return cdf
+    p = np.zeros(n + 1)
+    p[n] = 1.0
+    return p
 
 
 class TestClickProbs:
     def test_missing_mass_counts_as_n_max(self):
-        half = np.array([0.2, 0.5, 0.5])  # cdf[-1] = 0.5
-        full = np.array([0.2, 0.5, 1.0])  # the other half at n_max = 2
+        half = np.array([0.2, 0.3, 0.0])  # sum p = 0.5
+        full = np.array([0.2, 0.3, 0.5])  # the other half at n_max = 2
         assert click_probs(half, 0.7, 0.4, 0.01) == click_probs(full, 0.7,
                                                                 0.4, 0.01)
-        assert hbt_counts(half, 0.7, 0.4, 0.01, 9, 0, 50_000) == \
-            hbt_counts(full, 0.7, 0.4, 0.01, 9, 0, 50_000)
+        assert _hbt(half, 0.7, 0.4, 0.01, 9, 50_000) == \
+            _hbt(full, 0.7, 0.4, 0.01, 9, 50_000)
+
+    def test_excess_mass_keeps_probabilities_ordered(self):
+        # sum p up to 1e-9 above 1, which fock allows: taking the excess
+        # from the last n would give q > 1 without the clamps
+        for p in ([1.0 + 1e-9, 0.0], [0.5, 0.5 + 1e-9, 0.0]):
+            q1, q2, qb = click_probs(p, 0.6, 0.3, 0.0)
+            assert qb <= min(q1, q2) and max(q1, q2) <= 1.0
+            assert _hbt(p, 0.6, 0.3, 0.0, 4, 10_000)[2] >= 0
 
     def test_pattern_frequencies_chi2(self):
-        cdf = np.cumsum([0.5, 0.2, 0.15, 0.1, 0.05])
+        p = [0.5, 0.2, 0.15, 0.1, 0.05]
         eta, split, dark, N = 0.7, 0.35, 0.03, 400_000
-        n1, n2, nc = hbt_counts(cdf, eta, split, dark, 77, 0, N)
-        q1, q2, qb = click_probs(cdf, eta, split, dark)
+        n1, n2, nc = _hbt(p, eta, split, dark, 77, N)
+        q1, q2, qb = click_probs(p, eta, split, dark)
         observed = np.array([N - n1 - n2 + nc, n1 - nc, n2 - nc, nc])
         expected = N * np.array([qb, q2 - qb, q1 - qb, 1 - q1 - q2 + qb])
         chi2 = float(np.sum((observed - expected) ** 2 / expected))
@@ -419,6 +423,6 @@ class TestClickProbs:
         dist = photon_number_distribution(thermal(0.3), 32)
         cfg = CountingConfig(n_windows=10, eta_det=0.7, split=0.4,
                              dark_prob=0.01)
-        q1, q2, qb = click_probs(dist.cdf(), 0.7, 0.4, 0.01)
+        q1, q2, qb = click_probs(dist.probs, 0.7, 0.4, 0.01)
         assert expected_click_g2(dist, cfg) == \
             (1.0 - q1 - q2 + qb) / ((1.0 - q1) * (1.0 - q2))

@@ -226,6 +226,49 @@ class TestEstimateCovariance:
         assert np.linalg.eigvalsh(below.matrix()) == pytest.approx([0.125, 2.0])
         assert project_physical(1.0, 2.0, 0.3) == CovarianceMatrix(1.0, 2.0, 0.3)
 
+    def test_projection_of_equal_principal_variances_keeps_axes(self):
+        # principal variances equal within round-off, far below vacuum:
+        # eigh's eigenbasis is arbitrary there, and a rotated one left
+        # vxx vpp - vxp^2 below round-off ("not positive definite")
+        neighbour = project_physical(3.144375419407732e-33,
+                                     3.144375419407733e-33,
+                                     -1.7105694144590052e-49)
+        cov = project_physical(3.1443754194077314e-33, 3.144375419407733e-33,
+                               -4.276423536147513e-49)
+        assert cov == neighbour
+        assert cov.vxp == 0.0 and cov.det == pytest.approx(0.25, rel=1e-15)
+        assert cov.vpp == pytest.approx(3.144375419407733e-33, rel=1e-15)
+
+    @pytest.mark.parametrize("vxx, vpp, vxp", [
+        (1e-33, 2e-33, 3e-34), (1e-12, 2e-12, 3e-13), (1e-300, 2e-300, 3e-301)])
+    def test_projection_refuses_unrepresentable_det(self, vxx, vpp, vxp):
+        # the raised principal variance 1/(4 w1) in a rotated frame makes
+        # vxx vpp + vxp^2 so large that det V = 1/4 is lost to round-off
+        # (the first returned det 1.8e47, the second raised from
+        # CovarianceMatrix, the third overflows vxx vpp)
+        with pytest.raises(DomainError, match="project_physical"):
+            project_physical(vxx, vpp, vxp)
+
+    def test_projection_det_held_or_refused(self):
+        # every entry triple on a 1e-3 grid in [-0.012, 0.012]: a
+        # projection returns det V = 1/4 to about 1e-9 relative, both as
+        # computed and exactly in its three doubles, or raises
+        refused = 0
+        for vxx, vpp, vxp in itertools.product(range(-12, 13), repeat=3):
+            entries = (vxx / 1000, vpp / 1000, vxp / 1000)
+            try:
+                cov = project_physical(*entries)
+            except DomainError:
+                refused += 1
+                continue
+            if (cov.vxx, cov.vpp, cov.vxp) == entries:
+                continue  # physical, returned unchanged
+            exact = (Fraction(cov.vxx) * Fraction(cov.vpp)
+                     - Fraction(cov.vxp) ** 2)
+            assert cov.det == pytest.approx(0.25, rel=2e-9), entries
+            assert float(exact) == pytest.approx(0.25, rel=2e-9), entries
+        assert 0 < refused < 200
+
     @settings(max_examples=300, deadline=None)
     @given(entries=st.tuples(*[st.integers(-100_000, 100_000)] * 3))
     def test_projection_is_physical(self, entries):
