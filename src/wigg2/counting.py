@@ -8,9 +8,9 @@ probabilities (q1, q2 and qb for detector 1, detector 2 and both), and
 the four pattern counts of N windows are one multinomial.  `simulate_hbt`
 is one path: fock.photon_number_distribution gives p(n),
 `kernels.click_probs` averages (q1, q2, qb) over it, and one
-`kernels.click_counts` draw (three inverse-CDF binomials on the counter
-RNG, stream index 0) gives the counts, at a cost that does not grow with
-N.  `expected_click_g2` uses the same `click_probs`, so both share one
+`kernels.click_counts` draw (three binomials on the counter RNG, stream
+index 0, each O(1) in expectation) gives the counts, at a cost that does
+not grow with N.  `expected_click_g2` uses the same `click_probs`, so both share one
 model; one draw needs no sharding, so `CountingConfig.workers` has no
 effect.
 
@@ -138,9 +138,12 @@ def g2_estimate_clicks(rec: CountingRecord):
 def bootstrap_g2_clicks(rec: CountingRecord, n_boot: int = 200, seed: int = 0):
     """Parametric bootstrap of the click estimator: member b re-draws the
     four-pattern multinomial at the observed rates with
-    `kernels.click_counts` at stream index b.  Returns the g2 draws
-    (members with zero singles on a detector are skipped); a record with
-    none raises InsufficientStatisticsError, as g2_estimate_clicks does."""
+    `kernels.click_counts` at stream index b, from the draws
+    `kernels.CLICK_MEMBER_DRAWS` on, which no simulate_hbt run uses, so
+    a bootstrap under the data's own seed does not re-use its uniforms.
+    Returns the g2 draws (members with zero singles on a detector are
+    skipped); a record with none raises InsufficientStatisticsError, as
+    g2_estimate_clicks does."""
     check_seed(seed, "bootstrap_g2_clicks")
     check_int(n_boot, "bootstrap_g2_clicks: n_boot", 1)
     _require_singles(rec)
@@ -150,7 +153,8 @@ def bootstrap_g2_clicks(rec: CountingRecord, n_boot: int = 200, seed: int = 0):
     qb, q2, q1 = none / N, (N - rec.n2) / N, (N - rec.n1) / N
     draws = []
     for b in range(n_boot):
-        b1, b2, bc = kernels.click_counts(N, q1, q2, qb, seed, b)
+        b1, b2, bc = kernels.click_counts(N, q1, q2, qb, seed, b,
+                                          kernels.CLICK_MEMBER_DRAWS)
         if b1 and b2:
             draws.append(bc * N / (b1 * b2))
     if not draws:

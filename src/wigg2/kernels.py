@@ -16,10 +16,7 @@ so each stream index costs one finaliser.  A draw depends only on
 
 Normals come a pair per stream index from `normal_pairs`, by
 Marsaglia's polar method (Marsaglia & Bray, SIAM Review 6, 260 (1964)),
-with no trigonometry.  The three arms of a run draw from disjoint ranges
-of draw numbers: the HBT counts 0-2, homodyne samples SAMPLE_DRAWS + t
-and bootstrap members MEMBER_DRAWS + t, t counting the polar method's
-tries, so no two arms share a uniform, whatever their seeds.
+with no trigonometry, from draw ranges of their own (below).
 
 The HBT arm is one multinomial.  Threshold detectors only see whether
 each fired, so a window's click pattern depends on the state only
@@ -31,22 +28,38 @@ included.  N independent windows then give exactly
         ~ Multinomial(N; qb, q2 - qb, q1 - qb, 1 - q1 - q2 + qb),
 
 which `click_counts` draws as three conditional binomials at stream
-index i: none ~ Bin(N, qb) at draw 0, 1 only ~ Bin(N - none,
-(q2 - qb)/(1 - qb)) at draw 1 and 2 only ~ Bin(rest, (q1 - qb)/(1 - q2))
-at draw 2; the windows left over click on both.  `binomial_icdf`
-inverts each binomial's CDF at its one uniform (Devroye, Non-Uniform
-Random Variate Generation, 1986, ch. X.4), from a pmf table around the
-mode built by the ratio recurrence
-p(k+1)/p(k) = (N - k) p / ((k + 1)(1 - p)) over mode +- (10 sigma + 40)
-and normalised by its own sum: O(sigma) work, sigma = sqrt(N p (1 - p)),
-whatever N, and the mass it leaves out is below 1e-20.  A
-counting.simulate_hbt run is one click_counts call, at stream index 0.
+index i, binomial d = 0, 1, 2 from draws d, d + 3, d + 6, ...: none ~
+Bin(N, qb), then 1 only ~ Bin(N - none, (q2 - qb)/(1 - qb)), then
+2 only ~ Bin(rest, (q1 - qb)/(1 - q2)); the windows left over click on
+both.  `binomial` draws each in O(1) expected time, whatever N:
+
+- small mean, n min(p, 1 - p) < 10: `binomial_icdf` inverts the CDF at
+  the one uniform u(seed, i, d) (Devroye, Non-Uniform Random Variate
+  Generation, 1986, ch. X.4), from a pmf table around the mode built by
+  the ratio recurrence p(k+1)/p(k) = (n - k) p / ((k + 1)(1 - p)) over
+  mode +- (10 sigma + 40), sigma = sqrt(n p (1 - p)), at most about
+  +-72 entries here, normalised by its own sum (the mass it leaves out
+  is below 1e-20);
+- large mean: Hormann's BTRS, transformed rejection with squeeze
+  (W. Hormann, "The generation of binomial random variates",
+  J. Statist. Comput. Simul. 46, 101 (1993)), on p <= 1/2, a larger p
+  drawn as n - Bin(n, 1 - p).  Try j takes u - 1/2 at draw d + 6j and
+  v at draw d + 6j + 3; a draw takes about 1.4 tries at mean 10 and
+  1.14 from mean 1e5 on, whatever n.
+
+A counting.simulate_hbt run is one click_counts call at stream index 0,
+draw base 0.  The parametric bootstrap of the click estimator draws
+member b at stream index b from draw base CLICK_MEMBER_DRAWS, so its
+binomials take draws CLICK_MEMBER_DRAWS + d + 3j.  Every arm of a run
+thus has a draw range of its own: HBT counts 0, 1, 2, ..., HBT members
+CLICK_MEMBER_DRAWS + t, homodyne samples SAMPLE_DRAWS + t and homodyne
+bootstrap members MEMBER_DRAWS + t, t counting tries, and no two arms
+share a uniform, whatever their seeds.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
@@ -73,7 +86,9 @@ _S11, _S31 = np.uint64(11), np.uint64(31)
 _INV53 = 1.0 / 9007199254740992.0  # 2^-53
 _INV52 = 2.0 ** -52
 _S_MIN = 2.0 ** -104  # the least nonzero s: x and y are multiples of 2^-52
-# the draw ranges of homodyne samples and bootstrap members (docstring)
+# the draw ranges of HBT bootstrap members, homodyne samples and homodyne
+# bootstrap members (docstring)
+CLICK_MEMBER_DRAWS = 1 << 61
 SAMPLE_DRAWS = 1 << 62
 MEMBER_DRAWS = 1 << 63
 # values per pass of normal_pairs and of tomography's moment sums: their
@@ -199,12 +214,13 @@ def click_probs(p, eta, split, dark):
     (1-dark)^2 (1-eta)^n: `split` of the photons go to detector 1, and
     each detector has efficiency eta and dark-event probability `dark`.
     Every sum is exactly rounded (math.fsum), whatever BLAS or order."""
-    p = np.asarray(p, dtype=np.float64).tolist()
-    p[-1] += 1.0 - math.fsum(p)
-    n = np.arange(len(p), dtype=np.float64)
-    q1, q2, qb = (math.fsum(map(operator.mul, p, (q ** n).tolist()))
-                  for q in (1.0 - eta * split, 1.0 - eta * (1.0 - split),
-                            1.0 - eta))
+    p = np.array(p, dtype=np.float64)
+    p[-1] += 1.0 - math.fsum(p.tolist())
+    q = np.array([[1.0 - eta * split], [1.0 - eta * (1.0 - split)],
+                  [1.0 - eta]])
+    terms = q ** np.arange(len(p), dtype=np.float64)
+    terms *= p
+    q1, q2, qb = (math.fsum(row) for row in terms.tolist())
     # fock may leave sum p up to 1e-9 above 1, which must not give q > 1;
     # qb <= q1, q2 keeps every pattern count >= 0 should pow round a hair
     # out of order; the dark factors below preserve both
@@ -238,21 +254,89 @@ def binomial_icdf(n, p, u):
     return lo + np.minimum(j, hi - lo)
 
 
-def click_counts(n, q1, q2, qb, seed, i):
+# Stirling's remainder fc(k) = log k! - (k + 1/2) log(k + 1) + (k + 1)
+# - log(2 pi)/2 for k = 0..9, rounded from 40-digit values
+_FC = (0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+       0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+       0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+       0.00833056343336287)
+
+
+def _fc(k):
+    """Stirling's remainder fc(k) of the integer k >= 0: the table below
+    10, else its series to 1/(k + 1)^5."""
+    if k <= 9:
+        return _FC[k]
+    s = 1.0 / ((k + 1) * (k + 1))
+    return (1.0 / 12 - (1.0 / 360 - 1.0 / 1260 * s) * s) / (k + 1)
+
+
+def _btrs(n, p, seed, i, d):
+    """Bin(n, p) by Hormann's BTRS for p <= 1/2 and n p >= 10: try j
+    draws u - 1/2 at draw d + 6j and v at draw d + 6j + 3 of stream
+    index i under seed."""
+    q = 1.0 - p
+    spq = math.sqrt(n * p * q)
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    v_r = 0.92 - 4.2 / b
+    r = p / q
+    alpha = (2.83 + 5.1 / b) * spq
+    m = math.floor((n + 1) * p)
+    # the part of the log acceptance bound that does not depend on k
+    h_m = ((m + 0.5) * math.log((m + 1) / (r * (n - m + 1)))
+           + _fc(m) + _fc(n - m))
+    while True:
+        u = _uniform(seed, i, d) - 0.5
+        v = _uniform(seed, i, d + 3)
+        d += 6
+        us = 0.5 - abs(u)
+        # u = -1/2, from a draw of exactly 0, is outside the hat
+        if us == 0.0:
+            continue
+        k = math.floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        if us >= 0.07 and v <= v_r:
+            return k
+        # log(f(k)/f(m)) by Stirling; (n + 1) log((n - m + 1)/(n - k + 1))
+        # through log1p, which the plain quotient would round by n eps
+        bound = (h_m + (n + 1) * math.log1p((k - m) / (n - k + 1))
+                 + (k + 0.5) * math.log(r * (n - k + 1) / (k + 1))
+                 - _fc(k) - _fc(n - k))
+        # v = 0 has log v = -inf
+        if v == 0.0 or math.log(v * alpha / (a / (us * us) + b)) <= bound:
+            return k
+
+
+def binomial(n, p, seed, i, d):
+    """A Bin(n, p) variate (0 <= p <= 1) at stream index i under seed,
+    from draws d, d + 3, d + 6, ...: `binomial_icdf` at u(seed, i, d) when
+    n min(p, 1 - p) < 10, else BTRS (module docstring)."""
+    if n * min(p, 1.0 - p) < 10.0:
+        return int(binomial_icdf(n, p, _uniform(seed, i, d)))
+    if p > 0.5:
+        return n - _btrs(n, 1.0 - p, seed, i, d)
+    return _btrs(n, p, seed, i, d)
+
+
+def click_counts(n, q1, q2, qb, seed, i, draw=0):
     """(n1, n2, nc) of n windows with no-click probabilities q1, q2 and
     qb (0 <= qb <= q1, q2 <= 1): the multinomial of the module
-    docstring, drawn at stream index i under seed; n <= 2^32 bounds the
-    pmf tables at about 0.7M entries."""
+    docstring, its binomials at draws draw + d + 3j of stream index i
+    under seed.  n <= 2^32 keeps the rounding of BTRS's acceptance test,
+    which grows as n eps, near 1e-6."""
     check_int(n, "click_counts: n", 0, 2**32)
 
-    def draw(m, num, den, d):
+    def conditional(m, num, den, d):
         # num <= den; when den is 0 so is m, as no window is left to draw
         if m == 0:
             return 0
-        return int(binomial_icdf(m, min(num / den, 1.0), _uniform(seed, i, d)))
+        return binomial(m, min(num / den, 1.0), seed, i, draw + d)
 
-    none = draw(n, qb, 1.0, 0)
-    only1 = draw(n - none, q2 - qb, 1.0 - qb, 1)
-    only2 = draw(n - none - only1, q1 - qb, 1.0 - q2, 2)
+    none = conditional(n, qb, 1.0, 0)
+    only1 = conditional(n - none, q2 - qb, 1.0 - qb, 1)
+    only2 = conditional(n - none - only1, q1 - qb, 1.0 - q2, 2)
     both = n - none - only1 - only2
     return only1 + both, only2 + both, both

@@ -105,23 +105,23 @@ class TestHbtStream:
     # state and config, rows 0 (0 deg) and 5 (22.5 deg) of
     # `wigg2 sweep --r 0.4 --thetas 0,5,10,15,20,22.5 --seed 1` at their
     # row seeds 1 + 1_000_003 i, and `wigg2 count --thermal 0.2 --windows
-    # 100000000 --seed 5`.  Any change to the click model's arithmetic or
-    # to the counter RNG's draws 0-2 moves them; README lists the other
-    # stream pins to rewrite with them.
+    # 100000000 --seed 5`.  Any change to the click model's arithmetic,
+    # to the binomial samplers or to the counter RNG's draws d + 3j moves
+    # them; README lists the other stream pins to rewrite with them.
     BRIGHT = dict(n_windows=1_000_000, eta_det=0.5, n_max=256)
 
     @pytest.mark.parametrize("state, config, counts", [
         (squeezed_vacuum_with_mean_photon(5.0),
-         CountingConfig(seed=0, **BRIGHT), (440349, 440236, 338875)),
+         CountingConfig(seed=0, **BRIGHT), (440415, 440287, 338915)),
         (squeezed_vacuum_with_mean_photon(5.0),
-         CountingConfig(seed=1, **BRIGHT), (440431, 440216, 339172)),
+         CountingConfig(seed=1, **BRIGHT), (440505, 440257, 339249)),
         (_sweep_row(0.0), CountingConfig(n_windows=1_000_000, seed=1),
-         (77977, 77964, 11364)),
+         (77490, 77723, 11095)),
         (_sweep_row(22.5),
          CountingConfig(n_windows=1_000_000, seed=1 + 5 * 1_000_003),
-         (58267, 58163, 40968)),
+         (57797, 57632, 40650)),
         (thermal(0.2), CountingConfig(n_windows=100_000_000, seed=5),
-         (9098974, 9091574, 1514817)),
+         (9091764, 9089613, 1515436)),
     ], ids=["bright-seed0", "bright-seed1", "sweep-0deg", "sweep-22.5deg",
             "thermal-1e8"])
     def test_golden_counts(self, state, config, counts):
@@ -239,16 +239,17 @@ class TestClickEstimator:
 
     def test_bootstrap_matches_member_loop(self):
         # member b draws the four-pattern multinomial at the observed
-        # rates from counter uniforms u(seed, b, 0..2), as three
-        # conditional binomials; rates low enough that some members have
-        # no singles
+        # rates from counter uniforms u(seed, b, CLICK_MEMBER_DRAWS + 0..2),
+        # as three conditional binomials, all of small mean; rates low
+        # enough that some members have no singles
         N = 20_000
         rec = CountingRecord(3, 2, 1, N, CountingConfig(n_windows=N))
         # no-click rates: neither detector, detector 2 and detector 1
         qb, q2, q1 = (N - 4) / N, (N - 2) / N, (N - 3) / N
         ref = []
         for b in range(300):
-            u = [kernels._uniform(8, b, d) for d in range(3)]
+            u = [kernels._uniform(8, b, kernels.CLICK_MEMBER_DRAWS + d)
+                 for d in range(3)]
             none = int(kernels.binomial_icdf(N, qb, u[0]))
             only1 = int(kernels.binomial_icdf(N - none, (q2 - qb) / (1 - qb),
                                               u[1]))

@@ -1,4 +1,6 @@
+import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -8,9 +10,9 @@ from wigg2 import kernels
 from wigg2.counting import CountingConfig, expected_click_g2
 from wigg2.errors import DomainError
 from wigg2.fock import photon_number_distribution
-from wigg2.kernels import (binomial_icdf, click_counts, click_probs,
-                           uniforms_np)
-from wigg2.states import thermal
+from wigg2.kernels import (CLICK_MEMBER_DRAWS, binomial, binomial_icdf,
+                           click_counts, click_probs, uniforms_np)
+from wigg2.states import squeezed_vacuum_with_mean_photon, thermal
 
 
 # Independent reference for the counter RNG in Python ints, masked to 64
@@ -58,6 +60,12 @@ def _unpack(z, count):
 def _uniforms_oracle(seed, idx, draw):
     z = _hashes_oracle(seed, idx, draw)
     return _unpack(z >> 11, len(idx)) * 2.0**-53  # each lane < 2^53
+
+
+def _uniform_oracle(seed, i, draw):
+    """u(seed, i, draw) of the one stream index i."""
+    return float(_uniforms_oracle(seed, np.array([i], dtype=np.uint64),
+                                  draw)[0])
 
 
 class TestCounterRng:
@@ -208,6 +216,21 @@ def _binom_pmf(n, p, kmax=None):
             for k in range(min(n, n if kmax is None else kmax) + 1)]
 
 
+def _pmf_pvalue(ks, pmf):
+    """p-value of the chi^2 test that the integer draws ks follow pmf
+    (k = 0..len(pmf) - 1), with every k of expected count below 5, and
+    every k past the end of pmf, in one bin."""
+    M = len(ks)
+    expected = M * np.array(pmf)
+    observed = np.bincount(ks, minlength=len(pmf))[:len(pmf)]
+    big = expected >= 5
+    obs = np.append(observed[big], M - observed[big].sum())
+    exp = np.append(expected[big], M - expected[big].sum())
+    assert exp[-1] > 0.0
+    chi2 = float(np.sum((obs - exp) ** 2 / exp))
+    return _chi2_sf(chi2, len(obs) - 1)
+
+
 class TestChi2Helper:
     @pytest.mark.parametrize("x, dof, sf", [
         (17.0, 22, 0.7633619791340178), (21.107513466160444, 3, 1e-4),
@@ -309,13 +332,71 @@ class TestBinomialIcdf:
         ks = binomial_icdf(n, p, u)
         assert [binomial_icdf(n, p, x) for x in u[:50].tolist()] == \
             ks[:50].tolist()
-        observed = np.bincount(ks, minlength=n + 1)
-        expected = M * np.array(_binom_pmf(n, p))
-        big = expected >= 5
-        obs = np.append(observed[big], observed[~big].sum())
-        exp = np.append(expected[big], expected[~big].sum())
-        chi2 = float(np.sum((obs - exp) ** 2 / exp))
-        assert _chi2_sf(chi2, len(obs) - 1) > 1e-4
+        assert _pmf_pvalue(ks, _binom_pmf(n, p)) > 1e-4
+
+
+class TestBinomial:
+    @pytest.mark.parametrize("n, p", [
+        (40, 0.3), (10**4, 0.3), (10**6, 0.7), (2**32, 0.4588314677411236)])
+    def test_matches_oracle(self, n, p):
+        # 200 indices, 50 at 2^32 where the oracle sums about 3e4 logs
+        # per full test: a fifth or more of the tries leave the squeeze for
+        # the full acceptance test, and some of those are rejected
+        count = 50 if n > 10**6 else 200
+        for i in range(count):
+            assert binomial(n, p, 11, i, 1) == _binomial_oracle(n, p, 11, i,
+                                                                1)
+
+    @pytest.mark.parametrize("n, p", [
+        (40, 0.2), (1000, 0.995),  # mean below 10: the inverse CDF
+        (40, 0.3), (100, 0.5), (1000, 0.02), (1000, 0.7),  # BTRS
+        (2**32, 12 / 2**32)])
+    def test_follows_exact_pmf(self, n, p):
+        # at n = 2^32 the pmf past k = 34 (mass below 1e-6) is one bin
+        M = 20_000
+        ks = np.array([binomial(n, p, 2024, i, 0) for i in range(M)])
+        pmf = _binom_pmf(n, p, kmax=34 if n > 10**6 else None)
+        assert sum(e >= 5 for e in M * np.array(pmf)) >= 10
+        assert _pmf_pvalue(ks, pmf) > 1e-4
+
+    @pytest.mark.parametrize("n, p", [
+        (0, 0.3), (5, 1.0), (7, 0.0), (40, 0.2), (1000, 0.995), (19, 0.5),
+        (2**32, 1e-9)])
+    def test_small_mean_is_icdf(self, n, p):
+        for seed, i, d in ((0, 0, 0), (3, 2**40, 2), (2**63 - 1, 7,
+                                                      CLICK_MEMBER_DRAWS)):
+            assert binomial(n, p, seed, i, d) == binomial_icdf(
+                n, p, _uniform_oracle(seed, i, d))
+
+    def test_stirling_remainder(self):
+        # fc(k) = log k! - (k + 1/2) log(k + 1) + (k + 1) - log(2 pi)/2:
+        # the table to 5e-15, the series to its first omitted term,
+        # 1/(1680 (k + 1)^7), plus a few ulps of the terms that cancel
+        for k in range(100):
+            log_term = (k + 0.5) * math.log(k + 1)
+            fc = (math.lgamma(k + 1) - log_term + k + 1
+                  - 0.5 * math.log(2 * math.pi))
+            tol = 5e-15 if k <= 9 else (1 / (1680 * (k + 1) ** 7)
+                                        + 8 * 2.0**-53 * (log_term + k + 1))
+            assert abs(kernels._fc(k) - fc) <= tol, k
+
+    def test_mean_tries_at_hbt_bright(self, monkeypatch):
+        # every binomial at hbt_bright's rates is BTRS, two uniforms a try
+        dist = photon_number_distribution(
+            squeezed_vacuum_with_mean_photon(5.0), 256)
+        q = click_probs(dist.probs, 0.5, 0.5, 0.0)
+        calls = []
+        uniform = kernels._uniform
+
+        def counting(*args):
+            calls.append(args)
+            return uniform(*args)
+
+        monkeypatch.setattr(kernels, "_uniform", counting)
+        seeds = 1000
+        for seed in range(seeds):
+            click_counts(10**6, *q, seed, 0)
+        assert len(calls) / 2 / (3 * seeds) <= 1.3
 
 
 class TestClickPattern:
@@ -368,16 +449,60 @@ class TestClickPattern:
 
     def test_conditional_binomials(self):
         # click_counts is the three conditional binomials of the module
-        # docstring at draws 0, 1 and 2 of one stream index
-        n, q1, q2, qb, seed, i = 10**5, 0.8, 0.7, 0.6, 5, 17
-        u = [kernels._uniform(seed, i, d) for d in range(3)]
-        none = int(binomial_icdf(n, qb, u[0]))
-        only1 = int(binomial_icdf(n - none, (q2 - qb) / (1 - qb), u[1]))
-        only2 = int(binomial_icdf(n - none - only1, (q1 - qb) / (1 - q2),
-                                  u[2]))
-        both = n - none - only1 - only2
-        assert click_counts(n, q1, q2, qb, seed, i) == (only1 + both,
-                                                        only2 + both, both)
+        # docstring, binomial d from draws draw + d + 3j of one index:
+        # all BTRS, BTRS and the inverse CDF from the bootstrap's draws,
+        # hbt_bright's rates at 2^32 windows, and all inverse CDF
+        for n, q1, q2, qb, seed, i, draw in [
+                (10**5, 0.8, 0.7, 0.6, 5, 17, 0),
+                (10**4, 0.9, 0.5003, 0.5, 9, 3, CLICK_MEMBER_DRAWS),
+                (2**32, 0.560112033611204, 0.560112033611204,
+                 0.4588314677411236, 2**63 - 1, 2**40, 0),
+                (1000, 0.999, 0.998, 0.9975, 3, 0, 0)]:
+            none = _binomial_oracle(n, qb, seed, i, draw)
+            only1 = _binomial_oracle(n - none, (q2 - qb) / (1 - qb), seed,
+                                     i, draw + 1)
+            rest = n - none - only1
+            only2 = _binomial_oracle(rest, min((q1 - qb) / (1 - q2), 1.0),
+                                     seed, i, draw + 2) if rest else 0
+            both = rest - only2
+            assert click_counts(n, q1, q2, qb, seed, i, draw) == (
+                only1 + both, only2 + both, both)
+
+
+def _binomial_oracle(n, p, seed, i, d):
+    """Bin(n, p) by the layout of the kernels docstring, one index at a
+    time on the Python-int uniforms: the inverse CDF at u(seed, i, d)
+    below mean 10, else BTRS on min(p, 1 - p) with try j at draws d + 6j
+    and d + 6j + 3, its acceptance test taken against log f(k)/f(m) summed
+    exactly from the pmf ratios instead of Stirling's series."""
+    if n * min(p, 1.0 - p) < 10.0:
+        return int(binomial_icdf(n, p, _uniform_oracle(seed, i, d)))
+    if p > 0.5:
+        return n - _binomial_oracle(n, 1.0 - p, seed, i, d)
+    q = 1.0 - p
+    spq = math.sqrt(n * p * q)
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    alpha = (2.83 + 5.1 / b) * spq
+    m = math.floor((n + 1) * p)
+
+    def log_ratio(k):
+        # log f(k)/f(m) = sum of log f(j+1)/f(j) = log((n-j) p/((j+1) q))
+        terms = (math.log((n - j) * p / ((j + 1) * q))
+                 for j in range(min(k, m), max(k, m)))
+        return math.fsum(terms) if k >= m else -math.fsum(terms)
+
+    for j in itertools.count():
+        u = _uniform_oracle(seed, i, d + 6 * j) - 0.5
+        v = _uniform_oracle(seed, i, d + 6 * j + 3)
+        us = 0.5 - abs(u)
+        k = math.floor((2 * a / us + b) * u + n * p + 0.5)
+        if not 0 <= k <= n:
+            continue
+        if us >= 0.07 and v <= 0.92 - 4.2 / b:
+            return k
+        if math.log(v * alpha / (a / us ** 2 + b)) <= log_ratio(k):
+            return k
 
 
 def _hbt(p, eta, split, dark, seed, n, i=0):
@@ -392,7 +517,29 @@ def _point_mass(n):
     return p
 
 
+def _click_probs_loop(p, eta, split, dark):
+    """Frozen copy of click_probs as it took each product in a Python
+    loop over n."""
+    p = np.asarray(p, dtype=np.float64).tolist()
+    p[-1] += 1.0 - math.fsum(p)
+    n = np.arange(len(p), dtype=np.float64)
+    q1, q2, qb = (math.fsum(map(operator.mul, p, (q ** n).tolist()))
+                  for q in (1.0 - eta * split, 1.0 - eta * (1.0 - split),
+                            1.0 - eta))
+    q1, q2 = min(q1, 1.0), min(q2, 1.0)
+    qb = min(qb, q1, q2)
+    return (1.0 - dark) * q1, (1.0 - dark) * q2, (1.0 - dark) ** 2 * qb
+
+
 class TestClickProbs:
+    def test_matches_frozen_loop(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            p = rng.random(int(rng.integers(1, 300))) ** 3
+            p /= p.sum() * rng.uniform(1.0, 1.5)
+            args = (rng.random(), rng.random(), 0.1 * rng.random())
+            assert click_probs(p, *args) == _click_probs_loop(p, *args)
+
     def test_missing_mass_counts_as_n_max(self):
         half = np.array([0.2, 0.3, 0.0])  # sum p = 0.5
         full = np.array([0.2, 0.3, 0.5])  # the other half at n_max = 2

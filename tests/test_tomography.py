@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from wigg2.counting import (CountingConfig, g2_estimate_clicks,
-                            simulate_hbt)
+from wigg2.counting import (CountingConfig, bootstrap_g2_clicks,
+                            g2_estimate_clicks, simulate_hbt)
 from wigg2.errors import (DomainError, FitError, IdentifiabilityError,
                           UnstableInferenceError)
 from wigg2.moments import g2_gaussian
@@ -657,7 +657,8 @@ class TestStreamLayout:
 class TestArmsShareNoDraws:
     # `homodyne --reconstruct` bootstraps under the data's own seed, and
     # row 0 of hwp_sweep gives its HBT counts, samples and bootstrap the
-    # same seed
+    # same seed; bootstrap_g2_clicks may resample a record under its own
+    # seed too
 
     def test_keys_disjoint_under_one_seed(self, monkeypatch):
         # a uniform is the finaliser of i phi + key, so arms with no key
@@ -673,14 +674,16 @@ class TestArmsShareNoDraws:
         monkeypatch.setattr(kernels, "_key", recording_key)
         state = squeezed_vacuum(0.4, 0.2)
         used.append(set())
-        simulate_hbt(state, CountingConfig(n_windows=10_000, seed=seed))
+        rec = simulate_hbt(state, CountingConfig(n_windows=10_000, seed=seed))
+        used.append(set())
+        bootstrap_g2_clicks(rec, n_boot=50, seed=seed)
         used.append(set())
         data = simulate_homodyne(state, ANGLES12, 1001, seed=seed)
         used.append(set())
         estimate_covariance(data, n_boot=200, boot_seed=seed)
-        hbt, samples, members = used
-        assert hbt and samples and members
-        assert not (hbt & samples or hbt & members or samples & members)
+        assert all(used)
+        for a, b in itertools.combinations(used, 2):
+            assert not a & b
 
     def test_members_independent_of_samples(self):
         # with two orthogonal angles member b's mean at angle 0 is
