@@ -89,13 +89,15 @@ class PhotonNumberDistribution:
         return float(np.dot(self.probs, n))
 
 
-def _binomial_ratio(cov) -> float:
-    """b = (det V - 1/4) / det(V + I/2) = (det K + tr K/2) / (1 + tr K +
-    det K) with K = V - I/2, unclamped: >= 0 up to round-off for a
+def _husimi_form(cov):
+    """(1 + tau, c, D, b) of the module docstring from K = V - I/2, with
+    b = (det K + tr K/2) / D unclamped: >= 0 up to round-off for a
     physical state, 0 for a pure one."""
     kxx, kpp, kxp = cov.vxx - 0.5, cov.vpp - 0.5, cov.vxp
     det_k = kxx * kpp - kxp * kxp
-    return (det_k + 0.5 * (kxx + kpp)) / (1.0 + kxx + kpp + det_k)
+    d = 1.0 + kxx + kpp + det_k
+    return (1.0 + 0.5 * (kxx + kpp), complex(0.5 * (kxx - kpp), kxp), d,
+            (det_k + 0.5 * (kxx + kpp)) / d)
 
 
 def _hermite_row(g1: complex, b11: complex, n_max: int) -> np.ndarray:
@@ -145,11 +147,9 @@ def photon_number_distribution(
                           "< 1/4, the covariance of no quantum state")
     # a pure state's det V - 1/4 is round-off within 3 eps * scale
     pure = excess <= 8.0 * np.finfo(float).eps * scale
-    b = 0.0 if pure else max(_binomial_ratio(c), 0.0)
+    one_tau, cq, d, b = _husimi_form(c)
+    b = 0.0 if pure else max(b, 0.0)
     # T, gamma_1 and B_11 in closed form (module docstring)
-    kxx, kpp, kxp = c.vxx - 0.5, c.vpp - 0.5, c.vxp
-    one_tau, cq = 1.0 + 0.5 * (kxx + kpp), complex(0.5 * (kxx - kpp), kxp)
-    d = 1.0 + kxx + kpp + (kxx * kpp - kxp * kxp)
     a = complex(state.mean.x, state.mean.p) / math.sqrt(2.0)
     ac = a.conjugate()
     pref = (math.exp(-(one_tau * (a * ac).real - (cq * ac * ac).real) / d)

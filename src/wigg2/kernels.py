@@ -33,13 +33,13 @@ Bin(N, qb), then 1 only ~ Bin(N - none, (q2 - qb)/(1 - qb)), then
 2 only ~ Bin(rest, (q1 - qb)/(1 - q2)); the windows left over click on
 both.  `binomial` draws each in O(1) expected time, whatever N:
 
-- small mean, n min(p, 1 - p) < 10: `binomial_icdf` inverts the CDF at
-  the one uniform u(seed, i, d) (Devroye, Non-Uniform Random Variate
-  Generation, 1986, ch. X.4), from a pmf table around the mode built by
-  the ratio recurrence p(k+1)/p(k) = (n - k) p / ((k + 1)(1 - p)) over
-  mode +- (10 sigma + 40), sigma = sqrt(n p (1 - p)), at most about
-  +-72 entries here, normalised by its own sum (the mass it leaves out
-  is below 1e-20);
+- small mean, n min(p, 1 - p) < 10: `_binomial_icdf` inverts the CDF at
+  the one uniform u(seed, i, d) by sequential search from
+  f(0) = (1 - p)^n >= e^-20 up the ratio recurrence f(k+1)/f(k) =
+  (n - k) p / ((k + 1)(1 - p)) (Devroye, Non-Uniform Random Variate
+  Generation, 1986, ch. X.3; Kachitvichyanukul & Schmeiser's BINV,
+  Commun. ACM 31, 216 (1988)), on p <= 1/2, a larger p drawn as
+  n - Bin(n, 1 - p) at 1 - u, exact for the 53-bit uniforms;
 - large mean: Hormann's BTRS, transformed rejection with squeeze
   (W. Hormann, "The generation of binomial random variates",
   J. Statist. Comput. Simul. 46, 101 (1993)), on p <= 1/2, a larger p
@@ -229,29 +229,26 @@ def click_probs(p, eta, split, dark):
     return (1.0 - dark) * q1, (1.0 - dark) * q2, (1.0 - dark) ** 2 * qb
 
 
-def binomial_icdf(n, p, u):
-    """The Bin(n, p) variate at uniform u in [0, 1) (scalar or array):
-    the smallest k with u < F(k), F the CDF of the pmf table of the
-    module docstring, scaled by the table's own sum."""
+def _binomial_icdf(n, p, u):
+    """The Bin(n, p) variate at the scalar uniform u in [0, 1), for
+    n min(p, 1 - p) < 10 only: the smallest k with u < F(k), by sequential
+    search up the pmf from k = 0, p > 1/2 as n - k at 1 - u.  Above that
+    mean (1 - p)^n may underflow, and the search would return 0."""
     if n == 0 or p <= 0.0:
-        return np.zeros(np.shape(u), dtype=np.int64)[()]
+        return 0
     if p >= 1.0:
-        return np.full(np.shape(u), n, dtype=np.int64)[()]
-    q = 1.0 - p
-    mode = min(int((n + 1) * p), n)
-    half = math.ceil(10.0 * math.sqrt(n * p * q) + 40.0)
-    lo, hi = max(mode - half, 0), min(mode + half, n)
-    odds = p / q
-    # p(k)/p(mode), falling away from the mode on both sides, so the
-    # running products never overflow; far tails underflow to 0
-    k = np.arange(mode, hi, dtype=np.float64)
-    up = np.cumprod((n - k) / (k + 1.0) * odds)
-    k = np.arange(mode, lo, -1, dtype=np.float64)
-    down = np.cumprod(k / (n - k + 1.0) / odds)
-    cdf = np.cumsum(np.concatenate((down[::-1], [1.0], up)))
-    # u * cdf[-1] may round up to cdf[-1] itself
-    j = np.searchsorted(cdf, np.multiply(u, cdf[-1]), side="right")
-    return lo + np.minimum(j, hi - lo)
+        return n
+    if p > 0.5:
+        return n - _binomial_icdf(n, 1.0 - p, 1.0 - u)
+    odds = p / (1.0 - p)
+    f = math.exp(n * math.log1p(-p))
+    k = 0
+    # f > 0 ends the search should round-off leave u above the summed mass
+    while u >= f > 0.0 and k < n:
+        u -= f
+        k += 1
+        f *= (n - k + 1) / k * odds
+    return k
 
 
 # Stirling's remainder fc(k) = log k! - (k + 1/2) log(k + 1) + (k + 1)
@@ -312,10 +309,10 @@ def _btrs(n, p, seed, i, d):
 
 def binomial(n, p, seed, i, d):
     """A Bin(n, p) variate (0 <= p <= 1) at stream index i under seed,
-    from draws d, d + 3, d + 6, ...: `binomial_icdf` at u(seed, i, d) when
-    n min(p, 1 - p) < 10, else BTRS (module docstring)."""
+    from draws d, d + 3, d + 6, ...: `_binomial_icdf` at u(seed, i, d)
+    when n min(p, 1 - p) < 10, else BTRS (module docstring)."""
     if n * min(p, 1.0 - p) < 10.0:
-        return int(binomial_icdf(n, p, _uniform(seed, i, d)))
+        return int(_binomial_icdf(n, p, _uniform(seed, i, d)))
     if p > 0.5:
         return n - _btrs(n, 1.0 - p, seed, i, d)
     return _btrs(n, p, seed, i, d)

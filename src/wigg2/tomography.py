@@ -48,6 +48,16 @@ DEFAULT_ANGLES = tuple(np.linspace(0.0, math.pi, 12, endpoint=False))
 BOOTSTRAP_SIZE = 200
 
 
+def _angle_array(angles, caller):
+    """A float copy of angles, which must be 1-D with at least one angle,
+    else a DomainError naming the caller."""
+    angles = np.array(angles, dtype=float)
+    if angles.ndim != 1 or angles.size < 1:
+        raise DomainError(f"{caller}: angles must be 1-D with at least one "
+                          f"angle, got shape {angles.shape}")
+    return angles
+
+
 @dataclass(frozen=True)
 class HomodyneDataset:
     """Quadrature samples grouped by local-oscillator angle."""
@@ -58,9 +68,7 @@ class HomodyneDataset:
     eta_hd: float
 
     def __post_init__(self):
-        angles = np.asarray(self.angles, dtype=float)
-        if angles.size < 1:
-            raise DomainError("HomodyneDataset: need at least one angle")
+        angles = _angle_array(self.angles, "HomodyneDataset")
         if not ((angles >= 0.0) & (angles < math.pi)).all():
             raise DomainError("HomodyneDataset: angles must lie in [0, pi)")
         samples = tuple(np.asarray(s, dtype=float) for s in self.samples)
@@ -111,6 +119,7 @@ def simulate_homodyne(
     of the (attenuated) state.  Deterministic in seed."""
     check_int(per_angle, "simulate_homodyne: per_angle", 2)
     check_seed(seed, "simulate_homodyne")
+    angles = _angle_array(angles, "simulate_homodyne")
     lossy = attenuate(state, eta_hd)
     h = (per_angle + 1) // 2
     # a row of h pairs per angle, about kernels.CHUNK pairs a call: short
@@ -121,14 +130,13 @@ def simulate_homodyne(
         k1 = min(k0 + group, len(angles))
         z = kernels.normal_pairs(seed, np.arange(k0 * h, k1 * h).reshape(
             -1, h), kernels.SAMPLE_DRAWS)
-        for theta, zk in zip(angles[k0:k1], z):
+        for theta, zk in zip(angles[k0:k1].tolist(), z):
             m, v = marginal(lossy, theta)
             x = zk.reshape(-1)[:per_angle]
             x *= math.sqrt(v)
             x += m
             samples.append(x)
-    return HomodyneDataset(np.asarray(angles, dtype=float), tuple(samples),
-                           seed, eta_hd)
+    return HomodyneDataset(angles, tuple(samples), seed, eta_hd)
 
 
 def _pinv(A, rank, message):

@@ -43,6 +43,8 @@ FAINT = thermal(1e-12)
 # epsilon values to refuse; inf also trips the near-vacuum guard, so the
 # CLI test and test_epsilon_names_itself check it by its message
 BAD_EPSILON = (NAN, -INF, -1)
+# three valid angles in a 2-D shape, one per sample array of DATA
+SHAPED_ANGLES = ([[0.0, 1.0, 2.0]], [[0.0], [1.0], [2.0]])
 
 
 def _config(field):
@@ -171,10 +173,13 @@ TABLE = [
     ("HomodyneDataset.angles",
      lambda v: _dataset("angles")(np.array([0.0, v, 1.0])),
      (NAN, INF, -INF, -1, math.pi, 2 * math.pi)),
+    ("HomodyneDataset.angles", _dataset("angles"), SHAPED_ANGLES),
     ("HomodyneDataset.seed", _dataset("seed"), (*NOT_INT, -1, 2**63)),
     ("simulate_homodyne.angles",
      lambda v: simulate_homodyne(vacuum(), [0.0, v, 1.0], 100),
      (NAN, INF, -INF, -1, 4.0)),
+    ("simulate_homodyne.angles",
+     lambda v: simulate_homodyne(vacuum(), v, 100), SHAPED_ANGLES),
     ("simulate_homodyne.per_angle",
      lambda v: simulate_homodyne(vacuum(), ANGLES, v), (*NOT_INT, -1, 1)),
     ("simulate_homodyne.eta_hd",
@@ -258,7 +263,11 @@ def test_epsilon_names_itself(call, value):
                                               [[0.5] * 3]), "variances"),
     (lambda: infer_loss_resampled([4.0] * 5, [0.3] * 3),
      "g2_draws and vx_draws"),
-], ids=["project_physical", "means", "variances", "draws"])
+    (lambda: _dataset("angles")([[0.0, 1.0, 2.0]]), "HomodyneDataset"),
+    (lambda: simulate_homodyne(vacuum(), [[0.0, 1.0, 2.0]], 100),
+     "simulate_homodyne"),
+], ids=["project_physical", "means", "variances", "draws", "dataset_angles",
+        "homodyne_angles"])
 def test_refusal_names_the_argument(call, name):
     with pytest.raises(DomainError, match=name):
         call()

@@ -250,12 +250,12 @@ class TestClickEstimator:
         for b in range(300):
             u = [kernels._uniform(8, b, kernels.CLICK_MEMBER_DRAWS + d)
                  for d in range(3)]
-            none = int(kernels.binomial_icdf(N, qb, u[0]))
-            only1 = int(kernels.binomial_icdf(N - none, (q2 - qb) / (1 - qb),
-                                              u[1]))
+            none = int(kernels._binomial_icdf(N, qb, u[0]))
+            only1 = int(kernels._binomial_icdf(N - none, (q2 - qb) / (1 - qb),
+                                               u[1]))
             rest = N - none - only1
-            only2 = int(kernels.binomial_icdf(rest, (q1 - qb) / (1 - q2),
-                                              u[2])) if rest else 0
+            only2 = int(kernels._binomial_icdf(rest, (q1 - qb) / (1 - q2),
+                                               u[2])) if rest else 0
             both = rest - only2
             x, y = only1 + both, only2 + both
             if x and y:

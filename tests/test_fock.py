@@ -291,7 +291,7 @@ class TestBinomialForm:
                  displace(attenuate(squeezed_vacuum(0.3, 0.7), 0.6), 1.5, -2.0),
                  attenuate(squeezed_vacuum_with_mean_photon(5.0), 0.5)]
         for state in mixed:
-            assert fock._binomial_ratio(state.cov) > 0.0
+            assert fock._husimi_form(state.cov)[3] > 0.0
             d = photon_number_distribution(state, n_max, tol=1.0)
             _assert_matches_oracle(d.probs, _recursion_oracle(state, n_max))
 
@@ -308,19 +308,19 @@ class TestBinomialForm:
     def test_binomial_ratio_non_negative(self, seed, pure):
         state = random_physical_state(np.random.default_rng(seed), max_mean=6.0,
                                       max_nbar=20.0, pure=pure)
-        b = fock._binomial_ratio(state.cov)
+        b = fock._husimi_form(state.cov)[3]
         assert -1e-15 <= b < 1.0
         if pure:
             assert abs(b) <= 1e-15
 
     def test_binomial_ratio_closed_forms(self):
         for nbar in (0.0, 0.3, 20.0):
-            assert fock._binomial_ratio(thermal(nbar).cov) == pytest.approx(
+            assert fock._husimi_form(thermal(nbar).cov)[3] == pytest.approx(
                 nbar / (nbar + 1.0), rel=1e-15, abs=0.0)
         # a pure state of any squeezing: b = 0 up to round-off, clamped
         for mean in (0.2, 5.0, 100.0):
             st_ = squeezed_vacuum_with_mean_photon(mean, 0.3)
-            assert abs(fock._binomial_ratio(st_.cov)) <= 1e-13
+            assert abs(fock._husimi_form(st_.cov)[3]) <= 1e-13
 
     @settings(max_examples=200, deadline=None)
     @given(s=st.floats(-6.0, 6.0).map(math.exp), angle=st.floats(0.0, math.pi))

@@ -10,8 +10,8 @@ from wigg2 import kernels
 from wigg2.counting import CountingConfig, expected_click_g2
 from wigg2.errors import DomainError
 from wigg2.fock import photon_number_distribution
-from wigg2.kernels import (CLICK_MEMBER_DRAWS, binomial, binomial_icdf,
-                           click_counts, click_probs, uniforms_np)
+from wigg2.kernels import (CLICK_MEMBER_DRAWS, binomial, click_counts,
+                           click_probs, uniforms_np)
 from wigg2.states import squeezed_vacuum_with_mean_photon, thermal
 
 
@@ -284,55 +284,77 @@ class TestSamplerLaw:
             assert _homogeneity_pvalue(a, b) > 1e-4, name
 
 
+def _table_icdf(n, p, u):
+    """Frozen copy of the small-mean inversion that the sequential search
+    replaced, vectorized over u: the smallest k with u < F(k), F the CDF
+    of a pmf table over mode +- (10 sigma + 40), sigma = sqrt(n p q),
+    built by the ratio recurrence outward from the mode and scaled by its
+    own sum."""
+    if n == 0 or p <= 0.0:
+        return np.zeros(np.shape(u), dtype=np.int64)[()]
+    if p >= 1.0:
+        return np.full(np.shape(u), n, dtype=np.int64)[()]
+    q = 1.0 - p
+    mode = min(int((n + 1) * p), n)
+    half = math.ceil(10.0 * math.sqrt(n * p * q) + 40.0)
+    lo, hi = max(mode - half, 0), min(mode + half, n)
+    odds = p / q
+    k = np.arange(mode, hi, dtype=np.float64)
+    up = np.cumprod((n - k) / (k + 1.0) * odds)
+    k = np.arange(mode, lo, -1, dtype=np.float64)
+    down = np.cumprod(k / (n - k + 1.0) / odds)
+    cdf = np.cumsum(np.concatenate((down[::-1], [1.0], up)))
+    j = np.searchsorted(cdf, np.multiply(u, cdf[-1]), side="right")
+    return lo + np.minimum(j, hi - lo)
+
+
 class TestBinomialIcdf:
     @pytest.mark.parametrize("n, p, expected", [
         (0, 0.3, 0), (0, 0.0, 0), (0, 1.0, 0), (5, 0.0, 0), (5, 1.0, 5),
         (1, 0.0, 0), (1, 1.0, 1)])
     def test_degenerate(self, n, p, expected):
         for u in (0.0, 0.5, 1.0 - 2.0**-53):
-            assert binomial_icdf(n, p, u) == expected
+            assert kernels._binomial_icdf(n, p, u) == expected
 
     @pytest.mark.parametrize("n, p", [
         (1, 0.5), (1, 1e-12), (1, 1.0 - 1e-12), (50, 1e-12),
         (50, 1.0 - 1e-12), (40, 0.5), (1000, 0.01), (1000, 0.97),
-        (10**6, 1e-12)])
+        (10**6, 1e-12), (5, 0.2), (5, 0.8), (2**32, 4 / 2**32),
+        (2**32, 1.0 - 4 / 2**32)])
     def test_breakpoints_match_exact_cdf(self, n, p):
         # u in [F(k-1), F(k)) must give k: probe 1e-9 inside each end
+        icdf = kernels._binomial_icdf
         pmf = _binom_pmf(n, p, kmax=30 if n > 1000 else None)
         prev = 0.0
         for k, pk in enumerate(pmf):
             cdf = math.fsum(pmf[:k + 1])
             if pk > 1e-7:
-                assert binomial_icdf(n, p, prev + 1e-9) == k
-                assert binomial_icdf(n, p, cdf - 1e-9) == k
+                assert icdf(n, p, prev + 1e-9) == k
+                assert icdf(n, p, cdf - 1e-9) == k
             prev = cdf
-        assert 0 <= binomial_icdf(n, p, 1.0 - 2.0**-53) <= n
-
-    def test_breakpoints_large_n(self):
-        # n = 1e6: the table spans mode +- (10 sigma + 40) of a 1e6-term
-        # pmf; the exact CDF, from lgamma, is good to about 1e-9 here
-        n, p = 10**6, 0.3
-        sigma = math.sqrt(n * p * (1 - p))
-        ks = range(int(n * p - 12 * sigma), int(n * p + 5 * sigma))
-        logc = math.lgamma(n + 1)
-        pmf = [math.exp(logc - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-                        + k * math.log(p) + (n - k) * math.log1p(-p))
-               for k in ks]
-        cdf = np.cumsum(pmf)
-        for j in range(len(pmf) - 1, 0, -97):
-            if pmf[j] > 1e-5:
-                assert binomial_icdf(n, p, cdf[j - 1] + 1e-6) == ks[j]
-                assert binomial_icdf(n, p, cdf[j] - 1e-6) == ks[j]
+        # u = 1 - 2^-53 may leave u above the summed mass by round-off,
+        # and so does 1 - u = 1 on the reflected side of p = 1/2
+        for u in (0.0, 1.0 - 2.0**-53):
+            assert 0 <= icdf(n, p, u) <= n
 
     @pytest.mark.parametrize("n, p", [(40, 0.5), (1000, 0.01), (1000, 0.97),
                                       (25, 0.2)])
     def test_counter_draws_follow_exact_pmf(self, n, p):
         M = 20_000
         u = uniforms_np(2024, np.arange(M, dtype=np.uint64), 0)
-        ks = binomial_icdf(n, p, u)
-        assert [binomial_icdf(n, p, x) for x in u[:50].tolist()] == \
-            ks[:50].tolist()
+        ks = [kernels._binomial_icdf(n, p, x) for x in u.tolist()]
         assert _pmf_pvalue(ks, _binom_pmf(n, p)) > 1e-4
+
+    # below mean 10, both sides of p = 1/2, up to n = 2^32 at mean 4, and
+    # the degenerate cases: 9 x 2^17 > 1e6 counter uniforms in all
+    @pytest.mark.parametrize("n, p", [
+        (5, 0.3), (5, 0.7), (40, 0.2), (1000, 0.995), (2**32, 4 / 2**32),
+        (2**32, 1.0 - 4 / 2**32), (0, 0.3), (7, 0.0), (7, 1.0)])
+    def test_matches_frozen_table(self, n, p):
+        M = 1 << 17
+        u = uniforms_np(31, np.arange(M, dtype=np.uint64), 0)
+        want = _table_icdf(n, p, u).tolist()
+        assert [kernels._binomial_icdf(n, p, x) for x in u.tolist()] == want
 
 
 class TestBinomial:
@@ -365,7 +387,7 @@ class TestBinomial:
     def test_small_mean_is_icdf(self, n, p):
         for seed, i, d in ((0, 0, 0), (3, 2**40, 2), (2**63 - 1, 7,
                                                       CLICK_MEMBER_DRAWS)):
-            assert binomial(n, p, seed, i, d) == binomial_icdf(
+            assert binomial(n, p, seed, i, d) == kernels._binomial_icdf(
                 n, p, _uniform_oracle(seed, i, d))
 
     def test_stirling_remainder(self):
@@ -471,12 +493,12 @@ class TestClickPattern:
 
 def _binomial_oracle(n, p, seed, i, d):
     """Bin(n, p) by the layout of the kernels docstring, one index at a
-    time on the Python-int uniforms: the inverse CDF at u(seed, i, d)
-    below mean 10, else BTRS on min(p, 1 - p) with try j at draws d + 6j
+    time on the Python-int uniforms: the frozen table inversion at
+    u(seed, i, d) below mean 10, else BTRS on min(p, 1 - p) with try j at draws d + 6j
     and d + 6j + 3, its acceptance test taken against log f(k)/f(m) summed
     exactly from the pmf ratios instead of Stirling's series."""
     if n * min(p, 1.0 - p) < 10.0:
-        return int(binomial_icdf(n, p, _uniform_oracle(seed, i, d)))
+        return int(_table_icdf(n, p, _uniform_oracle(seed, i, d)))
     if p > 0.5:
         return n - _binomial_oracle(n, 1.0 - p, seed, i, d)
     q = 1.0 - p

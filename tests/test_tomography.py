@@ -83,6 +83,14 @@ class TestInputValidation:
         with pytest.raises(DomainError, match="per_angle"):
             simulate_homodyne(vacuum(), ANGLES12[:3], per_angle, seed=1)
 
+    def test_caller_angles_stay_writable(self):
+        # the dataset freezes a copy of the angles, never the caller's array
+        angles = np.array(ANGLES12[:3])
+        data = simulate_homodyne(vacuum(), angles, 10, seed=1)
+        HomodyneDataset(angles, data.samples, 0, 1.0)
+        assert angles.flags.writeable
+        assert not data.angles.flags.writeable
+
     @pytest.mark.parametrize("theta", [math.inf, math.nan])
     def test_simulate_homodyne_rejects_non_finite_angle(self, theta):
         with pytest.raises(DomainError, match="non-finite"):
