@@ -4,8 +4,9 @@ Subcommands: fig1, g2, pn, count, homodyne, sweep, estimate-loss.
 
 Outputs are CSV (with '#'-prefixed manifest comment headers, 12
 significant digits, LF endings) or JSON; a run manifest with output
-checksums is written beside each file output.  Identical manifests
-reproduce identical bytes.
+checksums is written beside each file output.  A manifest's params are
+the subcommand's options as parsed, with the state they built in place
+of the state flags, so identical manifests reproduce identical bytes.
 
 Exit codes: 0 success, 2 usage, 3 domain/guard error, 4 statistical
 instability.
@@ -14,6 +15,7 @@ instability.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -29,16 +31,26 @@ from .loss import infer_loss
 from .moments import fig1_table, g2_gaussian, weyl_moments_analytic
 from .states import (GaussianState, attenuate, coherent, squeezed_vacuum,
                      thermal)
-from .tomography import (DEFAULT_ANGLES, estimate_covariance,
+from .tomography import (DEFAULT_ANGLES, SweepRow, estimate_covariance,
                          g2_from_reconstruction, hwp_sweep, simulate_homodyne)
 
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_STATISTICAL = 4
 
+# namespace entries that are not inputs of the run: the manifest leaves
+# them out (--out is the file the manifest is written beside)
+_BOOKKEEPING = ("command", "func", "subparser", "config", "out")
+# the flags of _add_state_flags, which the manifest records as the state
+# they built; the last one modifies the chosen state
+_STATE_FLAGS = ("coherent", "thermal", "squeezed", "file", "attenuate")
+
+
+_NUMBER = "{:.12g}"     # every number a CSV holds: 12 significant digits
+
 
 def _fmt(v: float) -> str:
-    return f"{v:.12g}"
+    return _NUMBER.format(v)
 
 
 def _write_text(path: str, text: str):
@@ -50,14 +62,14 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _emit(args, subcommand: str, params: dict, text: str):
+def _emit(args, params: dict, text: str):
     """Write `text` to --out with its manifest beside it, or to stdout."""
     if not args.out:
         sys.stdout.write(text)
         return
     _write_text(args.out, text)
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.command,
         "params": params,
         "version": __version__,
         "outputs": {args.out: _sha256(text)},
@@ -66,9 +78,26 @@ def _emit(args, subcommand: str, params: dict, text: str):
                 json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _manifest_comment(subcommand: str, params: dict) -> str:
+def _emit_csv(args, params: dict, columns, rows, notes: str = ""):
+    """Emit a CSV: the manifest comment, the '#' lines of `notes`, the
+    column line, then each row's values formatted as _fmt does."""
     items = ", ".join(f"{k}={v}" for k, v in sorted(params.items()))
-    return f"# wigg2 {__version__} {subcommand}: {items}\n"
+    lines = [f"# wigg2 {__version__} {args.command}: {items}\n", notes,
+             ",".join(columns) + "\n"]
+    row = ",".join([_NUMBER] * len(columns)) + "\n"
+    lines += [row.format(*values) for values in rows]
+    _emit(args, params, "".join(lines))
+
+
+def _params(args, state: GaussianState | None = None) -> dict:
+    """The manifest's params: every option of the subcommand as parsed,
+    config values included, but the state flags replaced by the state
+    they built."""
+    recorded = {k: v for k, v in vars(args).items()
+                if k not in _BOOKKEEPING + _STATE_FLAGS}
+    if state is not None:
+        recorded["state"] = state.to_dict()
+    return recorded
 
 
 def _load_config(path: str) -> dict:
@@ -145,7 +174,7 @@ def _add_counting_flags(p: argparse.ArgumentParser):
 
 
 def _state_from_args(args) -> GaussianState:
-    chosen = [name for name in ("coherent", "thermal", "squeezed", "file")
+    chosen = [name for name in _STATE_FLAGS[:-1]
               if getattr(args, name) is not None]
     if len(chosen) != 1:
         raise _Usage("exactly one of --coherent/--thermal/--squeezed/--file required")
@@ -175,13 +204,8 @@ def cmd_fig1(args):
     if not (0.0 < args.n_min < args.n_max) or args.points < 2:
         raise _Usage("need 0 < n_min < n_max and points >= 2")
     grid = np.logspace(math.log10(args.n_min), math.log10(args.n_max), args.points)
-    rows = fig1_table(grid)
-    params = {"n_min": args.n_min, "n_max": args.n_max, "points": args.points}
-    lines = [_manifest_comment("fig1", params),
-             "n,g2_coherent,g2_thermal,g2_squeezed\n"]
-    for n, gc, gt, gs in rows:
-        lines.append(f"{_fmt(n)},{_fmt(gc)},{_fmt(gt)},{_fmt(gs)}\n")
-    _emit(args, "fig1", params, "".join(lines))
+    _emit_csv(args, _params(args),
+              ("n", "g2_coherent", "g2_thermal", "g2_squeezed"), fig1_table(grid))
     return 0
 
 
@@ -200,12 +224,8 @@ def cmd_g2(args):
 def cmd_pn(args):
     state = _state_from_args(args)
     dist = photon_number_distribution(state, args.n_max, tol=args.tol)
-    params = {"n_max": args.n_max, "tol": args.tol, "state": state.to_dict()}
-    lines = [_manifest_comment("pn", params),
-             f"# tail_mass={_fmt(dist.tail_mass)}\n", "n,p\n"]
-    for n, p in enumerate(dist.probs):
-        lines.append(f"{n},{_fmt(p)}\n")
-    _emit(args, "pn", params, "".join(lines))
+    _emit_csv(args, _params(args, state), ("n", "p"), enumerate(dist.probs),
+              notes=f"# tail_mass={_fmt(dist.tail_mass)}\n")
     return 0
 
 
@@ -220,15 +240,11 @@ def cmd_count(args):
     state = _state_from_args(args)
     rec = simulate_hbt(state, _counting_config(args))
     value, err = g2_estimate_clicks(rec)
-    params = {"windows": args.windows, "eta_det": args.eta_det,
-              "dark_prob": args.dark_prob, "split": args.split,
-              "seed": args.seed, "n_max": args.n_max, "theta_deg": args.theta_deg,
-              "state": state.to_dict()}
-    lines = [_manifest_comment("count", params),
-             "theta_deg,g2_direct,g2_direct_err,n1,n2,nc,n_windows\n",
-             f"{_fmt(args.theta_deg)},{_fmt(value)},{_fmt(err)},"
-             f"{rec.n1},{rec.n2},{rec.nc},{rec.n_windows}\n"]
-    _emit(args, "count", params, "".join(lines))
+    _emit_csv(args, _params(args, state),
+              ("theta_deg", "g2_direct", "g2_direct_err", "n1", "n2", "nc",
+               "n_windows"),
+              [(args.theta_deg, value, err, rec.n1, rec.n2, rec.nc,
+                rec.n_windows)])
     return 0
 
 
@@ -247,14 +263,10 @@ def cmd_homodyne(args):
     angles = ([math.radians(a) for a in _parse_angles_deg(args.angles)]
               if args.angles else list(DEFAULT_ANGLES))
     data = simulate_homodyne(state, angles, args.per_angle, args.eta_hd, args.seed)
-    params = {"per_angle": args.per_angle, "eta_hd": args.eta_hd,
-              "seed": args.seed, "angles": args.angles or "default12",
-              "state": state.to_dict()}
-    lines = [_manifest_comment("homodyne", params), "theta_rad,x\n"]
-    for theta, samples in zip(data.angles, data.samples):
-        for x in samples:
-            lines.append(f"{_fmt(theta)},{_fmt(x)}\n")
-    _emit(args, "homodyne", params, "".join(lines))
+    _emit_csv(args, _params(args, state), ("theta_rad", "x"),
+              ((theta, x) for theta, samples in zip(data.angles.tolist(),
+                                                    data.samples)
+               for x in samples.tolist()))
     if args.reconstruct:
         rec = estimate_covariance(data, boot_seed=args.seed)
         g = g2_from_reconstruction(rec, epsilon=args.epsilon)
@@ -275,19 +287,8 @@ def cmd_sweep(args):
         raise _Usage("empty angle list")
     rows = hwp_sweep(args.r, thetas, _counting_config(args),
                      per_angle=args.per_angle, eta_hd=args.eta_hd, seed=args.seed)
-    params = {"r": args.r, "thetas": args.thetas, "windows": args.windows,
-              "eta_det": args.eta_det, "dark_prob": args.dark_prob,
-              "split": args.split, "per_angle": args.per_angle,
-              "eta_hd": args.eta_hd, "seed": args.seed, "n_max": args.n_max}
-    lines = [_manifest_comment("sweep", params),
-             "theta_deg,g2_analytic,g2_direct,g2_direct_err,"
-             "g2_homodyne,g2_ci_low,g2_ci_high,vx,vp\n"]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in (
-            row.theta_deg, row.g2_analytic, row.g2_direct, row.g2_direct_err,
-            row.g2_homodyne, row.g2_ci_low, row.g2_ci_high, row.vx, row.vp,
-        )) + "\n")
-    _emit(args, "sweep", params, "".join(lines))
+    _emit_csv(args, _params(args), [f.name for f in dataclasses.fields(SweepRow)],
+              map(dataclasses.astuple, rows))
     return 0
 
 
@@ -325,7 +326,7 @@ def cmd_estimate_loss(args):
         except IndexError:
             raise _Usage(f"sweep file has no row {args.row}")
         try:
-            g2 = float(fields["g2_direct"])   # direct-counting estimate (loss-immune)
+            g2 = float(fields["g2_direct"])
             vx = float(fields["vx"])
         except (KeyError, ValueError):
             raise _Usage(f"sweep file row {args.row} has no numeric g2_direct and vx")
@@ -339,7 +340,7 @@ def cmd_estimate_loss(args):
     report = {
         "g2": g2, "vx_measured": vx,
         "nw_pure": inf.nw_pure, "vx_pure": inf.vx_pure,
-        "eta": inf.eta, "eta_ci": None,
+        "eta": inf.eta,
         "warnings": list(inf.warnings) + bias,
     }
     print(json.dumps(report, indent=2))
@@ -357,38 +358,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fig1", help="three reference g2 curves vs mean photon number")
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", type=str)
+        p.set_defaults(func=func, subparser=p)
+        return p
+
+    p = command("fig1", cmd_fig1, "three reference g2 curves vs mean photon number")
     p.add_argument("--n-min", type=float, default=0.01)
     p.add_argument("--n-max", type=float, default=10.0)
     p.add_argument("--points", type=int, default=100)
     p.add_argument("--out", type=str, required=True)
-    p.add_argument("--config", type=str)
-    p.set_defaults(func=cmd_fig1, subparser=p)
 
-    p = sub.add_parser("g2", help="analytic g2(0) and Weyl moments of a state")
+    p = command("g2", cmd_g2, "analytic g2(0) and Weyl moments of a state")
     _add_state_flags(p)
     p.add_argument("--epsilon", type=float, default=1e-9)
-    p.add_argument("--config", type=str)
-    p.set_defaults(func=cmd_g2, subparser=p)
 
-    p = sub.add_parser("pn", help="photon-number distribution of a state")
+    p = command("pn", cmd_pn, "photon-number distribution of a state")
     _add_state_flags(p)
     p.add_argument("--n-max", type=int, default=64)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", type=str)
-    p.add_argument("--config", type=str)
-    p.set_defaults(func=cmd_pn, subparser=p)
 
-    p = sub.add_parser("count", help="Monte-Carlo HBT counting simulation")
+    p = command("count", cmd_count, "Monte-Carlo HBT counting simulation")
     _add_state_flags(p)
     _add_counting_flags(p)
     p.add_argument("--theta-deg", type=float, default=0.0,
                    help="label column echoed into the CSV")
     p.add_argument("--out", type=str)
-    p.add_argument("--config", type=str)
-    p.set_defaults(func=cmd_count, subparser=p)
 
-    p = sub.add_parser("homodyne", help="simulate homodyne samples, optionally reconstruct")
+    p = command("homodyne", cmd_homodyne,
+                "simulate homodyne samples, optionally reconstruct")
     _add_state_flags(p)
     p.add_argument("--angles", type=str,
                    help="comma-separated LO angles in degrees (default: 12 uniform)")
@@ -399,10 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reconstruct", action="store_true",
                    help="print the reconstruction's JSON report (needs --out)")
     p.add_argument("--out", type=str)
-    p.add_argument("--config", type=str)
-    p.set_defaults(func=cmd_homodyne, subparser=p)
 
-    p = sub.add_parser("sweep", help="HWP sweep: analytic vs counting vs homodyne")
+    p = command("sweep", cmd_sweep, "HWP sweep: analytic vs counting vs homodyne")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--thetas", type=str, default="0,5,10,15,20,22.5,25,30,35,40,45",
                    help="comma-separated HWP angles in degrees")
@@ -410,16 +408,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-angle", type=int, default=10_000)
     p.add_argument("--eta-hd", type=float, default=1.0)
     p.add_argument("--out", type=str, required=True)
-    p.add_argument("--config", type=str)
-    p.set_defaults(func=cmd_sweep, subparser=p)
 
-    p = sub.add_parser("estimate-loss", help="infer transmissivity from g2 + variance")
+    p = command("estimate-loss", cmd_estimate_loss,
+                "infer transmissivity from g2 + variance")
     p.add_argument("--g2", type=float)
     p.add_argument("--vx", type=float)
     p.add_argument("--from-sweep", type=str, metavar="SWEEP_CSV")
     p.add_argument("--row", type=int, default=0)
-    p.add_argument("--config", type=str)
-    p.set_defaults(func=cmd_estimate_loss, subparser=p)
 
     return parser
 

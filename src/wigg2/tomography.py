@@ -48,13 +48,25 @@ DEFAULT_ANGLES = tuple(np.linspace(0.0, math.pi, 12, endpoint=False))
 BOOTSTRAP_SIZE = 200
 
 
+def _float_array(values, what):
+    """A float copy of values, else a DomainError naming what: numpy's
+    own error for a non-number or a ragged list is a bare ValueError."""
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{what} must be a regular array of numbers: "
+                          f"{exc}") from exc
+
+
 def _angle_array(angles, caller):
-    """A float copy of angles, which must be 1-D with at least one angle,
-    else a DomainError naming the caller."""
-    angles = np.array(angles, dtype=float)
+    """A float copy of angles, which must be 1-D and finite with at least
+    one angle, else a DomainError naming the caller."""
+    angles = _float_array(angles, f"{caller}: angles")
     if angles.ndim != 1 or angles.size < 1:
         raise DomainError(f"{caller}: angles must be 1-D with at least one "
                           f"angle, got shape {angles.shape}")
+    if not np.isfinite(angles).all():
+        raise DomainError(f"{caller}: non-finite angle in {angles.tolist()}")
     return angles
 
 
@@ -293,16 +305,14 @@ def estimate_covariance(
 def estimate_covariance_from_moments(angles, means, variances) -> GaussianState:
     """Noiseless-moment entry point (exact roundtrip check): no bootstrap.
     means and variances hold one value per angle."""
-    angles = np.asarray(angles, dtype=float)
-    if angles.ndim != 1 or not np.isfinite(angles).all():
-        raise DomainError(
-            "estimate_covariance_from_moments: angles must be 1-D and finite")
-    means, variances = (np.asarray(y, dtype=float) for y in (means, variances))
+    caller = "estimate_covariance_from_moments"
+    angles = _angle_array(angles, caller)
+    means = _float_array(means, f"{caller}: means")
+    variances = _float_array(variances, f"{caller}: variances")
     for name, y in (("means", means), ("variances", variances)):
         if y.shape != angles.shape:
-            raise DomainError(f"estimate_covariance_from_moments: {name} "
-                              f"must have shape {angles.shape}, one entry per "
-                              "angle")
+            raise DomainError(f"{caller}: {name} must have shape "
+                              f"{angles.shape}, one entry per angle")
     cov_map, mean_map = _angle_maps(angles)
     vxx, vpp, vxp = np.einsum("ik,k->i", cov_map, variances).tolist()
     mx, mp = np.einsum("ik,k->i", mean_map, means).tolist()

@@ -45,6 +45,9 @@ FAINT = thermal(1e-12)
 BAD_EPSILON = (NAN, -INF, -1)
 # three valid angles in a 2-D shape, one per sample array of DATA
 SHAPED_ANGLES = ([[0.0, 1.0, 2.0]], [[0.0], [1.0], [2.0]])
+# lists numpy cannot make a float array of: a non-number, and a ragged list
+# (numpy's own error for either is a bare ValueError)
+NOT_ARRAYS = (["x", 1.0, 2.0], [[0.0], [1.0, 2.0]])
 
 
 def _config(field):
@@ -174,12 +177,15 @@ TABLE = [
      lambda v: _dataset("angles")(np.array([0.0, v, 1.0])),
      (NAN, INF, -INF, -1, math.pi, 2 * math.pi)),
     ("HomodyneDataset.angles", _dataset("angles"), SHAPED_ANGLES),
+    ("HomodyneDataset.angles", _dataset("angles"), NOT_ARRAYS),
     ("HomodyneDataset.seed", _dataset("seed"), (*NOT_INT, -1, 2**63)),
     ("simulate_homodyne.angles",
      lambda v: simulate_homodyne(vacuum(), [0.0, v, 1.0], 100),
      (NAN, INF, -INF, -1, 4.0)),
     ("simulate_homodyne.angles",
      lambda v: simulate_homodyne(vacuum(), v, 100), SHAPED_ANGLES),
+    ("simulate_homodyne.angles",
+     lambda v: simulate_homodyne(vacuum(), v, 10), NOT_ARRAYS),
     ("simulate_homodyne.per_angle",
      lambda v: simulate_homodyne(vacuum(), ANGLES, v), (*NOT_INT, -1, 1)),
     ("simulate_homodyne.eta_hd",
@@ -196,12 +202,15 @@ TABLE = [
     ("estimate_covariance_from_moments.angles",
      lambda v: estimate_covariance_from_moments(
          [0.0, v, 1.0], [0.0] * 3, [0.5] * 3), (NAN, INF)),
+    ("estimate_covariance_from_moments.angles",
+     lambda v: estimate_covariance_from_moments(v, [0.0] * 3, [0.5] * 3),
+     NOT_ARRAYS),
     ("estimate_covariance_from_moments.means",
      lambda v: estimate_covariance_from_moments(ANGLES, v, [0.5] * 3),
-     ([0.0] * 2, [0.0] * 4, [[0.0] * 3], 0.0)),
+     ([0.0] * 2, [0.0] * 4, [[0.0] * 3], 0.0, *NOT_ARRAYS)),
     ("estimate_covariance_from_moments.variances",
      lambda v: estimate_covariance_from_moments(ANGLES, [0.0] * 3, v),
-     ([0.5] * 2, [0.5] * 4, [[0.5] * 3], 0.5)),
+     ([0.5] * 2, [0.5] * 4, [[0.5] * 3], 0.5, *NOT_ARRAYS)),
     ("project_physical.vxx", lambda v: project_physical(v, 1.0, 0.0),
      (NAN, INF, -INF)),
     ("project_physical.vpp", lambda v: project_physical(1.0, v, 0.0),
@@ -266,8 +275,15 @@ def test_epsilon_names_itself(call, value):
     (lambda: _dataset("angles")([[0.0, 1.0, 2.0]]), "HomodyneDataset"),
     (lambda: simulate_homodyne(vacuum(), [[0.0, 1.0, 2.0]], 100),
      "simulate_homodyne"),
+    (lambda: simulate_homodyne(vacuum(), ["x", 1.0], 10), "simulate_homodyne"),
+    (lambda: estimate_covariance_from_moments(["x", 1.0, 2.0], [0.0] * 3,
+                                              [0.5] * 3),
+     "estimate_covariance_from_moments: angles"),
+    (lambda: estimate_covariance_from_moments(ANGLES, [[0.0], [1.0, 2.0]],
+                                              [0.5] * 3), "means"),
 ], ids=["project_physical", "means", "variances", "draws", "dataset_angles",
-        "homodyne_angles"])
+        "homodyne_angles", "homodyne_angle_strings", "moment_angle_strings",
+        "ragged_means"])
 def test_refusal_names_the_argument(call, name):
     with pytest.raises(DomainError, match=name):
         call()

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from wigg2 import __version__
-from wigg2.cli import main
+from wigg2.cli import build_parser, main
 
 # exit codes: 0 ok, 2 usage, 3 domain, 4 statistical instability
 
@@ -216,13 +217,14 @@ class TestHomodyne:
         assert code == 0
         params = json.loads((tmp_path / "hd.csv.manifest.json").read_text())[
             "params"]
-        assert params == {"angles": "0,90", "eta_hd": 0.8, "per_angle": 3,
-                          "seed": 9, "state": {"mean": [0.0, 0.0],
-                                               "cov": [1.0, 0.0, 1.0]}}
+        assert params == {"angles": "0,90", "epsilon": 1e-9, "eta_hd": 0.8,
+                          "per_angle": 3, "reconstruct": False, "seed": 9,
+                          "state": {"mean": [0.0, 0.0],
+                                    "cov": [1.0, 0.0, 1.0]}}
         assert f.read_text().splitlines()[0] == (
-            f"# wigg2 {__version__} homodyne: angles=0,90, eta_hd=0.8, "
-            "per_angle=3, seed=9, state={'mean': [0.0, 0.0], "
-            "'cov': [1.0, 0.0, 1.0]}")
+            f"# wigg2 {__version__} homodyne: angles=0,90, epsilon=1e-09, "
+            "eta_hd=0.8, per_angle=3, reconstruct=False, seed=9, "
+            "state={'mean': [0.0, 0.0], 'cov': [1.0, 0.0, 1.0]}")
 
     def test_reconstruct_json(self, capsys):
         code, out, _ = run(capsys, "homodyne", "--squeezed", "0.5", "0",
@@ -384,6 +386,9 @@ class TestEstimateLoss:
         assert rep["vx_pure"] == pytest.approx(1.5 - math.sqrt(2), rel=1e-9)
         expected = (0.3 - 0.5) / (rep["vx_pure"] - 0.5)
         assert rep["eta"] == pytest.approx(expected, rel=1e-12)
+        # no key that is null on every path
+        assert set(rep) == {"g2", "vx_measured", "nw_pure", "vx_pure", "eta",
+                            "warnings"}
 
     def test_not_squeezed_exit_3(self, capsys):
         code, _, _ = run(capsys, "estimate-loss", "--g2", "2.0", "--vx", "0.3")
@@ -451,3 +456,85 @@ class TestConfigFile:
         with pytest.raises(SystemExit):
             main([command, *state, "--workers", "2",
                   "--out", str(tmp_path / "x.csv")])
+
+
+STATE_FLAGS = {"coherent", "thermal", "squeezed", "file", "attenuate"}
+CFG = "<config>"   # replaced by the path of a config file holding CONFIG
+CONFIG = "eta_det = 0.9\nper_angle=200\n"
+
+
+def write_and_read(tmp_path, command, argv):
+    """Run command with --out; the CSV's lines and the manifest's params."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG)
+    out = tmp_path / "x.csv"
+    argv = [str(cfg) if a == CFG else a for a in argv]
+    assert main([command, *argv, "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+    return out.read_text().splitlines(), manifest["params"]
+
+
+class TestManifest:
+    # (command, argv, whether the command builds a state)
+    RUNS = [
+        ("fig1", [], False),
+        ("pn", ["--thermal", "1", "--n-max", "30"], True),
+        ("count", ["--thermal", "0.2", "--windows", "1000"], True),
+        ("homodyne", ["--thermal", "0.5", "--per-angle", "10"], True),
+        ("sweep", ["--r", "0.4", "--thetas", "0", "--windows", "2000",
+                   "--per-angle", "200"], False),
+    ]
+
+    @pytest.mark.parametrize("command, argv, builds_state", RUNS,
+                             ids=[r[0] for r in RUNS])
+    def test_params_name_every_option(self, capsys, tmp_path, command, argv,
+                                      builds_state):
+        # a manifest must be enough to reproduce its output: every option
+        # of the subcommand, the state flags replaced by the state
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices[command]._actions
+                 if a.option_strings} - {"help", "config", "out"} - STATE_FLAGS
+        _, params = write_and_read(tmp_path, command, argv)
+        assert set(params) == dests | ({"state"} if builds_state else set())
+
+    # (command, argv, comment after "<subcommand>: ", column line, params);
+    # none of them depends on the RNG stream
+    PINS = [
+        ("fig1", ["--n-min", "0.1", "--n-max", "5", "--points", "3"],
+         "n_max=5.0, n_min=0.1, points=3",
+         "n,g2_coherent,g2_thermal,g2_squeezed",
+         {"n_max": 5.0, "n_min": 0.1, "points": 3}),
+        ("pn", ["--thermal", "1", "--attenuate", "0.5", "--n-max", "30"],
+         "n_max=30, state={'mean': [0.0, 0.0], 'cov': [1.0, 0.0, 1.0]}, "
+         "tol=1e-09",
+         "n,p",
+         {"n_max": 30, "tol": 1e-9,
+          "state": {"mean": [0.0, 0.0], "cov": [1.0, 0.0, 1.0]}}),
+        ("count", ["--thermal", "0.2", "--windows", "1000", "--seed", "3"],
+         "dark_prob=0.0, eta_det=1.0, n_max=64, seed=3, split=0.5, "
+         "state={'mean': [0.0, 0.0], 'cov': [0.7, 0.0, 0.7]}, theta_deg=0.0, "
+         "windows=1000",
+         "theta_deg,g2_direct,g2_direct_err,n1,n2,nc,n_windows",
+         {"dark_prob": 0.0, "eta_det": 1.0, "n_max": 64, "seed": 3,
+          "split": 0.5, "theta_deg": 0.0, "windows": 1000,
+          "state": {"mean": [0.0, 0.0], "cov": [0.7, 0.0, 0.7]}}),
+        ("sweep", ["--r", "0.4", "--thetas", "0,22.5", "--windows", "2000",
+                   "--seed", "1", "--config", CFG],
+         "dark_prob=0.0, eta_det=0.9, eta_hd=1.0, n_max=64, per_angle=200, "
+         "r=0.4, seed=1, split=0.5, thetas=0,22.5, windows=2000",
+         "theta_deg,g2_analytic,g2_direct,g2_direct_err,g2_homodyne,"
+         "g2_ci_low,g2_ci_high,vx,vp",
+         {"dark_prob": 0.0, "eta_det": 0.9, "eta_hd": 1.0, "n_max": 64,
+          "per_angle": 200, "r": 0.4, "seed": 1, "split": 0.5,
+          "thetas": "0,22.5", "windows": 2000}),
+    ]
+
+    @pytest.mark.parametrize("command, argv, comment, columns, params", PINS,
+                             ids=[p[0] for p in PINS])
+    def test_headers_are_fixed(self, capsys, tmp_path, command, argv, comment,
+                               columns, params):
+        lines, got = write_and_read(tmp_path, command, argv)
+        assert lines[0] == f"# wigg2 {__version__} {command}: {comment}"
+        assert next(l for l in lines if not l.startswith("#")) == columns
+        assert got == params
