@@ -6,13 +6,28 @@ registers which detectors fired (>= 1 photon detected or a dark event).
 A window's click pattern therefore follows from three no-click
 probabilities (q1, q2 and qb for detector 1, detector 2 and both), and
 the four pattern counts of N windows are one multinomial.  `simulate_hbt`
-is one path: fock.photon_number_distribution gives p(n),
-`kernels.click_probs` averages (q1, q2, qb) over it, and one
+is one path: the state gives (q1, q2, qb) in closed form, and one
 `kernels.click_counts` draw (three binomials on the counter RNG, stream
-index 0, each O(1) in expectation) gives the counts, at a cost that does
-not grow with N.  `expected_click_g2` uses the same `click_probs`, so both share one
-model; one draw needs no sharding, so `CountingConfig.workers` has no
-effect.
+index 0, each O(1) in expectation) gives the counts, at a cost that grows
+neither with N nor with the photon number.
+
+The closed form needs no photon-number sum.  Every photon reaches a
+given detector and fires it on its own, with probability tau, so the
+detector stays silent with probability E[(1 - tau)^n]: the vacuum
+probability of the state after loss tau (the photon-count generating
+function of a Gaussian state; Dodonov, Man'ko & Man'ko, PRA 49, 2993
+(1994)).  With mean mu and K = V - I/2,
+
+    q(tau) = exp(-(tau/2) mu^T (I + tau K)^-1 mu) / sqrt(det(I + tau K)),
+    det(I + tau K) = 1 + tau tr K + tau^2 det K,
+
+and, with eta the detector efficiency, s the split and d the dark-event
+probability, q1 = (1-d) q(eta s), q2 = (1-d) q(eta (1-s)) and
+qb = (1-d)^2 q(eta).  `expected_click_g2` averages the same
+probabilities over a photon-number distribution with
+`kernels.click_probs`, which the tests hold to the closed form at 1e-13.
+One draw needs no sharding, so `CountingConfig.workers` has no effect,
+and no p(n) is built, so neither has `CountingConfig.n_max`.
 
 The click estimator g2 ~ nc * N / (n1 * n2) carries an O(<n>) bias at
 larger photon numbers (threshold detectors saturate); it is the standard
@@ -39,8 +54,10 @@ from .states import GaussianState
 
 @dataclass(frozen=True)
 class CountingConfig:
-    """HBT run settings; `workers` has no effect, and stays only because
-    the benchmark harness passes it."""
+    """HBT run settings.  `n_max` and `workers` are checked but have no
+    effect (the click probabilities are in closed form, and one draw needs
+    no workers); both stay only because the benchmark harness passes
+    them."""
 
     n_windows: int
     eta_det: float = 1.0
@@ -83,19 +100,59 @@ class CountingRecord:
                 f"nc={self.nc}, n_windows={self.n_windows}")
 
 
+def _no_click(state: GaussianState, tau: float) -> float:
+    """q(tau) = E[(1 - tau)^n] of the module docstring, for 0 <= tau <= 1.
+    With (kxx, kpp, kxp) the entries of tau K, a = 1 + kxx, d = det(I +
+    tau K) and the mean scaled to (x, p) = mu / m, m = max(|mu_x|,
+    |mu_p|), the quadratic form is the sum of squares
+    m^2 (x^2/a + (a p - kxp x)^2 / (a d)): it is never negative, and no
+    step overflows before the last products by m, which overflow only
+    where q underflows to 0."""
+    cov, mean = state.cov, state.mean
+    kxx, kpp, kxp = tau * (cov.vxx - 0.5), tau * (cov.vpp - 0.5), tau * cov.vxp
+    # d >= 1 when det V >= 1/4; round-off may leave it below
+    d = max(1.0 + kxx + kpp + (kxx * kpp - kxp * kxp), 1.0)
+    m = float(max(abs(mean.x), abs(mean.p)))
+    if m == 0.0:
+        return 1.0 / math.sqrt(d)
+    x, p, a = mean.x / m, mean.p / m, 1.0 + kxx
+    t = a * p - kxp * x
+    form = float(x * x / a + (t / a) * (t / d))
+    # Python floats overflow to inf without the warning of a numpy scalar;
+    # tau m comes first, so that a subnormal tau is not lost to underflow
+    return math.exp(-(float(tau) * m * form * m) / 2.0) / math.sqrt(d)
+
+
+def _click_probs(state: GaussianState, config: CountingConfig):
+    """(q1, q2, qb) of the module docstring, as `kernels.click_probs`
+    gives them from p(n).  A covariance below the uncertainty bound
+    det V >= 1/4 raises DomainError."""
+    cov = state.cov
+    # photon_number_distribution's rule: below 1/4 by more than round-off
+    if cov.det - 0.25 < -1e-12 * (cov.vxx * cov.vpp + cov.vxp * cov.vxp):
+        raise DomainError(f"simulate_hbt: det V = {cov.det!r} < 1/4, the "
+                          "covariance of no quantum state")
+    eta, split, dark = config.eta_det, config.split, config.dark_prob
+    q1 = _no_click(state, eta * split)
+    q2 = _no_click(state, eta * (1.0 - split))
+    # qb <= q1, q2 keeps every pattern count >= 0 should round-off put the
+    # three out of order; the dark factors preserve it
+    qb = min(_no_click(state, eta), q1, q2)
+    return (1.0 - dark) * q1, (1.0 - dark) * q2, (1.0 - dark) ** 2 * qb
+
+
 def simulate_hbt(state: GaussianState, config: CountingConfig) -> CountingRecord:
     """Simulate config.n_windows windows on `state` by the module
     docstring's path, fully determined by config.seed."""
-    dist = photon_number_distribution(state, config.n_max, tol=1e-9)
-    q = kernels.click_probs(dist.probs, config.eta_det, config.split,
-                            config.dark_prob)
-    counts = kernels.click_counts(config.n_windows, *q, config.seed, 0)
+    counts = kernels.click_counts(config.n_windows,
+                                  *_click_probs(state, config), config.seed, 0)
     return CountingRecord(*counts, config.n_windows, config)
 
 
 def expected_click_g2(dist: PhotonNumberDistribution, config: CountingConfig):
     """Exact expectation of the click estimator: pc / (p1 * p2) from the
-    photon-number distribution and the detector model.
+    photon-number distribution and the detector model, by the Fock sum
+    of `kernels.click_probs`.
 
     This quantifies the threshold-detector bias: the estimator converges
     to the true g2 only when eta * g2 * <n> << 1 (singles are suppressed

@@ -20,9 +20,11 @@ with no trigonometry, from draw ranges of their own (below).
 
 The HBT arm is one multinomial.  Threshold detectors only see whether
 each fired, so a window's click pattern depends on the state only
-through `click_probs`: the probabilities q1, q2 and qb that detector 1,
-detector 2 and both stay silent, averaged over p(n), dark events
-included.  N independent windows then give exactly
+through the probabilities q1, q2 and qb that detector 1, detector 2 and
+both stay silent, dark events included.  counting.simulate_hbt takes
+them from the state in closed form; `click_probs` averages them over a
+photon-number distribution p(n), for counting.expected_click_g2.  N
+independent windows then give exactly
 
     (none, 1 only, 2 only, both)
         ~ Multinomial(N; qb, q2 - qb, q1 - qb, 1 - q1 - q2 + qb),

@@ -70,6 +70,13 @@ def _angle_array(angles, caller):
     return angles
 
 
+def _require_lo_range(angles, caller):
+    """A local-oscillator angle outside [0, pi) raises DomainError naming
+    the caller."""
+    if not ((angles >= 0.0) & (angles < math.pi)).all():
+        raise DomainError(f"{caller}: angles must lie in [0, pi)")
+
+
 @dataclass(frozen=True)
 class HomodyneDataset:
     """Quadrature samples grouped by local-oscillator angle."""
@@ -81,8 +88,7 @@ class HomodyneDataset:
 
     def __post_init__(self):
         angles = _angle_array(self.angles, "HomodyneDataset")
-        if not ((angles >= 0.0) & (angles < math.pi)).all():
-            raise DomainError("HomodyneDataset: angles must lie in [0, pi)")
+        _require_lo_range(angles, "HomodyneDataset")
         samples = tuple(np.asarray(s, dtype=float) for s in self.samples)
         if len(samples) != angles.size:
             raise DomainError(f"HomodyneDataset: {len(samples)} sample arrays "
@@ -132,6 +138,7 @@ def simulate_homodyne(
     check_int(per_angle, "simulate_homodyne: per_angle", 2)
     check_seed(seed, "simulate_homodyne")
     angles = _angle_array(angles, "simulate_homodyne")
+    _require_lo_range(angles, "simulate_homodyne")
     lossy = attenuate(state, eta_hd)
     h = (per_angle + 1) // 2
     # a row of h pairs per angle, about kernels.CHUNK pairs a call: short

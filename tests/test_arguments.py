@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from wigg2 import kernels
 from wigg2 import (CountingConfig, CountingRecord, CovarianceMatrix,
                    HomodyneDataset, PhasePoint, PhotonNumberDistribution,
                    QuadratureGrid, TwoModeGaussianState, attenuate, coherent,
@@ -287,6 +288,14 @@ def test_epsilon_names_itself(call, value):
 def test_refusal_names_the_argument(call, name):
     with pytest.raises(DomainError, match=name):
         call()
+
+
+def test_angle_range_checked_before_draws(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("normal_pairs called")
+    monkeypatch.setattr(kernels, "normal_pairs", refuse)
+    with pytest.raises(DomainError, match="simulate_homodyne"):
+        simulate_homodyne(vacuum(), [0.0, 4.0], 2_000_000)
 
 
 # numbers at the edge of the float range that are valid inputs

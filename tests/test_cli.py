@@ -171,13 +171,14 @@ class TestCount:
         assert f.exists()
         assert (tmp_path / "count.csv.manifest.json").exists()
 
-    def test_non_finite_distribution_exit_3(self, capsys):
-        # <n> = 800 overflows the Fock recursion in double precision
-        code, out, err = run(capsys, "count", "--coherent", "40", "0",
-                             "--n-max", "1300", "--windows", "10000")
-        assert code == 3
-        assert "non-finite" in err
-        assert out == ""
+    def test_bright_coherent_state(self, capsys):
+        # <n> = 800, whose p(n) overflows the Fock recursion: every window
+        # clicks on both detectors
+        code, out, _ = run(capsys, "count", "--coherent", "40", "0",
+                           "--windows", "10000")
+        assert code == 0
+        row = [l for l in out.splitlines() if not l.startswith("#")][1]
+        assert row.split(",")[3:] == ["10000"] * 4
 
     def test_manifest_names_state(self, capsys, tmp_path):
         f = tmp_path / "count.csv"
@@ -443,18 +444,20 @@ class TestConfigFile:
         assert "windwos" in err
 
     @pytest.mark.parametrize("command", ["count", "sweep"])
-    def test_workers_is_not_an_option(self, capsys, tmp_path, command):
-        # the counts are one draw, so there is nothing to spread over workers
-        cfg = tmp_path / "workers.cfg"
-        cfg.write_text("workers = 2\n")
+    @pytest.mark.parametrize("key", ["workers", "n_max"])
+    def test_dead_field_is_not_an_option(self, capsys, tmp_path, command, key):
+        # the counts are one draw, so there is nothing to spread over
+        # workers, and the click probabilities sum no p(n) up to an n_max
+        cfg = tmp_path / "dead.cfg"
+        cfg.write_text(f"{key} = 2\n")
         state = ["--thermal", "0.2"] if command == "count" else ["--r", "0.4"]
         code, _, err = run(capsys, command, *state, "--windows", "1000",
                            "--out", str(tmp_path / "x.csv"),
                            "--config", str(cfg))
         assert code == 3
-        assert "workers" in err
+        assert f"{key!r} is not an option" in err
         with pytest.raises(SystemExit):
-            main([command, *state, "--workers", "2",
+            main([command, *state, "--" + key.replace("_", "-"), "2",
                   "--out", str(tmp_path / "x.csv")])
 
 
@@ -512,20 +515,20 @@ class TestManifest:
          {"n_max": 30, "tol": 1e-9,
           "state": {"mean": [0.0, 0.0], "cov": [1.0, 0.0, 1.0]}}),
         ("count", ["--thermal", "0.2", "--windows", "1000", "--seed", "3"],
-         "dark_prob=0.0, eta_det=1.0, n_max=64, seed=3, split=0.5, "
+         "dark_prob=0.0, eta_det=1.0, seed=3, split=0.5, "
          "state={'mean': [0.0, 0.0], 'cov': [0.7, 0.0, 0.7]}, theta_deg=0.0, "
          "windows=1000",
          "theta_deg,g2_direct,g2_direct_err,n1,n2,nc,n_windows",
-         {"dark_prob": 0.0, "eta_det": 1.0, "n_max": 64, "seed": 3,
+         {"dark_prob": 0.0, "eta_det": 1.0, "seed": 3,
           "split": 0.5, "theta_deg": 0.0, "windows": 1000,
           "state": {"mean": [0.0, 0.0], "cov": [0.7, 0.0, 0.7]}}),
         ("sweep", ["--r", "0.4", "--thetas", "0,22.5", "--windows", "2000",
                    "--seed", "1", "--config", CFG],
-         "dark_prob=0.0, eta_det=0.9, eta_hd=1.0, n_max=64, per_angle=200, "
+         "dark_prob=0.0, eta_det=0.9, eta_hd=1.0, per_angle=200, "
          "r=0.4, seed=1, split=0.5, thetas=0,22.5, windows=2000",
          "theta_deg,g2_analytic,g2_direct,g2_direct_err,g2_homodyne,"
          "g2_ci_low,g2_ci_high,vx,vp",
-         {"dark_prob": 0.0, "eta_det": 0.9, "eta_hd": 1.0, "n_max": 64,
+         {"dark_prob": 0.0, "eta_det": 0.9, "eta_hd": 1.0,
           "per_angle": 200, "r": 0.4, "seed": 1, "split": 0.5,
           "thetas": "0,22.5", "windows": 2000}),
     ]

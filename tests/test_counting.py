@@ -3,18 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from wigg2 import kernels
+from wigg2 import counting, fock, kernels
 from wigg2.counting import (CountingConfig, CountingRecord,
                             bootstrap_g2_clicks, g2_estimate_clicks,
                             g2_estimate_numbers, sample_photon_numbers,
                             simulate_hbt)
-from wigg2.errors import (DomainError, InsufficientStatisticsError,
-                          TruncationError)
+from wigg2.errors import DomainError, InsufficientStatisticsError
 from wigg2.fock import photon_number_distribution
 from wigg2.moments import g2_gaussian
-from wigg2.states import (coherent, hwp_mix, reduce_mode,
-                          squeezed_vacuum_with_mean_photon, thermal,
-                          two_mode_squeezed_vacuum, vacuum)
+from wigg2.states import (CovarianceMatrix, GaussianState, PhasePoint,
+                          attenuate, coherent, displace, hwp_mix, reduce_mode,
+                          squeezed_vacuum, squeezed_vacuum_with_mean_photon,
+                          thermal, two_mode_squeezed_vacuum, vacuum)
 
 
 class TestConfig:
@@ -85,9 +85,33 @@ class TestSimulateHbt:
         assert all((r.n1, r.n2, r.nc) == (recs[0].n1, recs[0].n2, recs[0].nc)
                    for r in recs)
 
-    def test_truncation_pre_check_propagates(self):
-        with pytest.raises(TruncationError):
-            simulate_hbt(thermal(5.0), CountingConfig(n_windows=10, n_max=8))
+    def test_n_max_has_no_effect(self):
+        # p(n) of thermal(5) at n_max = 8 misses a fifth of the mass; the
+        # closed form sums no p(n)
+        recs = [simulate_hbt(thermal(5.0), CountingConfig(n_windows=100_000,
+                                                          n_max=n_max, seed=4))
+                for n_max in (8, 64)]
+        assert recs[0].n1 > 0
+        assert (recs[0].n1, recs[0].n2, recs[0].nc) == \
+            (recs[1].n1, recs[1].n2, recs[1].nc)
+
+    def test_builds_no_distribution(self, monkeypatch):
+        args = (squeezed_vacuum_with_mean_photon(5.0),
+                CountingConfig(n_windows=1_000_000, eta_det=0.5, n_max=256))
+        want = simulate_hbt(*args)
+
+        def refuse(*_, **__):
+            raise AssertionError("photon_number_distribution called")
+        monkeypatch.setattr(fock, "photon_number_distribution", refuse)
+        monkeypatch.setattr(counting, "photon_number_distribution", refuse)
+        assert simulate_hbt(*args) == want
+
+    def test_unphysical_covariance_rejected(self):
+        # positive definite, but det V = 0.01 < 1/4
+        state = GaussianState(PhasePoint(0.0, 0.0),
+                              CovarianceMatrix(0.1, 0.1))
+        with pytest.raises(DomainError, match="simulate_hbt.*no quantum"):
+            simulate_hbt(state, CountingConfig(n_windows=10))
 
     def test_dark_counts_fire(self):
         rec = simulate_hbt(vacuum(), CountingConfig(n_windows=100_000,
@@ -127,6 +151,62 @@ class TestHbtStream:
     def test_golden_counts(self, state, config, counts):
         rec = simulate_hbt(state, config)
         assert (rec.n1, rec.n2, rec.nc) == counts
+
+
+def _random_state(rng, kind):
+    """A thermal (kind 0) or squeezed (1) state, also attenuated (2), and
+    then also displaced (3), every parameter drawn from rng."""
+    if kind == 0:
+        state = thermal(rng.uniform(0.0, 3.0))
+    else:
+        state = squeezed_vacuum(math.exp(rng.uniform(-1.2, 1.2)),
+                                rng.uniform(0.0, math.pi))
+    if kind >= 2:
+        state = attenuate(state, rng.uniform(0.0, 1.0))
+    if kind == 3:
+        state = displace(state, *rng.uniform(-3.0, 3.0, 2))
+    return state
+
+
+class TestClosedFormClickProbs:
+    # simulate_hbt's (q1, q2, qb) come from the state in closed form; the
+    # Fock sum of kernels.click_probs over p(n) is the oracle
+    def test_matches_fock_sum(self):
+        rng = np.random.default_rng(2027)
+        for i in range(2000):
+            state = _random_state(rng, i % 4)
+            cfg = CountingConfig(n_windows=10, eta_det=rng.uniform(0.0, 1.0),
+                                 split=rng.uniform(0.01, 0.99),
+                                 dark_prob=rng.uniform(0.0, 0.5))
+            dist = photon_number_distribution(state, 500, tol=1e-14)
+            want = kernels.click_probs(dist.probs, cfg.eta_det, cfg.split,
+                                       cfg.dark_prob)
+            got = counting._click_probs(state, cfg)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0), (state, cfg)
+
+    def test_no_click_does_not_increase_with_loss(self):
+        rng = np.random.default_rng(2028)
+        taus = np.linspace(0.0, 1.0, 65).tolist()
+        for i in range(400):
+            state = _random_state(rng, i % 4)
+            q = [counting._no_click(state, tau) for tau in taus]
+            assert q[0] == 1.0
+            assert all(b <= a for a, b in zip(q, q[1:])), state
+
+    # p(n) of thermal(2000) has a tail of 0.97 beyond the default n_max,
+    # and that of coherent light of <n> = 800 overflows
+    @pytest.mark.parametrize("state", [
+        displace(thermal(1e150), 1e200, 0.0), squeezed_vacuum(300.0, 0.3),
+        thermal(2000.0), coherent(40.0, 0.0)],
+        ids=["displaced-thermal-1e150", "squeezed-300", "thermal-2000",
+             "coherent-800"])
+    @pytest.mark.parametrize("eta", [0.0, 5e-324, 1e-300, 1e-10, 0.5, 1.0])
+    def test_finite_probabilities_at_extremes(self, state, eta):
+        cfg = CountingConfig(n_windows=10, eta_det=eta, split=0.3,
+                             dark_prob=0.01)
+        q1, q2, qb = counting._click_probs(state, cfg)
+        assert 0.0 <= qb <= min(q1, q2) <= max(q1, q2) <= 1.0
+        assert simulate_hbt(state, cfg).n_windows == 10
 
 
 class TestClickEstimator:
