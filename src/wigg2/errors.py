@@ -1,7 +1,8 @@
-"""Exception hierarchy shared across the package, and the one check of
+"""Exception hierarchy shared across the package, the one check of
 integer arguments (float ranges are written `if not lo <= v <= hi`, which
-NaN fails).  Domain/guard errors map to CLI exit code 3,
-statistical-instability errors to exit code 4.
+NaN fails) and the one conversion of array arguments.  Domain/guard
+errors map to CLI exit code 3, statistical-instability errors to exit
+code 4.
 """
 
 import numpy as np
@@ -87,3 +88,14 @@ def check_seed(seed, what: str) -> None:
     """check_int for a seed: [0, 2^63) leaves headroom for the offsets
     callers add to derive per-angle and per-row seeds."""
     check_int(seed, f"{what}: seed", 0, 2**63 - 1)
+
+
+def float_array(values, what: str) -> np.ndarray:
+    """values as a float array (values itself if it is one), else a
+    DomainError naming what: numpy's own error for a non-number or a
+    ragged list is a bare ValueError."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{what} must be a regular array of numbers: "
+                          f"{exc}") from exc

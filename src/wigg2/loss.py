@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DomainError, InconsistentInputsError,
-                     InsufficientStatisticsError, NotSqueezedError)
+                     InsufficientStatisticsError, NotSqueezedError,
+                     float_array)
 
 ETA_TOLERANCE = 0.02
 
@@ -85,24 +86,23 @@ def infer_loss_resampled(g2_draws, vx_draws, ci=(2.5, 97.5)):
     lo_q, hi_q = ci
     if not 0.0 <= lo_q <= hi_q <= 100.0:
         raise DomainError(f"infer_loss_resampled: ci={ci!r} not in [0, 100] in order")
-    g2_draws = np.asarray(g2_draws, dtype=float)
-    vx_draws = np.asarray(vx_draws, dtype=float)
+    g2_draws = float_array(g2_draws, "infer_loss_resampled: g2_draws")
+    vx_draws = float_array(vx_draws, "infer_loss_resampled: vx_draws")
     if g2_draws.ndim != 1 or g2_draws.shape != vx_draws.shape:
         raise DomainError(
             "infer_loss_resampled: g2_draws and vx_draws must be 1-D and of "
             f"equal length, got shapes {g2_draws.shape} and {vx_draws.shape}")
-    n = g2_draws.size
-    etas = []
-    skipped = 0
-    for g2, vx in zip(g2_draws, vx_draws):
-        try:
-            etas.append(infer_loss(g2, vx).eta)
-        except DomainError:
-            skipped += 1
-    if len(etas) < 2:
+    # infer_loss on every pair at once: nw_pure is finite and >= 1/2
+    # wherever g2 > 3, so infer_pure_variance refuses no pair here
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nw = 1.0 / (g2_draws - 3.0) + 0.5
+        v_pure = 0.25 / (nw + np.sqrt(nw - 0.5) * np.sqrt(nw + 0.5))
+    ok = ((g2_draws > 3.0) & (vx_draws > 0.0) & (vx_draws < 0.5)
+          & (v_pure < 0.5))
+    etas = (vx_draws[ok] - 0.5) / (v_pure[ok] - 0.5)
+    if etas.size < 2:
         raise InsufficientStatisticsError(
-            f"only {len(etas)} valid resamples out of {n}; cannot form a CI"
-        )
-    etas = np.asarray(etas)
+            f"only {etas.size} valid resamples out of {g2_draws.size}; "
+            "cannot form a CI")
     lo, hi = np.percentile(etas, [lo_q, hi_q])
-    return etas, (float(lo), float(hi)), skipped
+    return etas, (float(lo), float(hi)), g2_draws.size - etas.size

@@ -60,30 +60,32 @@ class G2Value:
     mean_photon: float
 
 
-def _k_form(state: GaussianState, per_t: bool):
-    """(t, tr k^2, m^T k m) of the module docstring for k = K/s and
-    m = mu/sqrt(s), where s = t if per_t and t > 0, else 1.
-
-    K's diagonal is formed as v - 1/2, free of cancellation for weakly
-    excited states; scaling by t keeps every square below the inputs.
-    """
-    cov, x, p = state.cov, state.mean.x, state.mean.p
-    kxx, kpp, kxp = cov.vxx - 0.5, cov.vpp - 0.5, cov.vxp
-    t = x * x + p * p + kxx + kpp
-    if not math.isfinite(t):
-        raise DomainError(f"|mean|^2 + tr K overflows: {state.to_dict()}")
-    if per_t and t > 0.0:
-        root = math.sqrt(t)
-        kxx, kpp, kxp, x, p = kxx / t, kpp / t, kxp / t, x / root, p / root
-    k2 = kxx * kxx + kpp * kpp + 2.0 * kxp * kxp
-    q = kxx * x * x + kpp * p * p + 2.0 * kxp * x * p
+def _k_form(x, p, vxx, vpp, vxp, per_t: bool):
+    """(t, tr k^2, m^T k m) of the module docstring, elementwise over
+    floats or arrays, for k = K/s and m = mu/sqrt(s), s = t if per_t and
+    t > 0, else 1.  K's diagonal is v - 1/2, free of cancellation for
+    weakly excited states; scaling by t keeps every square below the
+    inputs.  A t that is not finite raises DomainError; a later overflow
+    is left to the caller."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        kxx, kpp, kxp = vxx - 0.5, vpp - 0.5, vxp
+        t = x * x + p * p + kxx + kpp
+        if not np.isfinite(t).all():
+            raise DomainError("|mean|^2 + tr K overflows")
+        if per_t:
+            s = np.where(t > 0.0, t, 1.0)
+            root = np.sqrt(s)
+            kxx, kpp, kxp, x, p = kxx / s, kpp / s, kxp / s, x / root, p / root
+        k2 = kxx * kxx + kpp * kpp + 2.0 * kxp * kxp
+        q = kxx * x * x + kpp * p * p + 2.0 * kxp * x * p
     return t, k2, q
 
 
 def weyl_moments_analytic(state: GaussianState) -> WeylMoments:
     """Closed-form symmetric moments of a Gaussian state (K-form of the
     module docstring); DomainError if one is not finite."""
-    t, k2, q = _k_form(state, per_t=False)
+    cov, mean = state.cov, state.mean
+    t, k2, q = _k_form(mean.x, mean.p, cov.vxx, cov.vpp, cov.vxp, per_t=False)
     nw2 = 0.25 * t * t + 0.5 * k2 + q + t + 0.5
     if not math.isfinite(nw2):
         raise DomainError(f"<n_W^2> overflows: {state.to_dict()}")
@@ -172,27 +174,35 @@ def g2_from_moments(m: WeylMoments, epsilon: float = DEFAULT_EPSILON) -> G2Value
     return G2Value(value, n)
 
 
+def g2_rows(x, p, vxx, vpp, vxp, epsilon: float = DEFAULT_EPSILON):
+    """(g2(0), n = t/2, guarded) of states given as in _k_form, guarded
+    where n < epsilon or t <= 0 (g2 then meaningless); DomainError if a t
+    or an unguarded g2 is not finite, or epsilon is not in [0, inf)."""
+    _check_epsilon(epsilon)
+    t, k2, q = _k_form(x, p, vxx, vpp, vxp, per_t=True)
+    n = 0.5 * t
+    guarded = (n < epsilon) | (t <= 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g2 = 1.0 + 2.0 * (k2 + 2.0 * q)
+    if not np.all(np.isfinite(g2) | guarded):
+        raise DomainError("g2 overflows")
+    return g2, n, guarded
+
+
 def g2_gaussian(state: GaussianState, epsilon: float = DEFAULT_EPSILON) -> G2Value:
     """Analytic g2(0) = 1 + 2 (tr K^2 + 2 mu^T K mu) / t^2 of a Gaussian
-    state, with K = V - I/2 and mean photon number t/2 = (|mu|^2 + tr K)/2.
-
-    K and mu are divided by t and sqrt(t) before squaring, so weakly
-    excited states keep their accuracy and no intermediate overflows.
-    A mean photon number below epsilon (or t <= 0) raises NearVacuumError;
-    an epsilon outside [0, inf), NaN included, raises DomainError.
-    """
-    _check_epsilon(epsilon)
-    t, k2, q = _k_form(state, per_t=True)
-    n = 0.5 * t
-    if n < epsilon or t <= 0.0:
+    state, K = V - I/2 and t/2 = (|mu|^2 + tr K)/2 its mean photon number:
+    g2_rows of one state.  A state the near-vacuum guard catches raises
+    NearVacuumError."""
+    cov, mean = state.cov, state.mean
+    g2, n, guarded = g2_rows(mean.x, mean.p, cov.vxx, cov.vpp, cov.vxp,
+                             epsilon)
+    if guarded:
         raise NearVacuumError(
             f"mean photon number {n:.3g} below guard {epsilon:.3g}; "
             "g2(0) is 0/0 at vacuum"
         )
-    value = 1.0 + 2.0 * (k2 + 2.0 * q)
-    if not math.isfinite(value):
-        raise DomainError(f"g2 overflows: {state.to_dict()}")
-    return G2Value(value, n)
+    return G2Value(float(g2), float(n))
 
 
 def fig1_table(n_grid: Sequence[float]):

@@ -31,15 +31,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import kernels
 from .counting import CountingConfig, g2_estimate_clicks, simulate_hbt
-from .errors import (DomainError, IdentifiabilityError, NearVacuumError,
-                     UnstableInferenceError, check_int, check_seed)
-from .moments import DEFAULT_EPSILON, g2_gaussian
+from .errors import (DomainError, IdentifiabilityError,
+                     UnstableInferenceError, check_int, check_seed,
+                     float_array)
+from .moments import DEFAULT_EPSILON, g2_gaussian, g2_rows
 from .states import (VACUUM_VARIANCE, CovarianceMatrix, GaussianState,
                      PhasePoint, attenuate, hwp_mix, marginal, reduce_mode,
                      two_mode_squeezed_vacuum)
@@ -48,20 +49,10 @@ DEFAULT_ANGLES = tuple(np.linspace(0.0, math.pi, 12, endpoint=False))
 BOOTSTRAP_SIZE = 200
 
 
-def _float_array(values, what):
-    """A float copy of values, else a DomainError naming what: numpy's
-    own error for a non-number or a ragged list is a bare ValueError."""
-    try:
-        return np.array(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{what} must be a regular array of numbers: "
-                          f"{exc}") from exc
-
-
 def _angle_array(angles, caller):
     """A float copy of angles, which must be 1-D and finite with at least
     one angle, else a DomainError naming the caller."""
-    angles = _float_array(angles, f"{caller}: angles")
+    angles = np.array(float_array(angles, f"{caller}: angles"))
     if angles.ndim != 1 or angles.size < 1:
         raise DomainError(f"{caller}: angles must be 1-D with at least one "
                           f"angle, got shape {angles.shape}")
@@ -89,7 +80,8 @@ class HomodyneDataset:
     def __post_init__(self):
         angles = _angle_array(self.angles, "HomodyneDataset")
         _require_lo_range(angles, "HomodyneDataset")
-        samples = tuple(np.asarray(s, dtype=float) for s in self.samples)
+        samples = tuple(float_array(s, f"HomodyneDataset: sample array {k}")
+                        for k, s in enumerate(self.samples))
         if len(samples) != angles.size:
             raise DomainError(f"HomodyneDataset: {len(samples)} sample arrays "
                               f"for {angles.size} angles")
@@ -98,6 +90,9 @@ class HomodyneDataset:
                 raise DomainError(f"HomodyneDataset: sample array {k} must be "
                                   "1-D with >= 2 samples, all finite")
         check_seed(self.seed, "HomodyneDataset")
+        if not 0.0 <= self.eta_hd <= 1.0:
+            raise DomainError(f"HomodyneDataset: eta_hd must be in [0, 1], "
+                              f"got {self.eta_hd}")
         angles.setflags(write=False)
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "samples", samples)
@@ -107,7 +102,16 @@ class HomodyneDataset:
 class ReconstructionResult:
     state: GaussianState                 # physicality-projected estimate
     raw_cov: tuple                       # (vxx, vpp, vxp) before projection
-    bootstrap_states: tuple              # GaussianState or None per member
+    member_cov: np.ndarray               # (n_boot, 3) raw (vxx, vpp, vxp)
+    member_mean: np.ndarray              # (n_boot, 2) raw (x, p)
+    valid: np.ndarray                    # (n_boot,) True where a state
+
+    @property
+    def bootstrap_states(self) -> tuple:
+        """A GaussianState per member, None where not valid."""
+        rows = zip(self.member_cov.tolist(), self.member_mean.tolist())
+        return tuple(GaussianState(PhasePoint(*m), CovarianceMatrix(*c))
+                     if ok else None for (c, m), ok in zip(rows, self.valid))
 
 
 @dataclass(frozen=True)
@@ -232,14 +236,13 @@ def project_physical(vxx: float, vpp: float, vxp: float) -> CovarianceMatrix:
     return CovarianceMatrix(vxx, vpp, vxp)
 
 
-def _try_state(vxx, vpp, vxp, mx, mp) -> Optional[GaussianState]:
-    # raw (unprojected) estimate: clipping det up to 1/4 would bias the
-    # moment ratio downward, so g2 inference keeps the fitted moments as-is
-    # (CovarianceMatrix only requires positive definiteness)
-    try:
-        return GaussianState(PhasePoint(mx, mp), CovarianceMatrix(vxx, vpp, vxp))
-    except DomainError:
-        return None
+def _positive_definite(cov):
+    """Where CovarianceMatrix accepts the rows (vxx, vpp, vxp) of cov:
+    vxx, vpp and det V > 0, det V finite (so every entry is too)."""
+    vxx, vpp, vxp = cov.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = vxx * vpp - vxp * vxp
+    return np.isfinite(det) & (vxx > 0.0) & (vpp > 0.0) & (det > 0.0)
 
 
 def _moment_law(x):
@@ -284,7 +287,8 @@ def estimate_covariance(
     members of the moment-space bootstrap of the module docstring for
     interval inference: with (z1, z2) its normal pair at an angle, a
     member's mean there is m + l11 z1 and its variance v + l21 z1 + l22 z2.
-    A member whose covariance is not positive definite is None."""
+    The members' fits are read-only arrays; one whose covariance is not
+    positive definite is not valid."""
     check_int(n_boot, "estimate_covariance: n_boot", 2)
     check_seed(boot_seed, "estimate_covariance")
     cov_map, mean_map = _angle_maps(data.angles)
@@ -297,16 +301,17 @@ def estimate_covariance(
         # row 0 the point estimate's moments, row 1 + b member b's: as
         # columns of a C-ordered block each is summed over the angles in
         # order, so a member depends on its own normals alone, bit for bit
-        return np.einsum("ik,kb->ib", pinv,
-                         np.ascontiguousarray(rows.T)).tolist()
+        return np.einsum("ik,kb->ib", pinv, np.ascontiguousarray(rows.T)).T
 
-    vxx, vpp, vxp = fit(cov_map, np.vstack((v, v + l21 * z1 + l22 * z2)))
-    mx, mp = fit(mean_map, np.vstack((m, m + l11 * z1)))
-    state = GaussianState(PhasePoint(mx[0], mp[0]),
-                          project_physical(vxx[0], vpp[0], vxp[0]))
-    boot_states = tuple(_try_state(*member) for member in zip(
-        vxx[1:], vpp[1:], vxp[1:], mx[1:], mp[1:]))
-    return ReconstructionResult(state, (vxx[0], vpp[0], vxp[0]), boot_states)
+    cov = fit(cov_map, np.vstack((v, v + l21 * z1 + l22 * z2)))
+    mean = fit(mean_map, np.vstack((m, m + l11 * z1)))
+    raw, (mx, mp) = cov[0].tolist(), mean[0].tolist()
+    state = GaussianState(PhasePoint(mx, mp), project_physical(*raw))
+    cov, mean = np.ascontiguousarray(cov[1:]), np.ascontiguousarray(mean[1:])
+    valid = _positive_definite(cov) & np.isfinite(mean).all(1)
+    for a in (cov, mean, valid):
+        a.setflags(write=False)
+    return ReconstructionResult(state, tuple(raw), cov, mean, valid)
 
 
 def estimate_covariance_from_moments(angles, means, variances) -> GaussianState:
@@ -314,12 +319,12 @@ def estimate_covariance_from_moments(angles, means, variances) -> GaussianState:
     means and variances hold one value per angle."""
     caller = "estimate_covariance_from_moments"
     angles = _angle_array(angles, caller)
-    means = _float_array(means, f"{caller}: means")
-    variances = _float_array(variances, f"{caller}: variances")
+    means = float_array(means, f"{caller}: means")
+    variances = float_array(variances, f"{caller}: variances")
     for name, y in (("means", means), ("variances", variances)):
-        if y.shape != angles.shape:
-            raise DomainError(f"{caller}: {name} must have shape "
-                              f"{angles.shape}, one entry per angle")
+        if y.shape != angles.shape or not np.isfinite(y).all():
+            raise DomainError(f"{caller}: {name} must hold one finite entry "
+                              f"per angle, shape {angles.shape}, got {y}")
     cov_map, mean_map = _angle_maps(angles)
     vxx, vpp, vxp = np.einsum("ik,k->i", cov_map, variances).tolist()
     mx, mp = np.einsum("ik,k->i", mean_map, means).tolist()
@@ -334,31 +339,24 @@ def g2_from_reconstruction(
     Both the point estimate and the bootstrap members are evaluated on
     the raw fitted moments (not the physicality-projected state): the
     det >= 1/4 projection only ever inflates the estimated mean photon
-    number and would bias g2 low.  Bootstrap members caught by the
-    near-vacuum guard (or with non-positive-definite resampled
-    covariances) are counted, not dropped silently; a guarded majority
-    raises UnstableInferenceError.
+    number and would bias g2 low, so it stands in only for a raw point
+    estimate that is no state.  The valid members go through one g2_rows
+    call; those it guards, and those not valid, are counted, not dropped
+    silently, and a guarded majority raises UnstableInferenceError.
     """
-    values = []
-    guarded = 0
-    for bs in rec.bootstrap_states:
-        if bs is None:
-            guarded += 1
-            continue
-        try:
-            values.append(g2_gaussian(bs, epsilon).value)
-        except NearVacuumError:
-            guarded += 1
-    n_members = len(rec.bootstrap_states)
+    g2, _, near = g2_rows(*rec.member_mean[rec.valid].T,
+                          *rec.member_cov[rec.valid].T, epsilon)
+    n_members = len(rec.valid)
+    guarded = n_members - int((~near).sum())
     if guarded > n_members // 2:
         raise UnstableInferenceError(
             f"{guarded}/{n_members} bootstrap members hit the near-vacuum "
             "guard; the reconstruction is too close to vacuum for g2 inference"
         )
-    raw = _try_state(rec.raw_cov[0], rec.raw_cov[1], rec.raw_cov[2],
-                     rec.state.mean.x, rec.state.mean.p)
-    point = g2_gaussian(raw if raw is not None else rec.state, epsilon).value
-    lo, hi = np.percentile(values, [2.5, 97.5])
+    raw = (CovarianceMatrix(*rec.raw_cov)
+           if _positive_definite(np.array([rec.raw_cov]))[0] else rec.state.cov)
+    point = g2_gaussian(GaussianState(rec.state.mean, raw), epsilon).value
+    lo, hi = np.percentile(g2[~near], [2.5, 97.5])
     return G2Interval(point, float(lo), float(hi), guarded)
 
 
@@ -439,7 +437,7 @@ def fit_sweep_model(points: Sequence[tuple]) -> SweepFit:
     by the linear reparametrisation above: a >= 0, b in [-22.5, 22.5)
     (b = 0 when a = 0).  Fewer than 3 distinct angles mod 45 degrees
     raise IdentifiabilityError."""
-    pts = np.asarray(points, dtype=float)
+    pts = float_array(points, "fit_sweep_model: points")
     if pts.ndim != 2 or pts.shape[0] < 3 or pts.shape[1] != 2:
         raise DomainError("fit_sweep_model: need >= 3 (theta_deg, g2) points")
     if not np.isfinite(pts).all():

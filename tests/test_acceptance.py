@@ -193,7 +193,7 @@ def test_criterion_08_loss_round_trip():
     g2 = g2_gaussian(st).value
     data = simulate_homodyne(st, per_angle=100_000, eta_hd=eta_true, seed=808)
     rec = estimate_covariance(data, boot_seed=809)
-    vx_draws = [bs.cov.vxx for bs in rec.bootstrap_states if bs is not None]
+    vx_draws = rec.member_cov[rec.valid, 0]
     _, (lo, hi), _ = infer_loss_resampled([g2] * len(vx_draws), vx_draws)
     covered = lo <= eta_true <= hi
     _report(8, "loss inference: analytic grid to 1e-9, simulated CI covers 0.7",

@@ -180,6 +180,9 @@ TABLE = [
     ("HomodyneDataset.angles", _dataset("angles"), SHAPED_ANGLES),
     ("HomodyneDataset.angles", _dataset("angles"), NOT_ARRAYS),
     ("HomodyneDataset.seed", _dataset("seed"), (*NOT_INT, -1, 2**63)),
+    ("HomodyneDataset.eta_hd", _dataset("eta_hd"), (NAN, INF, -1, 2.5)),
+    ("HomodyneDataset.samples",
+     lambda v: _dataset("samples")((v,) + DATA.samples[1:]), NOT_ARRAYS),
     ("simulate_homodyne.angles",
      lambda v: simulate_homodyne(vacuum(), [0.0, v, 1.0], 100),
      (NAN, INF, -INF, -1, 4.0)),
@@ -221,6 +224,9 @@ TABLE = [
     ("fit_sweep_model.points",
      lambda v: fit_sweep_model([(0.0, 2.0), (10.0, v), (20.0, 3.0)]),
      (NAN, INF)),
+    ("fit_sweep_model.points", fit_sweep_model,
+     ([("a", 1.0), (10.0, 2.0), (20.0, 3.0)],
+      [(0.0, 2.0), (10.0,), (20.0, 3.0)])),
     ("g2_from_reconstruction.epsilon",
      lambda v: g2_from_reconstruction(estimate_covariance(DATA), epsilon=v),
      BAD_EPSILON),
@@ -238,10 +244,10 @@ TABLE = [
      ((NAN, 97.5), (2.5, NAN), (-1, 97.5), (2.5, 101.0), (97.5, 2.5))),
     ("infer_loss_resampled.g2_draws",
      lambda v: infer_loss_resampled(v, [0.3] * 3),
-     ([4.0] * 5, [4.0] * 2, [[4.0] * 3], 4.0)),
+     ([4.0] * 5, [4.0] * 2, [[4.0] * 3], 4.0, *NOT_ARRAYS)),
     ("infer_loss_resampled.vx_draws",
      lambda v: infer_loss_resampled([4.0] * 3, v),
-     ([0.3] * 5, [0.3] * 2, [[0.3] * 3], 0.3)),
+     ([0.3] * 5, [0.3] * 2, [[0.3] * 3], 0.3, *NOT_ARRAYS)),
     ("infer_loss_resampled.draws", lambda v: infer_loss_resampled(*v),
      (([[4.0, 4.0]], [[0.3, 0.3]]),)),
 ]
@@ -282,9 +288,23 @@ def test_epsilon_names_itself(call, value):
      "estimate_covariance_from_moments: angles"),
     (lambda: estimate_covariance_from_moments(ANGLES, [[0.0], [1.0, 2.0]],
                                               [0.5] * 3), "means"),
+    (lambda: estimate_covariance_from_moments(ANGLES, [0.0, NAN, 0.0],
+                                              [0.5] * 3),
+     "estimate_covariance_from_moments: means must hold one finite"),
+    (lambda: estimate_covariance_from_moments(ANGLES, [0.0] * 3,
+                                              [0.5, 0.5, INF]),
+     "estimate_covariance_from_moments: variances must hold one finite"),
+    (lambda: infer_loss_resampled(["a", "b"], [0.3] * 2),
+     "infer_loss_resampled: g2_draws"),
+    (lambda: fit_sweep_model([("a", 1.0), (10.0, 2.0), (20.0, 3.0)]),
+     "fit_sweep_model: points"),
+    (lambda: _dataset("samples")((["a", "b"],) + DATA.samples[1:]),
+     "HomodyneDataset: sample array 0"),
+    (lambda: _dataset("eta_hd")(NAN), "HomodyneDataset: eta_hd"),
 ], ids=["project_physical", "means", "variances", "draws", "dataset_angles",
         "homodyne_angles", "homodyne_angle_strings", "moment_angle_strings",
-        "ragged_means"])
+        "ragged_means", "nan_means", "inf_variances", "draw_strings",
+        "sweep_point_strings", "sample_strings", "dataset_eta_hd"])
 def test_refusal_names_the_argument(call, name):
     with pytest.raises(DomainError, match=name):
         call()

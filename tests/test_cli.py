@@ -541,3 +541,56 @@ class TestManifest:
         assert lines[0] == f"# wigg2 {__version__} {command}: {comment}"
         assert next(l for l in lines if not l.startswith("#")) == columns
         assert got == params
+
+
+class TestOutputPins:
+    # the bytes two runs print: how the bootstrap members are held and
+    # evaluated must not move a sweep row or a digit of the homodyne report
+
+    def test_sweep_rows(self, capsys, tmp_path):
+        f = tmp_path / "s.csv"
+        code, _, err = run(capsys, "sweep", "--r", "0.4", "--thetas",
+                           "0,22.5", "--windows", "2000", "--per-angle",
+                           "200", "--seed", "0", "--out", str(f))
+        assert code == 0, err
+        assert f.read_text().splitlines()[1:] == [
+            "theta_deg,g2_analytic,g2_direct,g2_direct_err,g2_homodyne,"
+            "g2_ci_low,g2_ci_high,vx,vp",
+            "0,2,1.91625946153,0.371434582006,2.00279146318,2.00174717685,"
+            "2.16511982967,0.670489539484,0.658551727635",
+            "22.5,8.92706837837,11.6481355419,0.956182275869,8.11960226347,"
+            "6.64826335687,11.0034679347,0.220712557017,1.15908041495",
+        ]
+
+    def test_homodyne_report(self, capsys, tmp_path):
+        # the raw point estimate has det V < 1/4, so its g2 is not the
+        # projected state's
+        code, out, err = run(capsys, "homodyne", "--squeezed", "0.5", "0",
+                             "--angles", "0,60,120", "--per-angle", "2001",
+                             "--seed", "3", "--reconstruct", "--out",
+                             str(tmp_path / "h.csv"))
+        assert code == 0, err
+        assert out == """\
+{
+  "cov_raw": {
+    "vxx": 0.24216117916995683,
+    "vpp": 0.9935769341879528,
+    "vxp": -0.008894876460196544
+  },
+  "cov": [
+    0.25169343185812115,
+    -0.008782054321767908,
+    0.9935782695317943
+  ],
+  "mean": [
+    0.003372433925523298,
+    0.019765558564916904
+  ],
+  "g2": 12.14141246326468,
+  "g2_ci": [
+    9.58706888949934,
+    16.867733698147337
+  ],
+  "bootstrap_guarded": 0
+}
+"""

@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +114,29 @@ class TestResampled:
         assert skipped == 3
         assert len(etas) == 2
 
+    def test_matches_infer_loss_on_edge_grid(self):
+        # every pair of edge values: g2 at and next to 3 (3 + 5e-324 is
+        # 3), so large that nw_pure rounds to 1/2, and not finite; vx at 0
+        # and 1/2 and next to them, and not finite
+        g2s = [2.0, 3.0, 3 + 5e-324, math.nextafter(3.0, 4.0), 4.0, 11.0,
+               1e15, 1e17, math.inf, -math.inf, math.nan]
+        vxs = [0.0, -0.1, 5e-324, 0.3, math.nextafter(0.5, 0.0), 0.5,
+               math.inf, -math.inf, math.nan]
+        pairs = list(itertools.product(g2s, vxs))
+        want, refusals = [], set()
+        for g2, vx in pairs:
+            try:
+                want.append(infer_loss(g2, vx).eta)
+            except DomainError as exc:
+                refusals.add((type(exc), "indeterminate" in str(exc)))
+        # g2 <= 3, vx <= 0, vx >= 1/2, and a pure state at vacuum
+        assert len(refusals) == 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            etas, _, skipped = infer_loss_resampled(*zip(*pairs))
+        assert etas.tolist() == want
+        assert skipped == len(pairs) - len(want)
+
     def test_all_invalid_raises(self):
         with pytest.raises(InsufficientStatisticsError):
             infer_loss_resampled([2.0, 2.5, 1.0], [0.3, 0.3, 0.3])
@@ -127,14 +152,9 @@ class TestEndToEnd:
         data = simulate_homodyne(state, per_angle=100_000, eta_hd=eta_true,
                                  seed=67)
         rec = estimate_covariance(data, boot_seed=68)
-        g2_draws = []
-        vx_draws = []
-        for bs in rec.bootstrap_states:
-            if bs is None:
-                continue
-            g2_draws.append(g2_true)
-            vx_draws.append(bs.cov.vxx)
-        etas, (lo, hi), _ = infer_loss_resampled(g2_draws, vx_draws)
+        vx_draws = rec.member_cov[rec.valid, 0]
+        etas, (lo, hi), _ = infer_loss_resampled(
+            np.full(vx_draws.size, g2_true), vx_draws)
         assert lo <= eta_true <= hi
         point = infer_loss(g2_true, rec.state.cov.vxx)
         assert point.eta == pytest.approx(eta_true, abs=0.02)

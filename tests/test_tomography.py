@@ -15,8 +15,8 @@ from hypothesis import assume, given, settings, strategies as st
 from wigg2.counting import (CountingConfig, bootstrap_g2_clicks,
                             g2_estimate_clicks, simulate_hbt)
 from wigg2.errors import (DomainError, FitError, IdentifiabilityError,
-                          UnstableInferenceError)
-from wigg2.moments import g2_gaussian
+                          NearVacuumError, UnstableInferenceError)
+from wigg2.moments import g2_gaussian, g2_rows
 from wigg2.states import (CovarianceMatrix, GaussianState, PhasePoint,
                           attenuate, coherent, displace, hwp_mix, marginal,
                           reduce_mode, squeezed_vacuum,
@@ -24,8 +24,9 @@ from wigg2.states import (CovarianceMatrix, GaussianState, PhasePoint,
                           two_mode_squeezed_vacuum, vacuum)
 from wigg2 import kernels, tomography
 from wigg2.kernels import CHUNK, MEMBER_DRAWS, SAMPLE_DRAWS, normal_pairs
-from wigg2.tomography import (DEFAULT_ANGLES, HomodyneDataset, SweepFit,
-                              _angle_maps, estimate_covariance,
+from wigg2.tomography import (DEFAULT_ANGLES, HomodyneDataset,
+                              ReconstructionResult, SweepFit, _angle_maps,
+                              _positive_definite, estimate_covariance,
                               estimate_covariance_from_moments,
                               fit_sweep_model, g2_from_reconstruction,
                               hwp_sweep, project_physical, simulate_homodyne)
@@ -106,7 +107,7 @@ class TestInputValidation:
         data = simulate_homodyne(thermal(1.0), ANGLES12[:3], 100,
                                  seed=2**63 - 1)
         rec = estimate_covariance(data, n_boot=2, boot_seed=2**63 - 1)
-        assert len(rec.bootstrap_states) == 2
+        assert rec.member_cov.shape == (2, 3)
 
     @pytest.mark.parametrize("n_boot", [0, 1, -3, 2.0])
     def test_n_boot_invalid(self, n_boot):
@@ -166,7 +167,7 @@ class TestEstimateCovariance:
         rec = estimate_covariance(data, n_boot=8, boot_seed=4)
         assert rec.raw_cov[2] == 0.0
         assert rec.raw_cov[0] == pytest.approx(0.25, rel=0.1)
-        assert all(bs.cov.vxp == 0.0 for bs in rec.bootstrap_states)
+        assert (rec.member_cov[:, 2] == 0.0).all()
 
     def test_identifiability_errors(self):
         st = thermal(1.0)
@@ -326,8 +327,7 @@ class TestMomentSpaceBootstrap:
         data = HomodyneDataset(np.array([0.0, math.pi / 2]), samples, 0, 1.0)
         B = 20_000
         rec = estimate_covariance(data, n_boot=B, boot_seed=boot_seed)
-        members = np.array([[bs.mean.x, bs.mean.p, bs.cov.vxx, bs.cov.vpp]
-                            for bs in rec.bootstrap_states])
+        members = np.column_stack((rec.member_mean, rec.member_cov[:, :2]))
         for k, x in enumerate(samples):
             n, m, v = len(x), x.mean(), x.var(ddof=1)
             mu3 = np.mean((x - m) ** 3)
@@ -371,18 +371,18 @@ class TestMomentSpaceBootstrap:
     @pytest.mark.parametrize("value", [0.0, 0.3])
     def test_constant_samples_give_guarded_members(self, value):
         # v = 0 at every angle (up to the round-off of a mean of 0.3s): no
-        # member is NaN, and every one is guarded, as None or near vacuum
+        # member is NaN, and every one is guarded, as not valid or near
+        # vacuum
         samples = tuple(np.full(50, value) for _ in ANGLES12)
         data = HomodyneDataset(ANGLES12, samples, 0, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rec = estimate_covariance(data, n_boot=20, boot_seed=1)
-            for bs in rec.bootstrap_states:
-                assert bs is None or np.isfinite(bs.cov.matrix()).all()
+            assert np.isfinite(rec.member_cov).all()
             with pytest.raises(UnstableInferenceError, match="20/20"):
                 g2_from_reconstruction(rec)
         if value == 0.0:
-            assert rec.bootstrap_states == (None,) * 20
+            assert not rec.valid.any()
 
     def test_one_constant_angle_gives_finite_members(self):
         full = simulate_homodyne(thermal(1.0), ANGLES12, 500, seed=7)
@@ -391,9 +391,8 @@ class TestMomentSpaceBootstrap:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rec = estimate_covariance(data, n_boot=50, boot_seed=8)
-        for bs in rec.bootstrap_states:
-            assert bs is None or np.isfinite(
-                [bs.cov.vxx, bs.cov.vpp, bs.cov.vxp, bs.mean.x, bs.mean.p]).all()
+        assert np.isfinite(rec.member_cov).all()
+        assert np.isfinite(rec.member_mean).all()
 
     def test_golden_values(self):
         # pin both counter-RNG streams: the samples of simulate_homodyne
@@ -415,8 +414,8 @@ class TestMomentSpaceBootstrap:
             (0.3240476296161922, 0.6287300310157677, -0.055511456142776965,
              -0.009872301974335045, -0.06317360006513452),
         ]
-        for bs, want in zip(rec.bootstrap_states, golden):
-            got = (bs.cov.vxx, bs.cov.vpp, bs.cov.vxp, bs.mean.x, bs.mean.p)
+        members = np.hstack((rec.member_cov, rec.member_mean)).tolist()
+        for got, want in zip(members, golden):
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("seed", [0, 2**63 - 7920])
@@ -508,22 +507,21 @@ class TestStreamOracles:
         # (n - 3)/(n - 1) of Sigma22 negative and 0; with two orthogonal
         # angles a member's (mx, vxx) and (mp, vpp) are its (mean,
         # variance) at angle 0 and at pi/2, and a member with a variance
-        # <= 0 is None
+        # <= 0 is not valid
         data, laws = _oracle_data(n)
         rec = estimate_covariance(data, n_boot=n_boot, boot_seed=boot_seed)
-        assert len(rec.bootstrap_states) == n_boot
+        assert rec.member_cov.shape == (n_boot, 3)
+        assert rec.member_mean.shape == (n_boot, 2)
         tries = set()
-        for b, bs in enumerate(rec.bootstrap_states):
+        for b in range(n_boot):
             want = []
             for k, (m, v, l11, l21, l22) in enumerate(laws):
                 z1, z2, t = _pair_oracle(boot_seed, 2 * b + k, MEMBER_DRAWS)
                 want.append((m + l11 * z1, v + l21 * z1 + l22 * z2))
                 tries.add(t)
             (mx, vxx), (mp, vpp) = want
-            if min(vxx, vpp) <= 0.0:
-                assert bs is None
-                continue
-            got = (bs.mean.x, bs.mean.p, bs.cov.vxx, bs.cov.vpp, bs.cov.vxp)
+            assert rec.valid[b] == (min(vxx, vpp) > 0.0)
+            got = (*rec.member_mean[b], *rec.member_cov[b])
             assert got == pytest.approx((mx, mp, vxx, vpp, 0.0), rel=1e-9,
                                         abs=1e-12)
         if n_boot == 200:
@@ -657,9 +655,105 @@ class TestStreamLayout:
         few = estimate_covariance(data, n_boot=2, boot_seed=6)
         many = estimate_covariance(data, n_boot=200, boot_seed=6)
         assert few.state == many.state and few.raw_cov == many.raw_cov
-        for a, b in zip(few.bootstrap_states, many.bootstrap_states[:2]):
-            assert (a.cov.vxx, a.cov.vpp, a.cov.vxp, a.mean.x, a.mean.p) == \
-                (b.cov.vxx, b.cov.vpp, b.cov.vxp, b.mean.x, b.mean.p)
+        assert np.array_equal(few.member_cov, many.member_cov[:2])
+        assert np.array_equal(few.member_mean, many.member_mean[:2])
+
+
+def _state_or_none(vxx, vpp, vxp, mx, mp):
+    # a member as PhasePoint and CovarianceMatrix judge it, one at a time:
+    # the oracle of the member arrays
+    try:
+        return GaussianState(PhasePoint(mx, mp),
+                             CovarianceMatrix(vxx, vpp, vxp))
+    except DomainError:
+        return None
+
+
+def _member_rec(state, seed):
+    data = simulate_homodyne(state, ANGLES12[:5], 300, seed=seed)
+    return estimate_covariance(data, n_boot=200, boot_seed=seed)
+
+
+# a reconstruction whose members are all valid, some near vacuum; and one
+# with 3 members that are no state and 93 near vacuum, 104 left for the CI
+MEMBER_CASES = [(squeezed_vacuum(0.5, 0.3), 0), (thermal(0.05), 2)]
+
+
+class TestMemberArrays:
+    # entries at the edges of CovarianceMatrix's checks: zero of both
+    # signs, the smallest subnormal, squares that underflow or overflow,
+    # and the non-finite values
+    EDGE = [0.0, -0.0, -0.1, 5e-324, 0.5, 1e-160, 1e160, 1.7e308, math.inf,
+            -math.inf, math.nan]
+
+    def test_positive_definite_matches_oracle(self):
+        cov = np.array(list(itertools.product(self.EDGE, repeat=3)))
+        want = [_state_or_none(*c, 0.0, 0.0) is not None
+                for c in cov.tolist()]
+        assert 0 < sum(want) < len(want)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _positive_definite(cov).tolist() == want
+
+    @pytest.mark.parametrize("state, seed", MEMBER_CASES)
+    def test_states_match_state_oracle(self, state, seed):
+        # bootstrap_states[b] is None exactly where valid[b] is False
+        rec = _member_rec(state, seed)
+        oracle = tuple(_state_or_none(*c, *m) for c, m in zip(
+            rec.member_cov.tolist(), rec.member_mean.tolist()))
+        assert rec.valid.tolist() == [o is not None for o in oracle]
+        assert rec.bootstrap_states == oracle
+        for a in (rec.member_cov, rec.member_mean, rec.valid):
+            assert not a.flags.writeable
+
+    @pytest.mark.parametrize("state, seed", MEMBER_CASES)
+    def test_member_g2_matches_g2_gaussian(self, state, seed):
+        rec = _member_rec(state, seed)
+        g2, n, near = g2_rows(*rec.member_mean[rec.valid].T,
+                              *rec.member_cov[rec.valid].T)
+        states = [bs for bs in rec.bootstrap_states if bs is not None]
+        assert near.any() and not near.all()
+        for value, guarded, bs in zip(g2, near, states):
+            if guarded:
+                with pytest.raises(NearVacuumError):
+                    g2_gaussian(bs)
+            else:
+                assert value == g2_gaussian(bs).value
+
+    @pytest.mark.parametrize("state, seed", MEMBER_CASES)
+    def test_interval_matches_member_loop(self, state, seed):
+        rec = _member_rec(state, seed)
+        values = []
+        for bs in rec.bootstrap_states:
+            if bs is not None:
+                try:
+                    values.append(g2_gaussian(bs).value)
+                except NearVacuumError:
+                    pass
+        g = g2_from_reconstruction(rec)
+        assert g.n_guarded == 200 - len(values)
+        assert [g.ci_low, g.ci_high] == np.percentile(values,
+                                                      [2.5, 97.5]).tolist()
+        point = GaussianState(rec.state.mean, CovarianceMatrix(*rec.raw_cov))
+        assert g.value == g2_gaussian(point).value
+
+    def _rec(self, raw_cov, mean):
+        # three valid members of g2 2, and a point estimate set by hand
+        members = np.array([[1.0, 1.0, 0.0]] * 3)
+        return ReconstructionResult(
+            GaussianState(PhasePoint(*mean), project_physical(*raw_cov)),
+            raw_cov, members, np.zeros((3, 2)), np.ones(3, dtype=bool))
+
+    def test_point_estimate_that_is_no_state_is_projected(self):
+        rec = self._rec((0.3, -0.1, 0.0), (1.0, 0.0))
+        assert g2_from_reconstruction(rec).value == \
+            g2_gaussian(rec.state).value
+
+    def test_near_vacuum_point_estimate_raises(self):
+        # a raw point estimate below the guard is not projected
+        rec = self._rec((0.5, 0.5 - 1e-12, 0.0), (0.0, 0.0))
+        with pytest.raises(NearVacuumError):
+            g2_from_reconstruction(rec)
 
 
 class TestArmsShareNoDraws:
@@ -702,7 +796,7 @@ class TestArmsShareNoDraws:
         rec = estimate_covariance(data, n_boot=B, boot_seed=seed)
         x = data.samples[0]
         m, l11 = x.mean(), math.sqrt(x.var(ddof=1) / len(x))
-        z_members = [(bs.mean.x - m) / l11 for bs in rec.bootstrap_states]
+        z_members = (rec.member_mean[:, 0] - m) / l11
         z_samples = x[:B] / math.sqrt(0.5)
         assert abs(np.corrcoef(z_members, z_samples)[0, 1]) < 5 / math.sqrt(B)
 
