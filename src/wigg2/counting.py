@@ -49,7 +49,7 @@ from . import kernels
 from .errors import (DomainError, InsufficientStatisticsError, check_int,
                      check_seed)
 from .fock import PhotonNumberDistribution, photon_number_distribution
-from .states import GaussianState
+from .states import GaussianState, _check_physical, _gaussian_overlap
 
 
 @dataclass(frozen=True)
@@ -101,37 +101,20 @@ class CountingRecord:
 
 
 def _no_click(state: GaussianState, tau: float) -> float:
-    """q(tau) = E[(1 - tau)^n] of the module docstring, for 0 <= tau <= 1.
-    With (kxx, kpp, kxp) the entries of tau K, a = 1 + kxx, d = det(I +
-    tau K) and the mean scaled to (x, p) = mu / m, m = max(|mu_x|,
-    |mu_p|), the quadratic form is the sum of squares
-    m^2 (x^2/a + (a p - kxp x)^2 / (a d)): it is never negative, and no
-    step overflows before the last products by m, which overflow only
-    where q underflows to 0."""
+    """q(tau) = E[(1 - tau)^n] of the module docstring, for 0 <= tau <= 1:
+    the Gaussian overlap of `states` with S = I + tau K and d = mu."""
     cov, mean = state.cov, state.mean
     kxx, kpp, kxp = tau * (cov.vxx - 0.5), tau * (cov.vpp - 0.5), tau * cov.vxp
-    # d >= 1 when det V >= 1/4; round-off may leave it below
+    # det S >= 1 when det V >= 1/4; round-off may leave it below
     d = max(1.0 + kxx + kpp + (kxx * kpp - kxp * kxp), 1.0)
-    m = float(max(abs(mean.x), abs(mean.p)))
-    if m == 0.0:
-        return 1.0 / math.sqrt(d)
-    x, p, a = mean.x / m, mean.p / m, 1.0 + kxx
-    t = a * p - kxp * x
-    form = float(x * x / a + (t / a) * (t / d))
-    # Python floats overflow to inf without the warning of a numpy scalar;
-    # tau m comes first, so that a subnormal tau is not lost to underflow
-    return math.exp(-(float(tau) * m * form * m) / 2.0) / math.sqrt(d)
+    return _gaussian_overlap(1.0 + kxx, kxp, d, mean.x, mean.p, tau)
 
 
 def _click_probs(state: GaussianState, config: CountingConfig):
     """(q1, q2, qb) of the module docstring, as `kernels.click_probs`
     gives them from p(n).  A covariance below the uncertainty bound
     det V >= 1/4 raises DomainError."""
-    cov = state.cov
-    # photon_number_distribution's rule: below 1/4 by more than round-off
-    if cov.det - 0.25 < -1e-12 * (cov.vxx * cov.vpp + cov.vxp * cov.vxp):
-        raise DomainError(f"simulate_hbt: det V = {cov.det!r} < 1/4, the "
-                          "covariance of no quantum state")
+    _check_physical(state.cov, "simulate_hbt")
     eta, split, dark = config.eta_det, config.split, config.dark_prob
     q1 = _no_click(state, eta * split)
     q2 = _no_click(state, eta * (1.0 - split))

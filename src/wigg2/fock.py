@@ -41,9 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NearVacuumError, TruncationError, check_int
-from .moments import DEFAULT_EPSILON
-from .states import GaussianState
+from .errors import DomainError, TruncationError, check_int
+from .moments import DEFAULT_EPSILON, _guard_near_vacuum
+from .states import GaussianState, _check_physical
 
 
 def fock_wigner(n: int, x, p):
@@ -141,14 +141,8 @@ def photon_number_distribution(
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0.0:
         raise DomainError(f"photon_number_distribution: tol must be a number "
                           f">= 0, got {tol!r}")
-    c = state.cov
-    excess, scale = c.det - 0.25, c.vxx * c.vpp + c.vxp * c.vxp
-    if excess < -1e-12 * scale:
-        raise DomainError(f"photon_number_distribution: det V = {c.det!r} "
-                          "< 1/4, the covariance of no quantum state")
-    # a pure state's det V - 1/4 is round-off within 3 eps * scale
-    pure = excess <= 8.0 * np.finfo(float).eps * scale
-    one_tau, cq, d, b = _husimi_form(c)
+    pure = _check_physical(state.cov, "photon_number_distribution")
+    one_tau, cq, d, b = _husimi_form(state.cov)
     b = 0.0 if pure else max(b, 0.0)
     # T, gamma_1 and B_11 in closed form (module docstring)
     a = complex(state.mean.x, state.mean.p) / math.sqrt(2.0)
@@ -186,11 +180,8 @@ def g2_from_pn(dist: PhotonNumberDistribution) -> float:
     """g2(0) = <n(n-1)> / <n>^2 from a photon-number distribution; a mean
     photon number below moments.DEFAULT_EPSILON raises NearVacuumError,
     as g2_gaussian does."""
+    mean = dist.mean()
+    _guard_near_vacuum(mean, DEFAULT_EPSILON)
     n = np.arange(dist.n_max + 1, dtype=float)
-    mean = float(np.dot(dist.probs, n))
-    if not mean >= DEFAULT_EPSILON:
-        raise NearVacuumError(
-            f"g2_from_pn: mean photon number {mean:.3g} below guard "
-            f"{DEFAULT_EPSILON:.3g}; g2(0) is 0/0 at vacuum")
     fac = float(np.dot(dist.probs, n * (n - 1.0)))
     return fac / mean ** 2

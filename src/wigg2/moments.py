@@ -153,6 +153,14 @@ def _check_epsilon(epsilon) -> None:
         raise DomainError(f"epsilon must be in [0, inf), got {epsilon}")
 
 
+def _guard_near_vacuum(n, epsilon) -> None:
+    """The near-vacuum guard: a mean photon number n below epsilon, or
+    <= 0 whatever epsilon, raises NearVacuumError."""
+    if n < epsilon or n <= 0.0:
+        raise NearVacuumError(f"mean photon number {n:.3g} below guard "
+                              f"{epsilon:.3g}; g2(0) is 0/0 at vacuum")
+
+
 def g2_from_moments(m: WeylMoments, epsilon: float = DEFAULT_EPSILON) -> G2Value:
     """g2(0) from symmetric moments.
 
@@ -163,11 +171,7 @@ def g2_from_moments(m: WeylMoments, epsilon: float = DEFAULT_EPSILON) -> G2Value
     """
     _check_epsilon(epsilon)
     n = m.nw - 0.5
-    if n < epsilon or n <= 0.0:
-        raise NearVacuumError(
-            f"mean photon number {n:.3g} below guard {epsilon:.3g}; "
-            "g2(0) is 0/0 at vacuum"
-        )
+    _guard_near_vacuum(n, epsilon)
     value = (m.nw2 - 2.0 * m.nw + 0.5) / n / n
     if not math.isfinite(value):
         raise DomainError(f"g2 from moments is not finite: {m}")
@@ -195,13 +199,8 @@ def g2_gaussian(state: GaussianState, epsilon: float = DEFAULT_EPSILON) -> G2Val
     g2_rows of one state.  A state the near-vacuum guard catches raises
     NearVacuumError."""
     cov, mean = state.cov, state.mean
-    g2, n, guarded = g2_rows(mean.x, mean.p, cov.vxx, cov.vpp, cov.vxp,
-                             epsilon)
-    if guarded:
-        raise NearVacuumError(
-            f"mean photon number {n:.3g} below guard {epsilon:.3g}; "
-            "g2(0) is 0/0 at vacuum"
-        )
+    g2, n, _ = g2_rows(mean.x, mean.p, cov.vxx, cov.vpp, cov.vxp, epsilon)
+    _guard_near_vacuum(n, epsilon)
     return G2Value(float(g2), float(n))
 
 

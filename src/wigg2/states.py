@@ -33,6 +33,43 @@ def _require_finite(name, *values):
             raise DomainError(f"{name}: non-finite value {v!r}")
 
 
+def _positive_definite(vxx, vpp, vxp):
+    """Where CovarianceMatrix accepts (vxx, vpp, vxp), elementwise: vxx,
+    vpp and det V > 0, det V finite (so every entry is too).  On arrays,
+    the caller silences numpy's overflow and invalid warnings."""
+    det = vxx * vpp - vxp * vxp
+    return (abs(det) < math.inf) & (vxx > 0.0) & (vpp > 0.0) & (det > 0.0)
+
+
+def _check_physical(cov: CovarianceMatrix, caller: str) -> bool:
+    """Whether cov is pure; a det V below 1/4 by more than round-off
+    raises DomainError naming the caller.  det V of three doubles is
+    known to about eps (vxx vpp + vxp^2), and a pure state's det V - 1/4
+    is round-off within 3 eps of that scale."""
+    excess, scale = cov.det - 0.25, cov.vxx * cov.vpp + cov.vxp * cov.vxp
+    if excess < -1e-12 * scale:
+        raise DomainError(f"{caller}: det V = {cov.det!r} < 1/4, the "
+                          "covariance of no quantum state")
+    return excess <= 8.0 * math.ulp(1.0) * scale
+
+
+def _gaussian_overlap(sxx, sxp, det, x, p, tau=1.0):
+    """exp(-(tau/2) d^T S^-1 d) / sqrt(det) for d = (x, p), tau >= 0 and
+    S = [[sxx, sxp], [sxp, spp]] positive definite, det = det S.  With
+    m = max(|x|, |p|) and (x', p') = d/m, d^T S^-1 d is the sum of squares
+    m^2 (x'^2/sxx + (sxx p' - sxp x')^2 / (sxx det)): no step overflows
+    before the last products by m, where the overlap underflows to 0."""
+    m = float(max(abs(x), abs(p)))
+    if m == 0.0:
+        return 1.0 / math.sqrt(det)
+    x, p = x / m, p / m
+    t = sxx * p - sxp * x
+    form = float(x * x / sxx + (t / sxx) * (t / det))
+    # Python floats overflow to inf without the warning of a numpy scalar;
+    # tau m comes first, so that a subnormal tau is not lost to underflow
+    return math.exp(-(float(tau) * m * form * m) / 2.0) / math.sqrt(det)
+
+
 @dataclass(frozen=True)
 class PhasePoint:
     """Point (x, p) in the dimensionless single-mode phase plane."""
@@ -60,16 +97,10 @@ class CovarianceMatrix:
 
     def __post_init__(self):
         _require_finite("CovarianceMatrix", self.vxx, self.vpp, self.vxp)
-        det = self.det
-        if not math.isfinite(det):
+        if not _positive_definite(self.vxx, self.vpp, self.vxp):
             raise DomainError(
-                f"covariance determinant overflows: vxx={self.vxx}, "
-                f"vpp={self.vpp}, vxp={self.vxp}"
-            )
-        if self.vxx <= 0.0 or self.vpp <= 0.0 or det <= 0.0:
-            raise DomainError(
-                f"covariance not positive definite: vxx={self.vxx}, "
-                f"vpp={self.vpp}, vxp={self.vxp}"
+                "covariance not positive definite, or its determinant "
+                f"overflows: vxx={self.vxx}, vpp={self.vpp}, vxp={self.vxp}"
             )
 
     @property
@@ -218,17 +249,19 @@ def attenuate(state: GaussianState, eta: float) -> GaussianState:
 
 def overlap(a: GaussianState, b: GaussianState) -> float:
     """Tr(rho_a rho_b) via the Gaussian closed form
-    [det(Va + Vb)]^{-1/2} exp[-1/2 d^T (Va+Vb)^{-1} d]."""
-    S = a.cov.matrix() + b.cov.matrix()
-    det = S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
-    d = a.mean_vector() - b.mean_vector()
-    q = (S[1, 1] * d[0] ** 2 - 2.0 * S[0, 1] * d[0] * d[1] + S[0, 0] * d[1] ** 2) / det
-    return float(np.exp(-0.5 * q) / math.sqrt(det))
+    [det(Va + Vb)]^{-1/2} exp[-1/2 d^T (Va+Vb)^{-1} d], d = mu_a - mu_b."""
+    sxx, spp = a.cov.vxx + b.cov.vxx, a.cov.vpp + b.cov.vpp
+    sxp = a.cov.vxp + b.cov.vxp
+    return _gaussian_overlap(sxx, sxp, sxx * spp - sxp * sxp,
+                             a.mean.x - b.mean.x, a.mean.p - b.mean.p)
 
 
 def purity(state: GaussianState) -> float:
-    """Tr(rho^2) = 1/(2 sqrt(det V)); equals 1 iff det V = 1/4."""
-    return 1.0 / (2.0 * math.sqrt(state.cov.det))
+    """Tr(rho^2) = 1/(2 sqrt(det V)) <= 1, exactly 1 for a pure
+    covariance; one below det V = 1/4 raises DomainError."""
+    if _check_physical(state.cov, "purity"):
+        return 1.0
+    return min(1.0 / (2.0 * math.sqrt(state.cov.det)), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -37,13 +37,13 @@ import numpy as np
 
 from . import kernels
 from .counting import CountingConfig, g2_estimate_clicks, simulate_hbt
-from .errors import (DomainError, IdentifiabilityError,
+from .errors import (DomainError, IdentifiabilityError, NearVacuumError,
                      UnstableInferenceError, check_int, check_seed,
                      float_array)
 from .moments import DEFAULT_EPSILON, g2_gaussian, g2_rows
 from .states import (VACUUM_VARIANCE, CovarianceMatrix, GaussianState,
-                     PhasePoint, attenuate, hwp_mix, marginal, reduce_mode,
-                     two_mode_squeezed_vacuum)
+                     PhasePoint, _positive_definite, attenuate, hwp_mix,
+                     marginal, reduce_mode, two_mode_squeezed_vacuum)
 
 DEFAULT_ANGLES = tuple(np.linspace(0.0, math.pi, 12, endpoint=False))
 BOOTSTRAP_SIZE = 200
@@ -236,15 +236,6 @@ def project_physical(vxx: float, vpp: float, vxp: float) -> CovarianceMatrix:
     return CovarianceMatrix(vxx, vpp, vxp)
 
 
-def _positive_definite(cov):
-    """Where CovarianceMatrix accepts the rows (vxx, vpp, vxp) of cov:
-    vxx, vpp and det V > 0, det V finite (so every entry is too)."""
-    vxx, vpp, vxp = cov.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        det = vxx * vpp - vxp * vxp
-    return np.isfinite(det) & (vxx > 0.0) & (vpp > 0.0) & (det > 0.0)
-
-
 def _moment_law(x):
     """(m, v, l11, l21, l22): the mean m and unbiased variance v of the
     sample x, and the lower Cholesky factor of their covariance Sigma in
@@ -308,7 +299,8 @@ def estimate_covariance(
     raw, (mx, mp) = cov[0].tolist(), mean[0].tolist()
     state = GaussianState(PhasePoint(mx, mp), project_physical(*raw))
     cov, mean = np.ascontiguousarray(cov[1:]), np.ascontiguousarray(mean[1:])
-    valid = _positive_definite(cov) & np.isfinite(mean).all(1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        valid = _positive_definite(*cov.T) & np.isfinite(mean).all(1)
     for a in (cov, mean, valid):
         a.setflags(write=False)
     return ReconstructionResult(state, tuple(raw), cov, mean, valid)
@@ -354,7 +346,7 @@ def g2_from_reconstruction(
             "guard; the reconstruction is too close to vacuum for g2 inference"
         )
     raw = (CovarianceMatrix(*rec.raw_cov)
-           if _positive_definite(np.array([rec.raw_cov]))[0] else rec.state.cov)
+           if _positive_definite(*rec.raw_cov) else rec.state.cov)
     point = g2_gaussian(GaussianState(rec.state.mean, raw), epsilon).value
     lo, hi = np.percentile(g2[~near], [2.5, 97.5])
     return G2Interval(point, float(lo), float(hi), guarded)
@@ -396,8 +388,8 @@ def hwp_sweep(
     """Run the analytic / direct-counting / homodyne comparison across
     half-wave-plate angles for a twin beam of squeezing r.
 
-    Homodyne rows where inference is unstable (near-vacuum bootstrap
-    majority) report NaN for the homodyne columns.
+    Homodyne rows where inference is unstable (a near-vacuum bootstrap
+    majority or point estimate) report NaN for the homodyne columns.
     """
     check_seed(seed, "hwp_sweep")
     tb = two_mode_squeezed_vacuum(r)
@@ -414,7 +406,7 @@ def hwp_sweep(
         try:
             hom = g2_from_reconstruction(recon, epsilon)
             g2h, lo, hi = hom.value, hom.ci_low, hom.ci_high
-        except UnstableInferenceError:
+        except (UnstableInferenceError, NearVacuumError):
             g2h = lo = hi = float("nan")
         rows.append(SweepRow(
             float(th), analytic, g2d, g2d_err, g2h, lo, hi,

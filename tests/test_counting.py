@@ -12,8 +12,8 @@ from wigg2.errors import DomainError, InsufficientStatisticsError
 from wigg2.fock import photon_number_distribution
 from wigg2.moments import g2_gaussian
 from wigg2.states import (CovarianceMatrix, GaussianState, PhasePoint,
-                          attenuate, coherent, displace, hwp_mix, reduce_mode,
-                          squeezed_vacuum, squeezed_vacuum_with_mean_photon,
+                          attenuate, coherent, displace, hwp_mix, overlap,
+                          reduce_mode, squeezed_vacuum, squeezed_vacuum_with_mean_photon,
                           thermal, two_mode_squeezed_vacuum, vacuum)
 
 
@@ -107,11 +107,24 @@ class TestSimulateHbt:
         assert simulate_hbt(*args) == want
 
     def test_unphysical_covariance_rejected(self):
-        # positive definite, but det V = 0.01 < 1/4
+        # positive definite, but det V < 1/4 by more than round-off:
+        # simulate_hbt and photon_number_distribution read one rule, and
+        # each names itself; a det V within round-off of 1/4 passes both
+        cfg = CountingConfig(n_windows=10)
+        calls = (("simulate_hbt", lambda s: simulate_hbt(s, cfg)),
+                 ("photon_number_distribution",
+                  lambda s: photon_number_distribution(s, 10, tol=1.0)))
+        for cov in (CovarianceMatrix(0.1, 0.1), CovarianceMatrix(0.3, 0.3),
+                    CovarianceMatrix(2.0, 0.2, 0.5),
+                    CovarianceMatrix(0.5, 0.5 - 1e-11)):
+            state = GaussianState(PhasePoint(0.0, 0.0), cov)
+            for name, call in calls:
+                with pytest.raises(DomainError, match=f"{name}.*no quantum"):
+                    call(state)
         state = GaussianState(PhasePoint(0.0, 0.0),
-                              CovarianceMatrix(0.1, 0.1))
-        with pytest.raises(DomainError, match="simulate_hbt.*no quantum"):
-            simulate_hbt(state, CountingConfig(n_windows=10))
+                              CovarianceMatrix(0.5, 0.5 - 1e-13))
+        for _, call in calls:
+            call(state)
 
     def test_dark_counts_fire(self):
         rec = simulate_hbt(vacuum(), CountingConfig(n_windows=100_000,
@@ -192,6 +205,15 @@ class TestClosedFormClickProbs:
             q = [counting._no_click(state, tau) for tau in taus]
             assert q[0] == 1.0
             assert all(b <= a for a, b in zip(q, q[1:])), state
+
+    def test_no_click_is_the_vacuum_overlap(self):
+        # q(tau) = Tr(rho' |0><0|), rho' the state after loss 1 - tau
+        rng = np.random.default_rng(2029)
+        for _ in range(2000):
+            state, tau = _random_state(rng, 3), rng.uniform(0.0, 1.0)
+            want = overlap(attenuate(state, tau), vacuum())
+            assert counting._no_click(state, tau) == pytest.approx(
+                want, rel=1e-13, abs=0.0), (state, tau)
 
     # p(n) of thermal(2000) has a tail of 0.97 beyond the default n_max,
     # and that of coherent light of <n> = 800 overflows

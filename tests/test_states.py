@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -221,6 +222,25 @@ class TestOverlap:
         st = attenuate(squeezed_vacuum(0.25, 0.0), 0.5)
         assert purity(st) < 1.0
         assert purity(st) == pytest.approx(1 / (2 * math.sqrt(st.cov.det)))
+
+    def test_purity_of_a_pure_covariance_is_one(self):
+        # det V = 1/4 is lost to round-off here: 1/(2 sqrt(det V)) is 0.25
+        assert purity(squeezed_vacuum(1e-9, 0.3)) == 1.0
+
+    def test_purity_below_the_uncertainty_bound_rejected(self):
+        # det V = 0.01: 1/(2 sqrt(det V)) = 5 is no purity
+        state = GaussianState(PhasePoint(0.0, 0.0), CovarianceMatrix(0.1, 0.1))
+        with pytest.raises(DomainError, match="purity.*no quantum"):
+            purity(state)
+        # det V = 1/4 - 5e-14 is a state up to round-off, of purity <= 1
+        state = GaussianState(PhasePoint(0.0, 0.0),
+                              CovarianceMatrix(0.5, 0.5 - 1e-13))
+        assert purity(state) == 1.0
+
+    def test_far_overlap_underflows_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert overlap(coherent(1e200, 0.0), vacuum()) == 0.0
 
 
 class TestTwoMode:

@@ -18,7 +18,7 @@ from wigg2.errors import (DomainError, FitError, IdentifiabilityError,
                           NearVacuumError, UnstableInferenceError)
 from wigg2.moments import g2_gaussian, g2_rows
 from wigg2.states import (CovarianceMatrix, GaussianState, PhasePoint,
-                          attenuate, coherent, displace, hwp_mix, marginal,
+                          _positive_definite, attenuate, coherent, displace, hwp_mix, marginal,
                           reduce_mode, squeezed_vacuum,
                           squeezed_vacuum_with_mean_photon, thermal,
                           two_mode_squeezed_vacuum, vacuum)
@@ -26,7 +26,7 @@ from wigg2 import kernels, tomography
 from wigg2.kernels import CHUNK, MEMBER_DRAWS, SAMPLE_DRAWS, normal_pairs
 from wigg2.tomography import (DEFAULT_ANGLES, HomodyneDataset,
                               ReconstructionResult, SweepFit, _angle_maps,
-                              _positive_definite, estimate_covariance,
+                              estimate_covariance,
                               estimate_covariance_from_moments,
                               fit_sweep_model, g2_from_reconstruction,
                               hwp_sweep, project_physical, simulate_homodyne)
@@ -687,13 +687,18 @@ class TestMemberArrays:
             -math.inf, math.nan]
 
     def test_positive_definite_matches_oracle(self):
+        # the one predicate of CovarianceMatrix (on floats) and of the
+        # member arrays (under estimate_covariance's errstate)
         cov = np.array(list(itertools.product(self.EDGE, repeat=3)))
         want = [_state_or_none(*c, 0.0, 0.0) is not None
                 for c in cov.tolist()]
         assert 0 < sum(want) < len(want)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _positive_definite(cov).tolist() == want
+            assert [bool(_positive_definite(*c))
+                    for c in cov.tolist()] == want
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert _positive_definite(*cov.T).tolist() == want
 
     @pytest.mark.parametrize("state, seed", MEMBER_CASES)
     def test_states_match_state_oracle(self, state, seed):
@@ -905,6 +910,16 @@ class TestHwpSweep:
     def test_negative_seed_rejected(self):
         with pytest.raises(DomainError, match="seed"):
             hwp_sweep(0.4, [0.0], CountingConfig(n_windows=100), seed=-1)
+
+    def test_near_vacuum_point_estimate_gives_nan_columns(self):
+        # <n> = 4e-4 from 100 samples an angle: the raw point estimate
+        # has n < 0, while most members pass the guard
+        rows = hwp_sweep(0.02, [0.0], CountingConfig(n_windows=100_000),
+                         per_angle=100, seed=9)
+        row = rows[0]
+        assert math.isnan(row.g2_homodyne)
+        assert math.isnan(row.g2_ci_low) and math.isnan(row.g2_ci_high)
+        assert math.isfinite(row.g2_analytic) and row.vx > 0.0
 
 
 class TestFitSweepModel:
