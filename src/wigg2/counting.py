@@ -80,6 +80,11 @@ class CountingConfig:
             raise DomainError("CountingConfig: split must be in (0, 1)")
 
 
+# CountingRecord's count fields, each with the name its refusal gives
+_RECORD_COUNTS = tuple((name, f"CountingRecord: {name}")
+                       for name in ("n1", "n2", "nc", "n_windows"))
+
+
 @dataclass(frozen=True)
 class CountingRecord:
     n1: int
@@ -89,8 +94,8 @@ class CountingRecord:
     config: CountingConfig
 
     def __post_init__(self):
-        for name in ("n1", "n2", "nc", "n_windows"):
-            check_int(getattr(self, name), f"CountingRecord: {name}", 0)
+        for name, what in _RECORD_COUNTS:
+            check_int(getattr(self, name), what, 0)
         # the counts of some four-pattern split of n_windows windows
         if not (0 <= self.nc <= min(self.n1, self.n2)
                 and self.n1 + self.n2 - self.nc <= self.n_windows):

@@ -75,18 +75,25 @@ class UnstableInferenceError(StatisticalError):
 
 def check_int(value, what: str, lo: int, hi=None) -> None:
     """Raise DomainError unless value is an int or numpy integer, never a
-    bool, in [lo, hi] (hi None: no upper bound)."""
+    bool, in [lo, hi] (hi None: no upper bound).  An exact int in range
+    returns at once; every other value takes the full test."""
+    if type(value) is int and lo <= value and (hi is None or value <= hi):
+        return
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or value < lo or (hi is not None and value > hi)):
-        # the package's two large bounds, as powers of two
-        top = {2**32: "2**32", 2**63 - 1: "2**63 - 1"}.get(hi, hi)
+        # the package's large bounds, as powers of two
+        top = {2**32: "2**32", 2**63 - 1: "2**63 - 1",
+               2**64 - 1: "2**64 - 1"}.get(hi, hi)
         span = f">= {lo}" if hi is None else f"in [{lo}, {top}]"
         raise DomainError(f"{what} must be an integer {span}, got {value!r}")
 
 
 def check_seed(seed, what: str) -> None:
     """check_int for a seed: [0, 2^63) leaves headroom for the offsets
-    callers add to derive per-angle and per-row seeds."""
+    callers add to derive per-angle and per-row seeds.  The message is
+    formatted only for a seed that takes the full test."""
+    if type(seed) is int and 0 <= seed < 2**63:
+        return
     check_int(seed, f"{what}: seed", 0, 2**63 - 1)
 
 

@@ -10,9 +10,11 @@ stream index i under `seed` is
     u(seed, i, draw) = (mix64(k + i*phi) >> 11) * 2^-53,
     k = mix64(seed ^ mix64(draw * STEP)),
 
-a double in [0, 1).  The key k is a Python int computed once per call,
-so each stream index costs one finaliser.  A draw depends only on
-(seed, i, draw), never on how a caller splits its work.
+a double in [0, 1).  The draw half mix64(draw * STEP) of k never
+changes for a given draw, so it is memoised; a scalar draw costs the
+finalisers of k and of its stream index, and the array paths compute k
+once per call, so each stream index there costs one finaliser.  A draw
+depends only on (seed, i, draw), never on how a caller splits its work.
 
 Normals come a pair per stream index from `normal_pairs`, by
 Marsaglia's polar method (Marsaglia & Bray, SIAM Review 6, 260 (1964)),
@@ -61,11 +63,12 @@ share a uniform, whatever their seeds.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .errors import check_int
+from .errors import check_int, check_seed
 
 # numpy is the only backend; these names stay for callers that report it
 HAVE_NUMBA = False
@@ -98,31 +101,37 @@ MEMBER_DRAWS = 1 << 63
 CHUNK = 1 << 15
 
 
-def _finalise_int(z: int) -> int:
-    """splitmix64 finaliser (mix64 without its + phi) of the Python int
-    z < 2^64."""
+# The splitmix64 finaliser is written out in each of the three functions
+# below, as the last two run for every scalar draw.
+
+
+@functools.lru_cache(maxsize=1024)
+def _draw_mix(draw: int) -> int:
+    """mix64(draw * STEP) of the Python int draw, the half of the key k
+    that does not depend on the seed.  A run's draws are a few small
+    offsets from each range's base, so the cache holds them all."""
+    z = (draw * _STEP + _PHI) & _MASK64
     z = ((z ^ (z >> 30)) * _C1) & _MASK64
     z = ((z ^ (z >> 27)) * _C2) & _MASK64
     return z ^ (z >> 31)
 
 
-def _mix64(z: int) -> int:
-    """splitmix64 output function of the Python int z, mod 2^64."""
-    return _finalise_int((z + _PHI) & _MASK64)
-
-
 def _key(seed, draw) -> int:
     """k + phi of the module docstring for (seed, draw), so that
     mix64(k + i*phi) is the finaliser of i*phi + _key(seed, draw)."""
-    k = _mix64(int(seed) ^ _mix64((int(draw) * _STEP) & _MASK64))
-    return (k + _PHI) & _MASK64
+    z = ((int(seed) ^ _draw_mix(int(draw))) + _PHI) & _MASK64
+    z = ((z ^ (z >> 30)) * _C1) & _MASK64
+    z = ((z ^ (z >> 27)) * _C2) & _MASK64
+    return ((z ^ (z >> 31)) + _PHI) & _MASK64
 
 
 def _uniform(seed, i, draw) -> float:
     """u(seed, i, draw) of the module docstring for one stream index, in
-    Python ints."""
-    return (_finalise_int((int(i) * _PHI + _key(seed, draw)) & _MASK64)
-            >> 11) * _INV53
+    Python ints: the finaliser of i*phi + _key(seed, draw), written out."""
+    z = (int(i) * _PHI + _key(seed, draw)) & _MASK64
+    z = ((z ^ (z >> 30)) * _C1) & _MASK64
+    z = ((z ^ (z >> 27)) * _C2) & _MASK64
+    return ((z ^ (z >> 31)) >> 11) * _INV53
 
 
 def _draw_bits(z, offset, tmp):
@@ -280,12 +289,9 @@ def _btrs(n, p, seed, i, d):
     a = -0.0873 + 0.0248 * b + 0.01 * p
     c = n * p + 0.5
     v_r = 0.92 - 4.2 / b
-    r = p / q
-    alpha = (2.83 + 5.1 / b) * spq
-    m = math.floor((n + 1) * p)
-    # the part of the log acceptance bound that does not depend on k
-    h_m = ((m + 0.5) * math.log((m + 1) / (r * (n - m + 1)))
-           + _fc(m) + _fc(n - m))
+    # the constants of the full acceptance test, which most draws never
+    # reach: set on the first try that leaves the squeeze
+    h_m = None
     while True:
         u = _uniform(seed, i, d) - 0.5
         v = _uniform(seed, i, d + 3)
@@ -299,6 +305,13 @@ def _btrs(n, p, seed, i, d):
             continue
         if us >= 0.07 and v <= v_r:
             return k
+        if h_m is None:
+            r = p / q
+            alpha = (2.83 + 5.1 / b) * spq
+            m = math.floor((n + 1) * p)
+            # the part of the log acceptance bound that does not depend on k
+            h_m = ((m + 0.5) * math.log((m + 1) / (r * (n - m + 1)))
+                   + _fc(m) + _fc(n - m))
         # log(f(k)/f(m)) by Stirling; (n + 1) log((n - m + 1)/(n - k + 1))
         # through log1p, which the plain quotient would round by n eps
         bound = (h_m + (n + 1) * math.log1p((k - m) / (n - k + 1))
@@ -325,8 +338,12 @@ def click_counts(n, q1, q2, qb, seed, i, draw=0):
     qb (0 <= qb <= q1, q2 <= 1): the multinomial of the module
     docstring, its binomials at draws draw + d + 3j of stream index i
     under seed.  n <= 2^32 keeps the rounding of BTRS's acceptance test,
-    which grows as n eps, near 1e-6."""
+    which grows as n eps, near 1e-6.  A seed outside the package's range
+    [0, 2^63) or an index outside [0, 2^64), which the key arithmetic
+    would alias mod 2^64, raises DomainError."""
     check_int(n, "click_counts: n", 0, 2**32)
+    check_seed(seed, "click_counts")
+    check_int(i, "click_counts: i", 0, 2**64 - 1)
 
     def conditional(m, num, den, d):
         # num <= den; when den is 0 so is m, as no window is left to draw

@@ -5,6 +5,7 @@ DomainError (CLI exit 3).  The checks run before any arithmetic on the
 value, so no row may emit a RuntimeWarning either (CI runs this file
 with warnings as errors)."""
 
+import enum
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from wigg2 import (CountingConfig, CountingRecord, CovarianceMatrix,
                    weyl_moments_numeric, weyl_moments_numeric_state,
                    wigner_eval)
 from wigg2.counting import bootstrap_g2_clicks
-from wigg2.errors import DomainError
+from wigg2.errors import DomainError, check_int, check_seed
 from wigg2.tomography import project_physical
 
 NAN, INF = math.nan, math.inf
@@ -157,6 +158,13 @@ TABLE = [
     ("CountingRecord.n1", _record("n1"), (*NOT_INT, -1, 11)),
     ("CountingRecord.nc", _record("nc"), (*NOT_INT, -1, 2)),
     ("CountingRecord.n_windows", _record("n_windows"), (*NOT_INT, -1, 1)),
+    # mod 2^64, seed 2^64 is seed 0, and seed or index -1 is 2^64 - 1
+    ("click_counts.seed",
+     lambda v: kernels.click_counts(10, 0.5, 0.5, 0.25, v, 0),
+     (*NOT_INT, -1, 2**63, 2**64)),
+    ("click_counts.i",
+     lambda v: kernels.click_counts(10, 0.5, 0.5, 0.25, 0, v),
+     (*NOT_INT, -1, 2**64)),
     ("bootstrap_g2_clicks.n_boot",
      lambda v: bootstrap_g2_clicks(REC, n_boot=v), (*NOT_INT, -1, 0)),
     ("bootstrap_g2_clicks.seed",
@@ -339,3 +347,63 @@ def test_huge_n_names_n_not_s():
 def test_vacuum_distribution_is_exact():
     assert photon_number_distribution(vacuum(), 6).probs.tolist() == \
         [1.0] + [0.0] * 6
+
+
+# check_int and check_seed return at once for an exact int in range; every
+# other value takes the full test.  A frozen copy of that test is the
+# oracle: each value below must be accepted or refused exactly as it
+# accepts or refuses it, with the same message.
+
+
+def _check_int_oracle(value, what, lo, hi=None):
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < lo or (hi is not None and value > hi)):
+        top = {2**32: "2**32", 2**63 - 1: "2**63 - 1",
+               2**64 - 1: "2**64 - 1"}.get(hi, hi)
+        span = f">= {lo}" if hi is None else f"in [{lo}, {top}]"
+        raise DomainError(f"{what} must be an integer {span}, got {value!r}")
+
+
+def _outcome(check, *args):
+    """None if check(*args) accepts, else the DomainError's message."""
+    try:
+        check(*args)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+class _Count(enum.IntEnum):
+    # an int subclass, so it takes the full test
+    ZERO = 0
+    ONE = 1
+    BIG = 2**32
+    ABOVE = 2**32 + 1
+
+
+# values that are not exact ints, whatever their range
+NOT_EXACT = (True, False, np.True_, NAN, INF, 2.5, 1.0, "1", None)
+
+
+@pytest.mark.parametrize("lo, hi", [(0, None), (1, None), (1, 2**32),
+                                    (0, 2**63 - 1), (0, 2**64 - 1)])
+def test_check_int_fast_path_matches_full_test(lo, hi):
+    values = [lo - 1, lo, lo + 1, *NOT_EXACT, *_Count]
+    if hi is not None:
+        values += [hi - 1, hi, hi + 1]
+    # np.int64 where the value fits, np.uint64 above
+    values += [np.int64(v) if v < 2**63 else np.uint64(v)
+               for v in values if type(v) is int and -2**63 <= v < 2**64]
+    for v in values:
+        assert (_outcome(check_int, v, "f: n", lo, hi)
+                == _outcome(_check_int_oracle, v, "f: n", lo, hi)), repr(v)
+
+
+def test_check_seed_fast_path_matches_full_test():
+    values = [-1, 0, 1, 2**63 - 1, 2**63, *NOT_EXACT, *_Count,
+              np.int64(-1), np.int64(0), np.int64(2**63 - 1),
+              np.uint64(0), np.uint64(2**63)]
+    for v in values:
+        assert (_outcome(check_seed, v, "f")
+                == _outcome(_check_int_oracle, v, "f: seed", 0, 2**63 - 1)
+                ), repr(v)

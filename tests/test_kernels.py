@@ -1,6 +1,8 @@
 import itertools
 import math
 import operator
+import random
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from wigg2 import kernels
 from wigg2.counting import CountingConfig, expected_click_g2
 from wigg2.errors import DomainError
 from wigg2.fock import photon_number_distribution
-from wigg2.kernels import (CLICK_MEMBER_DRAWS, binomial, click_counts,
-                           click_probs, uniforms_np)
+from wigg2.kernels import (CLICK_MEMBER_DRAWS, MEMBER_DRAWS, SAMPLE_DRAWS,
+                           binomial, click_counts, click_probs, uniforms_np)
 from wigg2.states import squeezed_vacuum_with_mean_photon, thermal
 
 
@@ -101,6 +103,19 @@ class TestCounterRng:
             for draw in (0, 1, 4):
                 assert np.array_equal(uniforms_np(seed, idx, draw),
                                       _uniforms_oracle(seed, idx, draw))
+
+    def test_scalar_matches_oracle(self):
+        # the scalar path derives its key from the memoised draw half:
+        # random (seed, i, draw) over the full seed and index ranges, the
+        # top seed and indices >= 2^40, with draws in all four ranges
+        rng = random.Random(5)
+        bases = (0, CLICK_MEMBER_DRAWS, SAMPLE_DRAWS, MEMBER_DRAWS)
+        for j in range(2400):
+            seed = 2**63 - 1 if j % 3 == 0 else rng.randrange(2**63)
+            i = rng.randrange(2**40, 2**64) if j % 2 else rng.randrange(2**20)
+            draw = bases[j % 4] + rng.randrange(64)
+            assert kernels._uniform(seed, i, draw) == _uniform_oracle(
+                seed, i, draw), (seed, i, draw)
 
     # stream quality of the key derivation, over N indices each: a
     # correlation of independent uniforms is about N(0, 1/N)
@@ -489,6 +504,53 @@ class TestClickPattern:
             both = rest - only2
             assert click_counts(n, q1, q2, qb, seed, i, draw) == (
                 only1 + both, only2 + both, both)
+
+
+class TestScalarArguments:
+    # numpy integer seeds, indices and draws give the Python-int results:
+    # np.int64 ^ a 64-bit Python int raises OverflowError, and np.uint64
+    # arithmetic wraps with a RuntimeWarning, so every argument goes
+    # through int() before the key arithmetic
+    CASES = [(0, 0, 0), (7, 12345, 4), (2**63 - 1, 2**40, 1),
+             (123, 999_999, CLICK_MEMBER_DRAWS + 3)]
+
+    @pytest.mark.parametrize("cast", [np.int64, np.uint64])
+    def test_key_and_uniform(self, cast):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed, i, draw in self.CASES:
+                key = kernels._key(cast(seed), cast(draw))
+                assert type(key) is int
+                assert key == kernels._key(seed, draw)
+                u = kernels._uniform(cast(seed), cast(i), cast(draw))
+                assert type(u) is float
+                assert u == kernels._uniform(seed, i, draw)
+            big = kernels._uniform(2**63 - 1, 2**64 - 1, MEMBER_DRAWS + 5)
+            assert kernels._uniform(np.uint64(2**63 - 1), np.uint64(2**64 - 1),
+                                    np.uint64(MEMBER_DRAWS + 5)) == big
+
+    @pytest.mark.parametrize("cast", [np.int64, np.uint64])
+    def test_binomial_and_click_counts(self, cast):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed, i, draw in self.CASES:
+                # the inverse CDF and BTRS
+                for n, p in ((50, 0.1), (10**6, 0.3)):
+                    k = binomial(n, p, cast(seed), cast(i), cast(draw))
+                    assert type(k) is int
+                    assert k == binomial(n, p, seed, i, draw)
+                got = click_counts(10**6, 0.56, 0.56, 0.46, cast(seed),
+                                   cast(i), cast(draw))
+                assert all(type(c) is int for c in got)
+                assert got == click_counts(10**6, 0.56, 0.56, 0.46, seed, i,
+                                           draw)
+
+    def test_click_counts_range_edges(self):
+        # the top seed and index are draws like any other (test_arguments
+        # holds the refusals just outside)
+        for seed, i in ((0, 0), (2**63 - 1, 2**64 - 1)):
+            n1, n2, nc = click_counts(1000, 0.8, 0.7, 0.6, seed, i)
+            assert 0 <= nc <= min(n1, n2) <= 1000
 
 
 def _binomial_oracle(n, p, seed, i, d):
