@@ -16,7 +16,6 @@ from .moments import (G2Value, QuadratureGrid, WeylMoments, fig1_table,
 from .fock import (PhotonNumberDistribution, fock_wigner, g2_from_pn,
                    photon_number_distribution)
 from .counting import (CountingConfig, CountingRecord, g2_estimate_clicks,
-                       g2_estimate_numbers, sample_photon_numbers,
                        simulate_hbt)
 from .tomography import (G2Interval, HomodyneDataset, ReconstructionResult,
                          SweepFit, estimate_covariance,

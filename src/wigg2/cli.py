@@ -259,8 +259,12 @@ def cmd_homodyne(args):
     check_seed(args.seed, "homodyne")
     if args.reconstruct and not args.out:
         raise _Usage("--reconstruct prints JSON on stdout: give the samples --out FILE")
-    angles = ([math.radians(a) for a in _parse_angles_deg(args.angles)]
-              if args.angles else list(DEFAULT_ANGLES))
+    if args.angles is None:
+        angles = list(DEFAULT_ANGLES)
+    else:
+        angles = [math.radians(a) for a in _parse_angles_deg(args.angles)]
+        if not angles:
+            raise _Usage("empty angle list")
     data = simulate_homodyne(state, angles, args.per_angle, args.eta_hd, args.seed)
     _emit_csv(args, _params(args, state), ("theta_rad", "x"),
               ((theta, x) for theta, samples in zip(data.angles.tolist(),
@@ -320,10 +324,10 @@ def cmd_estimate_loss(args):
         missing = [c for c in ("g2_direct", "vx") if c not in header]
         if missing:
             raise _Usage(f"sweep file has no column {', '.join(missing)}")
-        try:
-            fields = dict(zip(header, rows[args.row]))
-        except IndexError:
+        # a negative row would count from the end
+        if not 0 <= args.row < len(rows):
             raise _Usage(f"sweep file has no row {args.row}")
+        fields = dict(zip(header, rows[args.row]))
         try:
             g2 = float(fields["g2_direct"])
             vx = float(fields["vx"])

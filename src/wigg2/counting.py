@@ -34,8 +34,6 @@ larger photon numbers (threshold detectors saturate); it is the standard
 coincidence-normalization estimator for the low-flux regime.  Its error
 and the parametric bootstrap both treat the pattern counts as the
 multinomial they are, not as independent singles and coincidences.
-Photon-number samples come from the counter RNG too, and their g2 error
-is a delta-method one, so nothing here draws from numpy's RNG.
 """
 
 from __future__ import annotations
@@ -48,6 +46,8 @@ import numpy as np
 from . import kernels
 from .errors import (DomainError, InsufficientStatisticsError, check_int,
                      check_seed)
+# not called here: perfbench/selftest.py and the tests look up
+# counting.photon_number_distribution
 from .fock import PhotonNumberDistribution, photon_number_distribution
 from .states import GaussianState, _check_physical, _gaussian_overlap
 
@@ -206,32 +206,3 @@ def bootstrap_g2_clicks(rec: CountingRecord, n_boot: int = 200, seed: int = 0):
         raise InsufficientStatisticsError("all bootstrap resamples degenerate")
     return np.array(draws)
 
-
-def sample_photon_numbers(
-    state: GaussianState, n_samples: int, seed: int = 0, n_max: int = 64
-) -> np.ndarray:
-    """Draw photon numbers from the state's distribution (no detector
-    model).  Sample j inverts the CDF at the counter RNG's draw 0 at
-    stream index j, u(seed, j, 0)."""
-    check_seed(seed, "sample_photon_numbers")
-    check_int(n_samples, "sample_photon_numbers: n_samples", 0)
-    dist = photon_number_distribution(state, n_max, tol=1e-9)
-    cdf = np.cumsum(dist.probs)
-    u = kernels.uniforms_np(seed, np.arange(n_samples), 0)
-    return np.minimum(np.searchsorted(cdf, u, side="right"), n_max).astype(np.int64)
-
-
-def g2_estimate_numbers(samples):
-    """(value, std_error) of g2 = (m2 - m1)/m1^2 from a 1-D array of N
-    photon numbers (integer values in [0, 2**53)), m1 and m2 the means of
-    n and n^2.  The delta-method error is sqrt(sum_n counts_n infl(n)^2)/N
-    with infl(n) = (n^2 - m2)/m1^2 - (m1 + 2 (m2 - m1))/m1^3 (n - m1)."""
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 1 or not ((0 <= x) & (x < 2**53) & (x == np.floor(x))).all():
-        raise DomainError("g2_estimate_numbers: samples must be a 1-D array "
-                          "of integer values in [0, 2**53)")
-    if not x.any():
-        raise DomainError("g2_estimate_numbers: no photons in the sample")
-    m1, m2 = float(x.mean()), float((x * x).mean())
-    infl = (x * x - m2) / m1 ** 2 - (m1 + 2.0 * (m2 - m1)) / m1 ** 3 * (x - m1)
-    return (m2 - m1) / m1 ** 2, math.sqrt(float((infl * infl).sum())) / x.size

@@ -28,9 +28,10 @@ at most G_mm with m = j + t <= n_max: nothing overflows unless p(n)
 itself does.  p(n) = T G_nn costs O(n_max^2) work and O(n_max) memory,
 and O(n_max) work when b = 0, where G_nn = u_n.  This is the
 Fock-basis route for the Wigner-moment identities (the midpoint
-quadrature in `moments` is the independent one), for photon-number
-sampling and for the click estimator's expectation; the click
-simulator takes its no-click probabilities in closed form instead.
+quadrature in `moments` is the independent one), for the photon-number
+statistics of `g2_from_pn` and the `pn` command, and for the click
+estimator's expectation; the click simulator takes its no-click
+probabilities in closed form instead.
 """
 
 from __future__ import annotations

@@ -153,7 +153,8 @@ def _draw_bits(z, offset, tmp):
 
 def uniforms_np(seed: int, idx: np.ndarray, draw: int) -> np.ndarray:
     """u(seed, i, draw) of the module docstring, in [0, 1), vectorized
-    over the stream indices idx."""
+    over the stream indices idx.  No module calls it: it is the array
+    form through which the tests pin the stream."""
     z = idx.astype(np.uint64)
     np.multiply(z, _PHI64, out=z)
     return _draw_bits(z, _key(seed, draw), np.empty_like(z)) * _INV53

@@ -290,18 +290,6 @@ class TwoModeGaussianState:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
-    def to_dict(self) -> dict:
-        iu = np.triu_indices(4)
-        return {"mean": self.mean.tolist(), "cov": self.cov[iu].tolist()}
-
-    @staticmethod
-    def from_dict(d: dict) -> "TwoModeGaussianState":
-        cov = np.zeros((4, 4))
-        iu = np.triu_indices(4)
-        cov[iu] = d["cov"]
-        cov = cov + np.triu(cov, 1).T
-        return TwoModeGaussianState(np.asarray(d["mean"], dtype=float), cov)
-
 
 def two_mode_squeezed_vacuum(r: float) -> TwoModeGaussianState:
     """Twin beam with squeezing parameter r >= 0 (pump phase fixed to 0).

@@ -74,8 +74,6 @@ class HomodyneDataset:
 
     angles: np.ndarray          # radians, in [0, pi)
     samples: tuple              # tuple of float arrays, one per angle
-    seed: int
-    eta_hd: float
 
     def __post_init__(self):
         angles = _angle_array(self.angles, "HomodyneDataset")
@@ -89,10 +87,6 @@ class HomodyneDataset:
             if s.ndim != 1 or s.size < 2 or not np.isfinite(s).all():
                 raise DomainError(f"HomodyneDataset: sample array {k} must be "
                                   "1-D with >= 2 samples, all finite")
-        check_seed(self.seed, "HomodyneDataset")
-        if not 0.0 <= self.eta_hd <= 1.0:
-            raise DomainError(f"HomodyneDataset: eta_hd must be in [0, 1], "
-                              f"got {self.eta_hd}")
         angles.setflags(write=False)
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "samples", samples)
@@ -159,7 +153,7 @@ def simulate_homodyne(
             x *= math.sqrt(v)
             x += m
             samples.append(x)
-    return HomodyneDataset(angles, tuple(samples), seed, eta_hd)
+    return HomodyneDataset(angles, tuple(samples))
 
 
 def _pinv(A, rank, message):

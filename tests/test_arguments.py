@@ -17,12 +17,12 @@ from wigg2 import (CountingConfig, CountingRecord, CovarianceMatrix,
                    QuadratureGrid, TwoModeGaussianState, attenuate, coherent,
                    displace, estimate_covariance,
                    estimate_covariance_from_moments, fig1_table,
-                   fit_sweep_model, fock_wigner, g2_estimate_numbers,
+                   fit_sweep_model, fock_wigner,
                    g2_from_moments, g2_from_pn, g2_from_reconstruction,
                    g2_gaussian, hwp_mix, hwp_sweep, infer_loss,
                    infer_loss_resampled, infer_nw_pure, infer_pure_variance,
                    marginal, photon_number_distribution, reduce_mode,
-                   rotated_variance, sample_photon_numbers, simulate_homodyne,
+                   rotated_variance, simulate_homodyne,
                    squeezed_vacuum, squeezed_vacuum_with_mean_photon, thermal,
                    two_mode_squeezed_vacuum, vacuum, weyl_moments_analytic,
                    weyl_moments_numeric, weyl_moments_numeric_state,
@@ -63,8 +63,7 @@ def _record(field):
 
 
 def _dataset(field):
-    args = {"angles": np.array(ANGLES), "samples": DATA.samples, "seed": 0,
-            "eta_hd": 1.0}
+    args = {"angles": np.array(ANGLES), "samples": DATA.samples}
     return lambda v: HomodyneDataset(**{**args, field: v})
 
 
@@ -170,25 +169,12 @@ TABLE = [
     ("bootstrap_g2_clicks.seed",
      lambda v: bootstrap_g2_clicks(REC, n_boot=2, seed=v),
      (*NOT_INT, -1, 2**63)),
-    ("sample_photon_numbers.n_samples",
-     lambda v: sample_photon_numbers(thermal(0.1), v), (*NOT_INT, -1)),
-    ("sample_photon_numbers.seed",
-     lambda v: sample_photon_numbers(thermal(0.1), 10, seed=v),
-     (*NOT_INT, -1, 2**63)),
-    ("sample_photon_numbers.n_max",
-     lambda v: sample_photon_numbers(thermal(0.1), 10, n_max=v),
-     (*NOT_INT, -1)),
-    ("g2_estimate_numbers.samples",
-     lambda v: g2_estimate_numbers(np.array([1, 2, v])),
-     (NAN, INF, -1, 2.5, 0.5)),
     # tomography
     ("HomodyneDataset.angles",
      lambda v: _dataset("angles")(np.array([0.0, v, 1.0])),
      (NAN, INF, -INF, -1, math.pi, 2 * math.pi)),
     ("HomodyneDataset.angles", _dataset("angles"), SHAPED_ANGLES),
     ("HomodyneDataset.angles", _dataset("angles"), NOT_ARRAYS),
-    ("HomodyneDataset.seed", _dataset("seed"), (*NOT_INT, -1, 2**63)),
-    ("HomodyneDataset.eta_hd", _dataset("eta_hd"), (NAN, INF, -1, 2.5)),
     ("HomodyneDataset.samples",
      lambda v: _dataset("samples")((v,) + DATA.samples[1:]), NOT_ARRAYS),
     ("simulate_homodyne.angles",
@@ -308,11 +294,10 @@ def test_epsilon_names_itself(call, value):
      "fit_sweep_model: points"),
     (lambda: _dataset("samples")((["a", "b"],) + DATA.samples[1:]),
      "HomodyneDataset: sample array 0"),
-    (lambda: _dataset("eta_hd")(NAN), "HomodyneDataset: eta_hd"),
 ], ids=["project_physical", "means", "variances", "draws", "dataset_angles",
         "homodyne_angles", "homodyne_angle_strings", "moment_angle_strings",
         "ragged_means", "nan_means", "inf_variances", "draw_strings",
-        "sweep_point_strings", "sample_strings", "dataset_eta_hd"])
+        "sweep_point_strings", "sample_strings"])
 def test_refusal_names_the_argument(call, name):
     with pytest.raises(DomainError, match=name):
         call()

@@ -272,6 +272,15 @@ class TestHomodyne:
                          "0,forty-five")
         assert code == 2
 
+    @pytest.mark.parametrize("angles", ["", " , "], ids=["empty", "blank"])
+    def test_empty_angle_list_exit_2(self, capsys, angles):
+        # an empty list is not a request for the 12 default angles
+        code, out, err = run(capsys, "homodyne", "--thermal", "1",
+                             "--angles", angles, "--per-angle", "10")
+        assert code == 2
+        assert out == ""
+        assert "empty angle list" in err
+
 
 class TestSweep:
     def test_sweep_and_estimate_loss(self, capsys, tmp_path):
@@ -370,6 +379,19 @@ class TestEstimateLoss:
         rep = json.loads(out)
         assert rep["g2"] == float(g2_direct)
         assert any("g2_analytic" in w for w in rep["warnings"]) == biased
+
+    @pytest.mark.parametrize("row", ["-1", "-2"])
+    def test_from_sweep_row_out_of_range_exit_2(self, capsys, tmp_path, row):
+        # a negative row must not count from the end of the table
+        f = tmp_path / "sweep.csv"
+        f.write_text("theta_deg,g2_direct,vx\n"
+                     "0,9.0,0.2\n"
+                     "22.5,4.0,0.3\n")
+        code, out, err = run(capsys, "estimate-loss", "--from-sweep", str(f),
+                             "--row", row)
+        assert code == 2
+        assert out == ""
+        assert f"sweep file has no row {row}" in err
 
     def test_from_sweep_missing_column_exit_2(self, capsys, tmp_path):
         f = tmp_path / "sweep.csv"

@@ -6,11 +6,9 @@ import pytest
 from wigg2 import counting, fock, kernels
 from wigg2.counting import (CountingConfig, CountingRecord,
                             bootstrap_g2_clicks, g2_estimate_clicks,
-                            g2_estimate_numbers, sample_photon_numbers,
                             simulate_hbt)
 from wigg2.errors import DomainError, InsufficientStatisticsError
 from wigg2.fock import photon_number_distribution
-from wigg2.moments import g2_gaussian
 from wigg2.states import (CovarianceMatrix, GaussianState, PhasePoint,
                           attenuate, coherent, displace, hwp_mix, overlap,
                           reduce_mode, squeezed_vacuum, squeezed_vacuum_with_mean_photon,
@@ -60,8 +58,7 @@ class TestConfig:
         lambda seed: bootstrap_g2_clicks(
             CountingRecord(100, 100, 5, 10_000,
                            CountingConfig(n_windows=10_000)), seed=seed),
-        lambda seed: sample_photon_numbers(thermal(0.1), 10, seed=seed),
-    ], ids=["bootstrap_g2_clicks", "sample_photon_numbers"])
+    ], ids=["bootstrap_g2_clicks"])
     @pytest.mark.parametrize("seed", [-1, 2**63, 1.5])
     def test_estimator_seed_out_of_range(self, call, seed):
         with pytest.raises(DomainError, match="seed"):
@@ -395,74 +392,3 @@ class TestClickErrorBars:
         ratio = float(boot.std(ddof=1)) / float(np.std(values, ddof=1))
         assert abs(ratio - 1.0) < 0.15, ratio
 
-
-class TestNumberEstimator:
-    def test_all_ones(self):
-        value, err = g2_estimate_numbers(np.ones(1000, dtype=int))
-        assert value == 0.0
-
-    def test_all_zero_error(self):
-        with pytest.raises(DomainError):
-            g2_estimate_numbers(np.zeros(100, dtype=int))
-
-    @pytest.mark.parametrize("state, n", [
-        (thermal(1.0), 100_000), (thermal(0.5), 10_000),
-        (coherent(math.sqrt(2.0), 0.0), 100_000), (thermal(0.01), 100_000),
-    ], ids=["thermal1", "thermal0.5", "coherent", "thermal0.01"])
-    def test_delta_error_matches_bootstrap(self, state, n):
-        # the delta-method error against the spread of a multinomial
-        # bootstrap of the empirical distribution, 2000 members
-        samples = sample_photon_numbers(state, n, seed=4)
-        counts = np.bincount(samples)
-        boot = np.random.default_rng(6).multinomial(
-            samples.size, counts / samples.size, size=2000)
-        k = np.arange(len(counts), dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = (boot @ (k * (k - 1.0))) * samples.size / (boot @ k) ** 2
-        ratios = ratios[np.isfinite(ratios)]
-        value, err = g2_estimate_numbers(samples)
-        assert value == pytest.approx(
-            np.dot(counts, k * (k - 1.0)) * n / np.dot(counts, k) ** 2,
-            rel=1e-12)
-        assert abs(err / ratios.std(ddof=1) - 1.0) < 0.1
-
-    @pytest.mark.parametrize("samples", [
-        [-1, 2, 3], [1.5, 2.5, 0.7], [1, math.nan, 2], [1, math.inf],
-        [2.0**53, 1], [[1, 2], [3, 4]], [],
-    ], ids=["negative", "fractional", "nan", "inf", "2**53", "2-D", "empty"])
-    def test_rejects_non_count_samples(self, samples):
-        with pytest.raises(DomainError, match="g2_estimate_numbers"):
-            g2_estimate_numbers(samples)
-
-    def test_float_integer_samples_accepted(self):
-        ints = sample_photon_numbers(thermal(0.3), 1_000, seed=9)
-        assert g2_estimate_numbers(ints.astype(float)) == \
-            g2_estimate_numbers(ints)
-
-    @pytest.mark.parametrize("n_samples", [-1, 2.5, "10"])
-    def test_rejects_n_samples(self, n_samples):
-        with pytest.raises(DomainError, match="n_samples"):
-            sample_photon_numbers(thermal(0.3), n_samples)
-
-    def test_thermal_converges(self):
-        s = sample_photon_numbers(thermal(1.0), 1_000_000, seed=23)
-        value, err = g2_estimate_numbers(s)
-        assert abs(value - 2.0) < 3 * err
-
-    def test_coherent_converges(self):
-        s = sample_photon_numbers(coherent(math.sqrt(2.0), 0.0), 1_000_000,
-                                  seed=29)
-        value, err = g2_estimate_numbers(s)
-        assert abs(value - 1.0) < 3 * err
-
-    def test_consistency_rate(self):
-        # error shrinks roughly as N^{-1/2} toward the analytic value
-        st = thermal(0.5)
-        target = g2_gaussian(st).value
-        errs = []
-        for n in (10_000, 100_000, 1_000_000):
-            s = sample_photon_numbers(st, n, seed=31)
-            value, err = g2_estimate_numbers(s)
-            assert abs(value - target) < 4 * err
-            errs.append(err)
-        assert errs[2] < errs[0] / 3

@@ -7,8 +7,8 @@ import pytest
 
 from wigg2.errors import DomainError
 from wigg2.states import (CovarianceMatrix, GaussianState, PhasePoint,
-                          TwoModeGaussianState, attenuate, coherent, displace,
-                          hwp_mix, marginal, overlap, purity, reduce_mode,
+                          attenuate, coherent, displace, hwp_mix, marginal,
+                          overlap, purity, reduce_mode,
                           rotated_variance, squeezed_vacuum,
                           squeezed_vacuum_with_mean_photon, thermal,
                           two_mode_squeezed_vacuum, vacuum, wigner_eval)
@@ -304,9 +304,3 @@ class TestSerialization:
         blob = json.dumps(st.to_dict())
         back = GaussianState.from_dict(json.loads(blob))
         assert back == st
-
-    def test_two_mode_roundtrip(self):
-        tb = hwp_mix(two_mode_squeezed_vacuum(0.3), 10.0)
-        back = TwoModeGaussianState.from_dict(tb.to_dict())
-        assert np.allclose(back.cov, tb.cov, atol=1e-15)
-        assert np.allclose(back.mean, tb.mean, atol=1e-15)

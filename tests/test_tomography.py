@@ -70,7 +70,7 @@ class TestSimulateHomodyne:
         with pytest.raises(DomainError):
             simulate_homodyne(vacuum(), [0.0], per_angle=1)
         with pytest.raises(DomainError):
-            HomodyneDataset(np.array([math.pi]), (np.zeros(10),), 0, 1.0)
+            HomodyneDataset(np.array([math.pi]), (np.zeros(10),))
 
 
 class TestInputValidation:
@@ -88,7 +88,7 @@ class TestInputValidation:
         # the dataset freezes a copy of the angles, never the caller's array
         angles = np.array(ANGLES12[:3])
         data = simulate_homodyne(vacuum(), angles, 10, seed=1)
-        HomodyneDataset(angles, data.samples, 0, 1.0)
+        HomodyneDataset(angles, data.samples)
         assert angles.flags.writeable
         assert not data.angles.flags.writeable
 
@@ -119,19 +119,19 @@ class TestInputValidation:
     def test_one_sample_per_angle(self):
         samples = tuple(np.array([0.1 * k]) for k in range(12))
         with pytest.raises(DomainError):
-            HomodyneDataset(ANGLES12, samples, 0, 1.0)
+            HomodyneDataset(ANGLES12, samples)
 
     def test_sample_arrays_must_match_angles(self):
         data = simulate_homodyne(thermal(1.0), ANGLES12, 100, seed=1)
         with pytest.raises(DomainError):
-            HomodyneDataset(ANGLES12, data.samples[:11], 0, 1.0)
+            HomodyneDataset(ANGLES12, data.samples[:11])
 
     def test_non_finite_samples(self):
         data = simulate_homodyne(thermal(1.0), ANGLES12[:3], 100, seed=1)
         bad = (data.samples[0], np.append(data.samples[1], np.nan),
                data.samples[2])
         with pytest.raises(DomainError):
-            HomodyneDataset(ANGLES12[:3], bad, 0, 1.0)
+            HomodyneDataset(ANGLES12[:3], bad)
 
 
 class TestEstimateCovariance:
@@ -324,7 +324,7 @@ class TestMomentSpaceBootstrap:
     def _check_member_law(samples, boot_seed):
         # with two orthogonal angles each member's (mx, mp, vxx, vpp) is
         # its (mean, variance) pair at angle 0 and at pi/2
-        data = HomodyneDataset(np.array([0.0, math.pi / 2]), samples, 0, 1.0)
+        data = HomodyneDataset(np.array([0.0, math.pi / 2]), samples)
         B = 20_000
         rec = estimate_covariance(data, n_boot=B, boot_seed=boot_seed)
         members = np.column_stack((rec.member_mean, rec.member_cov[:, :2]))
@@ -374,7 +374,7 @@ class TestMomentSpaceBootstrap:
         # member is NaN, and every one is guarded, as not valid or near
         # vacuum
         samples = tuple(np.full(50, value) for _ in ANGLES12)
-        data = HomodyneDataset(ANGLES12, samples, 0, 1.0)
+        data = HomodyneDataset(ANGLES12, samples)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rec = estimate_covariance(data, n_boot=20, boot_seed=1)
@@ -387,7 +387,7 @@ class TestMomentSpaceBootstrap:
     def test_one_constant_angle_gives_finite_members(self):
         full = simulate_homodyne(thermal(1.0), ANGLES12, 500, seed=7)
         samples = (np.zeros(500),) + full.samples[1:]
-        data = HomodyneDataset(ANGLES12, samples, 7, 1.0)
+        data = HomodyneDataset(ANGLES12, samples)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rec = estimate_covariance(data, n_boot=50, boot_seed=8)
@@ -493,7 +493,7 @@ def _oracle_data(n):
     their oracle laws."""
     rng = np.random.default_rng(n)
     samples = (rng.exponential(1.0, n) + 0.5, rng.uniform(-1.0, 2.0, n))
-    data = HomodyneDataset(np.array([0.0, math.pi / 2]), samples, 0, 1.0)
+    data = HomodyneDataset(np.array([0.0, math.pi / 2]), samples)
     return data, [_law_oracle(x) for x in samples]
 
 
