@@ -8,14 +8,20 @@ checksums is written beside each file output.  A manifest's params are
 the subcommand's options as parsed, with the state they built in place
 of the state flags, so identical manifests reproduce identical bytes.
 
-Exit codes: 0 success, 2 usage, 3 domain/guard error, 4 statistical
-instability.
+Exit codes: 0 success, 2 usage (a file that cannot be opened included),
+3 domain/guard error (a state file that is not a state included),
+4 statistical instability.
+
+The parser is built once per process, on the first `main` or
+`build_parser` call: parsing never mutates it, so every later `main`
+reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -49,12 +55,33 @@ _STATE_FLAGS = ("coherent", "thermal", "squeezed", "file", "attenuate")
 _NUMBER = "{:.12g}"     # every number a CSV holds: 12 significant digits
 
 
+class _Usage(Exception):
+    pass
+
+
 def _fmt(v: float) -> str:
     return _NUMBER.format(v)
 
 
+def _open(path: str, mode: str = "r", **kwargs):
+    """open(path, mode); a file that cannot be opened is a usage error."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        raise _Usage(f"cannot open {path}: {exc.strerror or exc}") from exc
+
+
+def _read_text(path: str) -> str:
+    """The text of an input file; one that is not text is a domain error."""
+    with _open(path) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path} is not text: {exc}") from exc
+
+
 def _write_text(path: str, text: str):
-    with open(path, "w", newline="\n") as fh:
+    with _open(path, "w", newline="\n") as fh:
         fh.write(text)
 
 
@@ -103,15 +130,14 @@ def _params(args, state: GaussianState | None = None) -> dict:
 def _load_config(path: str) -> dict:
     """Flat key=value file; '#' comments and blank lines ignored."""
     out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DomainError(f"config line not key=value: {line!r}")
-            k, v = line.split("=", 1)
-            out[k.strip().replace("-", "_")] = v.strip()
+    for line in _read_text(path).split("\n"):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DomainError(f"config line not key=value: {line!r}")
+        k, v = line.split("=", 1)
+        out[k.strip().replace("-", "_")] = v.strip()
     return out
 
 
@@ -184,15 +210,31 @@ def _state_from_args(args) -> GaussianState:
     elif args.squeezed is not None:
         state = squeezed_vacuum(*args.squeezed)
     else:
-        with open(args.file) as fh:
-            state = GaussianState.from_dict(json.load(fh))
+        state = _load_state(args.file)
     if args.attenuate is not None:
         state = attenuate(state, args.attenuate)
     return state
 
 
-class _Usage(Exception):
-    pass
+def _load_state(path: str) -> GaussianState:
+    """The state in a JSON file of GaussianState.to_dict's form: a file
+    that is not JSON, or lacks a 2-number mean or a 3-number cov, raises
+    DomainError naming it, and so does a mean or cov that is no state."""
+    text = _read_text(path)
+    try:
+        d = json.loads(text)
+    except ValueError as exc:
+        raise DomainError(f"state file {path} is not JSON: {exc}") from exc
+    if not (isinstance(d, dict) and all(
+            isinstance(d.get(key), list) and len(d[key]) == n
+            and all(type(v) in (int, float) for v in d[key])
+            for key, n in (("mean", 2), ("cov", 3)))):
+        raise DomainError(f"state file {path} needs a 2-number 'mean' and a "
+                          f"3-number 'cov' [vxx, vxp, vpp]")
+    try:
+        return GaussianState.from_dict(d)
+    except (DomainError, OverflowError) as exc:     # an int beyond floats
+        raise DomainError(f"state file {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +358,9 @@ def cmd_estimate_loss(args):
     if args.from_sweep:
         if args.g2 is not None or args.vx is not None:
             raise _Usage("--from-sweep conflicts with --g2/--vx")
-        with open(args.from_sweep) as fh:
-            table = [line.rstrip("\n").split(",") for line in fh
-                     if line.strip() and not line.startswith("#")]
+        table = [line.split(",")
+                 for line in _read_text(args.from_sweep).split("\n")
+                 if line.strip() and not line.startswith("#")]
         header = table[0] if table else []
         rows = table[1:]
         missing = [c for c in ("g2_direct", "vx") if c not in header]
@@ -353,7 +395,10 @@ def cmd_estimate_loss(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The wigg2 parser, one per process: callers share it, so none may
+    change it."""
     parser = argparse.ArgumentParser(
         prog="wigg2",
         description="g2(0) of Gaussian states from Wigner moments, with "

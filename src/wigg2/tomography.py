@@ -29,6 +29,7 @@ kernels.MEMBER_DRAWS, so a member does not depend on n_boot.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -139,9 +140,12 @@ def simulate_homodyne(
     _require_lo_range(angles, "simulate_homodyne")
     lossy = attenuate(state, eta_hd)
     h = (per_angle + 1) // 2
-    # a row of h pairs per angle, about kernels.CHUNK pairs a call: short
-    # rows share their retries, and long ones keep no temporaries beyond it
-    group = max(1, kernels.CHUNK // h)
+    # a row of h pairs per angle, up to 2 kernels.CHUNK pairs a call: each
+    # call pays its retry levels once, so a sweep row's 12 x 5k pairs are
+    # one call; rows of h >= CHUNK stay one call per angle, since a call
+    # over several long rows holds their index array and full-size retry
+    # temporaries at once
+    group = max(1, 2 * kernels.CHUNK // h)
     samples = []
     for k0 in range(0, len(angles), group):
         k1 = min(k0 + group, len(angles))
@@ -172,7 +176,14 @@ def _angle_maps(angles):
     (vxx, vpp, vxp) and from the means to (mx, mp): the least-squares
     solutions of the angle model.  An orthogonal pair of angles
     constrains vxp to 0; its design's vxp column is 0, and so is the
-    vxp row of its map."""
+    vxp row of its map.  The maps are read-only and kept per angle set,
+    keyed on the exact bytes of the angles (-0.0 is not 0.0)."""
+    return _maps_of(np.ascontiguousarray(angles, dtype=float).tobytes())
+
+
+@functools.lru_cache(maxsize=16)
+def _maps_of(key: bytes):
+    angles = np.frombuffer(key)
     c, s = np.cos(angles), np.sin(angles)
     distinct = np.unique(np.round(angles, 12))
     if distinct.size >= 3:
@@ -188,6 +199,8 @@ def _angle_maps(angles):
                 "use >= 3 distinct angles in general position")
     mean = _pinv(np.column_stack([c, s]), 2,
                  "angle set cannot determine the mean vector")
+    for a in (cov, mean):
+        a.setflags(write=False)
     return cov, mean
 
 

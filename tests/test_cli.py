@@ -425,6 +425,73 @@ class TestEstimateLoss:
         assert code == 2
 
 
+class TestOutsideFiles:
+    # a file the run cannot open, or a state file that holds no state,
+    # ended in a traceback with exit 1
+    @pytest.mark.parametrize("argv", [
+        ["estimate-loss", "--from-sweep", "<missing>"],
+        ["g2", "--file", "<missing>"],
+        ["g2", "--thermal", "1", "--config", "<missing>"],
+        ["fig1", "--out", "<missing>/f.csv"],
+    ], ids=["from-sweep", "state-file", "config", "out-dir"])
+    def test_cannot_open_exit_2(self, capsys, tmp_path, argv):
+        missing = str(tmp_path / "nope")
+        argv = [a.replace("<missing>", missing) for a in argv]
+        path = next(a for a in argv if a.startswith(missing))
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"usage error: cannot open {path}: ")
+
+    @pytest.mark.parametrize("text", [
+        "{}", "not json", '{"mean": [0, 0], "cov": [1]}',
+        '{"mean": [0, 0], "cov": [1%s, 0, 1]}' % ("0" * 400)],
+        ids=["empty-object", "not-json", "short-cov", "int-beyond-floats"])
+    def test_not_a_state_file_exit_3(self, capsys, tmp_path, text):
+        f = tmp_path / "state.json"
+        f.write_text(text)
+        code, _, err = run(capsys, "g2", "--file", str(f))
+        assert code == 3
+        assert err.startswith(f"error: state file {f}")
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--from-sweep", ["estimate-loss"]), ("--file", ["g2"]),
+        ("--config", ["g2", "--thermal", "1"])],
+        ids=["from-sweep", "state-file", "config"])
+    def test_not_text_exit_3(self, capsys, tmp_path, flag, argv):
+        f = tmp_path / "data.bin"
+        f.write_bytes(b"\xd0\xff\x00binary")
+        code, _, err = run(capsys, *argv, flag, str(f))
+        assert code == 3
+        assert err.startswith(f"error: {f} is not text: ")
+
+
+class TestReentrant:
+    def test_main_runs_alike_in_one_process(self, capsys, tmp_path):
+        # one parser serves every main call of a process: a config run
+        # and a usage error leave nothing behind for the next run
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("thetas = 0,22.5\nwindows = 2000\nper_angle = 200\n"
+                       "seed = 4\n")
+        runs = [
+            ["sweep", "--r", "0.4", "--config", str(cfg)],
+            ["sweep", "--r", "0.4", "--thetas", ","],
+            ["sweep", "--r", "0.3", "--thetas", "10", "--windows", "3000",
+             "--per-angle", "100"],
+        ]
+
+        def outputs(argv, out):
+            out = tmp_path / out
+            code = main([*argv, "--out", str(out)])
+            files = (out, tmp_path / f"{out.name}.manifest.json")
+            return code, capsys.readouterr(), [f.read_bytes() if f.exists()
+                                               else None for f in files]
+
+        in_turn = [outputs(argv, f"{i}.csv") for i, argv in enumerate(runs)]
+        assert [code for code, _, _ in in_turn] == [0, 2, 0]
+        for i, argv in enumerate(runs):
+            build_parser.cache_clear()
+            assert outputs(argv, f"{i}.csv") == in_turn[i]
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

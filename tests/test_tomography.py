@@ -178,6 +178,38 @@ class TestEstimateCovariance:
         with pytest.raises(IdentifiabilityError):
             estimate_covariance_from_moments([0.2, 0.9], ms, vs)
 
+    def test_angle_maps_are_read_only(self):
+        for a in _angle_maps(ANGLES12):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+
+    def test_angle_maps_kept_per_angle_set(self):
+        # one set of maps per exact angle bytes: an equal array is served
+        # the same maps, and -0.0, one ulp, or another set get their own
+        maps = _angle_maps(ANGLES12)
+        assert _angle_maps(ANGLES12.copy()) is maps
+        pos = np.array([0.0, 1.0, 2.0])
+        neg = np.array([-0.0, 1.0, 2.0])
+        pos_maps = _angle_maps(pos)
+        assert _angle_maps(neg) is not pos_maps
+        assert _angle_maps(neg) is _angle_maps(neg.copy())
+        for other in (np.nextafter(ANGLES12, 1.0), ANGLES12[:6], ANGLES12[::-1]):
+            got = _angle_maps(other)
+            want = tomography._maps_of.__wrapped__(other.tobytes())
+            assert got is not maps
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and np.array_equal(a, b)
+
+    def test_unidentifiable_set_raises_every_call(self):
+        # a failure is not kept: the same set raises again
+        for _ in range(3):
+            with pytest.raises(IdentifiabilityError):
+                _angle_maps(np.array([0.2, 0.9]))
+            with pytest.raises(IdentifiabilityError):
+                estimate_covariance_from_moments([0.2, 0.9], [0.0, 0.0],
+                                                 [1.0, 1.0])
+
     def test_statistical_recovery(self):
         st = squeezed_vacuum(0.5, 0.0)
         data = simulate_homodyne(st, ANGLES12, 100_000, 1.0, seed=5)
@@ -562,6 +594,49 @@ class TestStreamOracles:
         assert z.T.ravel().tolist() == pytest.approx(
             [c for w in want for c in w[:2]], rel=1e-12, abs=1e-15)
         assert {1, 2, 3, 4} <= {w[2] for w in want}
+
+    # (angles K, per_angle): K h pairs = 2C - 1 and 2C in one call; 2C + 1
+    # (a prime, so one angle of h = 2C + 1); 3 h = 2C + 2, split 2 + 1;
+    # h = C - 1, two angles a call; h = C + 1, one angle a call
+    GROUP_EDGES = [(3, 2 * 21845 - 1), (4, 2 * 16384), (1, 4 * CHUNK + 1),
+                   (3, 2 * 21846), (3, 2 * (CHUNK - 1)), (2, 2 * CHUNK + 1)]
+
+    @pytest.mark.parametrize("K, per_angle", GROUP_EDGES,
+                             ids=[f"K{k}-n{n}" for k, n in GROUP_EDGES])
+    def test_sample_groups_match_oracle(self, K, per_angle):
+        # however the angles are grouped into calls, angle k's samples
+        # are the pairs at stream indices k h .. k h + h - 1
+        seed = 2**63 - 1 - per_angle
+        angles = ANGLES12[:K]
+        state = displace(squeezed_vacuum(0.4, 0.3), 0.7, -0.4)
+        data = simulate_homodyne(state, angles, per_angle, 0.8, seed=seed)
+        h = (per_angle + 1) // 2
+        for k, theta in enumerate(angles):
+            m, v = marginal(attenuate(state, 0.8), theta)
+            z = np.array([_pair_oracle(seed, k * h + i, SAMPLE_DRAWS)[:2]
+                          for i in range(h)]).T.ravel()[:per_angle]
+            np.testing.assert_allclose(data.samples[k], m + math.sqrt(v) * z,
+                                       rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("K, per_angle", GROUP_EDGES,
+                             ids=[f"K{k}-n{n}" for k, n in GROUP_EDGES])
+    def test_sample_call_budget(self, monkeypatch, K, per_angle):
+        # up to 2 CHUNK pairs a call, whole angles only, and one angle a
+        # call once an angle holds CHUNK pairs or more
+        calls = []
+
+        def counted(seed, idx, draw=0):
+            if np.ndim(idx) == 2:       # not a retry, which recurses 1-D
+                calls.append(np.shape(idx))
+            return normal_pairs(seed, idx, draw)
+
+        monkeypatch.setattr(kernels, "normal_pairs", counted)
+        simulate_homodyne(thermal(1.0), ANGLES12[:K], per_angle, seed=1)
+        h = (per_angle + 1) // 2
+        group = 1 if h >= CHUNK else 2 * CHUNK // h
+        assert calls == [(min(group, K - k0), h)
+                         for k0 in range(0, K, group)]
+        assert all(math.prod(c) <= 2 * CHUNK for c in calls if c[0] > 1)
 
     @pytest.mark.parametrize("state, eta", [
         (vacuum(), 1.0), (thermal(2.0), 0.7),
