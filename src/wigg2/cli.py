@@ -142,13 +142,21 @@ def _load_config(path: str) -> dict:
 
 
 def _config_value(action: argparse.Action, key: str, text: str):
-    """Convert one config value with the option's own argparse type."""
+    """Convert one config value with the option's own argparse type; an
+    option of nargs N takes N whitespace-separated values."""
+    convert = action.type or str
     try:
         if action.nargs == 0:               # store_true flags
             if text.lower() not in ("1", "true", "yes", "0", "false", "no"):
                 raise ValueError("expected 1/true/yes or 0/false/no")
             return text.lower() in ("1", "true", "yes")
-        return (action.type or str)(text)
+        if action.nargs is None:
+            return convert(text)
+        tokens = text.split()
+        if len(tokens) != action.nargs:
+            raise ValueError(f"expected {action.nargs} values, got "
+                             f"{len(tokens)}")
+        return [convert(tok) for tok in tokens]
     except (TypeError, ValueError) as exc:
         raise DomainError(f"config value {key}={text!r}: {exc}") from exc
 
@@ -159,19 +167,23 @@ def _apply_config(args: argparse.Namespace, argv: list) -> argparse.Namespace:
     The subcommand's arguments are parsed again into a namespace that
     already holds the config values; argparse fills in a default only
     where the namespace has no value, so a config value replaces the
-    default but never a flag.  A key that names no option of the
-    subcommand raises DomainError."""
+    default but never a flag.  A state flag on the command line replaces
+    the config's state flag, whichever it is.  A key that names no option
+    of the subcommand raises DomainError."""
     if not getattr(args, "config", None):
         return args
     parser = args.subparser
     options = {a.dest: a for a in parser._actions
                if a.option_strings and a.dest not in ("help", "config")}
+    states = _STATE_FLAGS[:-1]
+    state_given = any(getattr(args, k, None) is not None for k in states)
     preset = argparse.Namespace(command=args.command)
     for k, v in _load_config(args.config).items():
         if k not in options:
             raise DomainError(f"config key {k!r} is not an option of "
                               f"'{args.command}'")
-        setattr(preset, k, _config_value(options[k], k, v))
+        if not (state_given and k in states):
+            setattr(preset, k, _config_value(options[k], k, v))
     rest = argv[argv.index(args.command) + 1:]
     return parser.parse_args(rest, namespace=preset)
 

@@ -44,8 +44,8 @@ import math
 import numpy as np
 
 from . import kernels
-from .errors import (DomainError, InsufficientStatisticsError, check_int,
-                     check_seed)
+from .errors import (DomainError, InsufficientStatisticsError, check_float,
+                     check_int, check_seed)
 # not called here: perfbench/selftest.py and the tests look up
 # counting.photon_number_distribution
 from .fock import PhotonNumberDistribution, photon_number_distribution
@@ -72,12 +72,9 @@ class CountingConfig:
         check_int(self.n_max, "CountingConfig: n_max", 0)
         check_int(self.workers, "CountingConfig: workers", 1)
         check_seed(self.seed, "CountingConfig")
-        if not 0.0 <= self.eta_det <= 1.0:
-            raise DomainError("CountingConfig: eta_det must be in [0, 1]")
-        if not 0.0 <= self.dark_prob < 1.0:
-            raise DomainError("CountingConfig: dark_prob must be in [0, 1)")
-        if not 0.0 < self.split < 1.0:
-            raise DomainError("CountingConfig: split must be in (0, 1)")
+        check_float(self.eta_det, "CountingConfig: eta_det", 0.0, 1.0, "[]")
+        check_float(self.dark_prob, "CountingConfig: dark_prob", 0.0, 1.0, "[)")
+        check_float(self.split, "CountingConfig: split", 0.0, 1.0)
 
 
 # CountingRecord's count fields, each with the name its refusal gives

@@ -1,9 +1,12 @@
 """Exception hierarchy shared across the package, the one check of
-integer arguments (float ranges are written `if not lo <= v <= hi`, which
-NaN fails) and the one conversion of array arguments.  Domain/guard
-errors map to CLI exit code 3, statistical-instability errors to exit
-code 4.
+integer arguments (`check_int`), the one check of real-valued arguments
+(`check_float`) and the one conversion of array arguments
+(`float_array`).  Domain/guard errors map to CLI exit code 3,
+statistical-instability errors to exit code 4.
 """
+
+import math
+import numbers
 
 import numpy as np
 
@@ -95,6 +98,20 @@ def check_seed(seed, what: str) -> None:
     if type(seed) is int and 0 <= seed < 2**63:
         return
     check_int(seed, f"{what}: seed", 0, 2**63 - 1)
+
+
+def check_float(value, what: str, lo=-math.inf, hi=math.inf, ends="()"):
+    """Raise DomainError unless value is a real number, never a bool, in
+    the interval lo..hi with ends "()" (the default: no +-inf), "[)", "(]"
+    or "[]".  NaN is in no interval; an exact float skips the type test."""
+    real = type(value) is float or (not isinstance(value, bool)
+                                    and isinstance(value, numbers.Real))
+    if (real and (lo < value or value == lo and ends[0] == "[")
+            and (value < hi or value == hi and ends[1] == "]")):
+        return
+    kind = "" if not real or -math.inf < value < math.inf else "non-finite "
+    raise DomainError(f"{what} must be a real number in {ends[0]}{lo}, "
+                      f"{hi}{ends[1]}, got {kind}{value!r}")
 
 
 def float_array(values, what: str) -> np.ndarray:

@@ -37,12 +37,12 @@ probabilities in closed form instead.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TruncationError, check_int
+from .errors import (DomainError, TruncationError, check_float, check_int,
+                     float_array)
 from .moments import DEFAULT_EPSILON, _guard_near_vacuum
 from .states import GaussianState, _check_physical
 
@@ -51,7 +51,8 @@ def fock_wigner(n: int, x, p):
     """Wigner function of the n-photon Fock state, by stable Laguerre
     recurrence.  Accepts scalars or arrays for (x, p)."""
     check_int(n, "fock_wigner: n", 0)
-    t = 2.0 * (np.asarray(x, dtype=float) ** 2 + np.asarray(p, dtype=float) ** 2)
+    t = 2.0 * (float_array(x, "fock_wigner: x") ** 2
+               + float_array(p, "fock_wigner: p") ** 2)
     lm1 = np.ones_like(t)
     if n == 0:
         ln = lm1
@@ -139,9 +140,7 @@ def photon_number_distribution(
     tail mass.
     """
     check_int(n_max, "photon_number_distribution: n_max", 0)
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0.0:
-        raise DomainError(f"photon_number_distribution: tol must be a number "
-                          f">= 0, got {tol!r}")
+    check_float(tol, "photon_number_distribution: tol", 0.0, math.inf, "[]")
     pure = _check_physical(state.cov, "photon_number_distribution")
     one_tau, cq, d, b = _husimi_form(state.cov)
     b = 0.0 if pure else max(b, 0.0)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (DomainError, InconsistentInputsError,
                      InsufficientStatisticsError, NotSqueezedError,
-                     float_array)
+                     check_float, float_array)
 
 ETA_TOLERANCE = 0.02
 
@@ -35,6 +35,7 @@ class LossInference:
 def infer_nw_pure(g2: float) -> float:
     """Symmetric mean photon number of the unattenuated squeezed vacuum
     from its (loss-immune) g2; requires g2 > 3."""
+    check_float(g2, "infer_nw_pure: g2", -math.inf, math.inf, "[]")
     if not g2 > 3.0:
         raise NotSqueezedError(
             f"g2 = {g2} is not in the squeezed-vacuum branch (requires g2 > 3)"
@@ -44,8 +45,7 @@ def infer_nw_pure(g2: float) -> float:
 
 def infer_pure_variance(nw_pure: float) -> float:
     """Squeezed root v <= 1/2 of nw = (v + 1/(4v))/2, nw finite."""
-    if not 0.5 <= nw_pure < math.inf:
-        raise DomainError(f"infer_pure_variance: need 1/2 <= nw < inf, got {nw_pure}")
+    check_float(nw_pure, "infer_pure_variance: nw_pure", 0.5, math.inf, "[)")
     # nw - sqrt(nw^2 - 1/4) in the conjugate form, with the root taken
     # as sqrt(nw - 1/2) sqrt(nw + 1/2): no step cancels or overflows
     return 0.25 / (nw_pure + math.sqrt(nw_pure - 0.5) * math.sqrt(nw_pure + 0.5))
@@ -55,8 +55,7 @@ def infer_loss(g2_measured: float, vx_measured: float) -> LossInference:
     """Combine a measured g2 (> 3) with a measured squeezed variance to
     infer the overall transmissivity eta."""
     nw = infer_nw_pure(g2_measured)
-    if not vx_measured > 0.0:
-        raise DomainError(f"infer_loss: vx_measured must be > 0, got {vx_measured}")
+    check_float(vx_measured, "infer_loss: vx_measured", 0.0, math.inf, "(]")
     if vx_measured >= 0.5:
         raise InconsistentInputsError(
             f"measured variance {vx_measured} is not squeezed (>= 1/2) "
@@ -84,8 +83,8 @@ def infer_loss_resampled(g2_draws, vx_draws, ci=(2.5, 97.5)):
     the formula's domain are skipped and counted.  Returns (eta_draws,
     (lo, hi), n_skipped) for the percentiles ci, 0 <= lo <= hi <= 100."""
     lo_q, hi_q = ci
-    if not 0.0 <= lo_q <= hi_q <= 100.0:
-        raise DomainError(f"infer_loss_resampled: ci={ci!r} not in [0, 100] in order")
+    check_float(lo_q, "infer_loss_resampled: ci[0]", 0.0, 100.0, "[]")
+    check_float(hi_q, "infer_loss_resampled: ci[1]", lo_q, 100.0, "[]")
     g2_draws = float_array(g2_draws, "infer_loss_resampled: g2_draws")
     vx_draws = float_array(vx_draws, "infer_loss_resampled: vx_draws")
     if g2_draws.ndim != 1 or g2_draws.shape != vx_draws.shape:

@@ -23,7 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, GridTooSmallError, NearVacuumError, check_int
+from .errors import (DomainError, GridTooSmallError, NearVacuumError,
+                     check_float, check_int)
 from .states import GaussianState, wigner_eval
 
 DEFAULT_EPSILON = 1e-9
@@ -48,9 +49,7 @@ class QuadratureGrid:
     nodes: int = 801
 
     def __post_init__(self):
-        if not 0.0 < self.half_width < math.inf:
-            raise DomainError(f"QuadratureGrid: need 0 < half_width < inf, "
-                              f"got {self.half_width!r}")
+        check_float(self.half_width, "QuadratureGrid: half_width", 0.0)
         check_int(self.nodes, "QuadratureGrid: nodes", 2)
 
 
@@ -104,17 +103,22 @@ def weyl_moments_numeric(
 
     The grid spans center +- half_width * sigma per axis.  The evaluator
     must integrate to 1 on the grid within norm_tol, otherwise a
-    GridTooSmallError reports the deficit.
+    GridTooSmallError reports the deficit; an evaluator that returns a
+    non-finite value raises DomainError.
     """
-    if not (0.0 < sigma < math.inf and np.isfinite(center).all()):
-        raise DomainError(f"weyl_moments_numeric: need a finite sigma > 0 and "
-                          f"center, got {sigma!r}, {center!r}")
+    check_float(sigma, "weyl_moments_numeric: sigma", 0.0)
+    for c in center:
+        check_float(c, "weyl_moments_numeric: center")
+    check_float(norm_tol, "weyl_moments_numeric: norm_tol", 0.0, math.inf, "[]")
     L = grid.half_width * sigma
     n = grid.nodes
     h = 2.0 * L / n
     axis = -L + h * (np.arange(n) + 0.5)
     X, P = np.meshgrid(center[0] + axis, center[1] + axis, indexing="ij")
     W = np.asarray(evaluator(X, P), dtype=float)
+    if not np.isfinite(W).all():
+        raise DomainError("weyl_moments_numeric: the evaluator returned "
+                          "non-finite values")
     cell = h * h
     mass = float(W.sum() * cell)
     if not abs(mass - 1.0) <= norm_tol:
@@ -147,12 +151,6 @@ def weyl_moments_numeric_state(
     )
 
 
-def _check_epsilon(epsilon) -> None:
-    # a NaN epsilon would switch the near-vacuum guard n < epsilon off
-    if not 0.0 <= epsilon < math.inf:
-        raise DomainError(f"epsilon must be in [0, inf), got {epsilon}")
-
-
 def _guard_near_vacuum(n, epsilon) -> None:
     """The near-vacuum guard: a mean photon number n below epsilon, or
     <= 0 whatever epsilon, raises NearVacuumError."""
@@ -169,7 +167,7 @@ def g2_from_moments(m: WeylMoments, epsilon: float = DEFAULT_EPSILON) -> G2Value
     NearVacuumError; a non-finite ratio raises DomainError, and so does
     an epsilon outside [0, inf), NaN included.
     """
-    _check_epsilon(epsilon)
+    check_float(epsilon, "g2_from_moments: epsilon", 0.0, math.inf, "[)")
     n = m.nw - 0.5
     _guard_near_vacuum(n, epsilon)
     value = (m.nw2 - 2.0 * m.nw + 0.5) / n / n
@@ -182,7 +180,7 @@ def g2_rows(x, p, vxx, vpp, vxp, epsilon: float = DEFAULT_EPSILON):
     """(g2(0), n = t/2, guarded) of states given as in _k_form, guarded
     where n < epsilon or t <= 0 (g2 then meaningless); DomainError if a t
     or an unguarded g2 is not finite, or epsilon is not in [0, inf)."""
-    _check_epsilon(epsilon)
+    check_float(epsilon, "g2_rows: epsilon", 0.0, math.inf, "[)")
     t, k2, q = _k_form(x, p, vxx, vpp, vxp, per_t=True)
     n = 0.5 * t
     guarded = (n < epsilon) | (t <= 0.0)
@@ -209,8 +207,7 @@ def fig1_table(n_grid: Sequence[float]):
     photon numbers: the three reference curves 1, 2 and 3 + 1/n."""
     rows = []
     for n in n_grid:
+        check_float(n, "fig1_table: n", 0.0)
         n = float(n)
-        if not 0.0 < n < math.inf:
-            raise DomainError(f"fig1_table: need 0 < n < inf, got n = {n}")
         rows.append((n, 1.0, 2.0, 3.0 + 1.0 / n))
     return rows

@@ -19,18 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_int
+from .errors import DomainError, check_float, check_int, float_array
 
 VACUUM_VARIANCE = 0.5
 
 # Guard for covariance inversion near degeneracy.
 _MIN_DET = 1e-300
-
-
-def _require_finite(name, *values):
-    for v in values:
-        if not math.isfinite(v):
-            raise DomainError(f"{name}: non-finite value {v!r}")
 
 
 def _positive_definite(vxx, vpp, vxp):
@@ -78,7 +72,8 @@ class PhasePoint:
     p: float
 
     def __post_init__(self):
-        _require_finite("PhasePoint", self.x, self.p)
+        check_float(self.x, "PhasePoint: x")
+        check_float(self.p, "PhasePoint: p")
 
 
 @dataclass(frozen=True)
@@ -96,7 +91,8 @@ class CovarianceMatrix:
     vxp: float = 0.0
 
     def __post_init__(self):
-        _require_finite("CovarianceMatrix", self.vxx, self.vpp, self.vxp)
+        for name in ("vxx", "vpp", "vxp"):
+            check_float(getattr(self, name), "CovarianceMatrix: " + name)
         if not _positive_definite(self.vxx, self.vpp, self.vxp):
             raise DomainError(
                 "covariance not positive definite, or its determinant "
@@ -146,14 +142,15 @@ def vacuum() -> GaussianState:
 
 def coherent(x0: float, p0: float) -> GaussianState:
     """Displaced vacuum: mean (x0, p0), vacuum covariance."""
+    check_float(x0, "coherent: x0")
+    check_float(p0, "coherent: p0")
     return GaussianState(PhasePoint(float(x0), float(p0)),
                          CovarianceMatrix(VACUUM_VARIANCE, VACUUM_VARIANCE))
 
 
 def thermal(nbar: float) -> GaussianState:
     """Thermal state with mean photon number nbar; isotropic variance nbar + 1/2."""
-    if not 0.0 <= nbar < math.inf:
-        raise DomainError(f"thermal: nbar must be finite and >= 0, got {nbar}")
+    check_float(nbar, "thermal: nbar", 0.0, math.inf, "[)")
     v = nbar + VACUUM_VARIANCE
     return GaussianState(PhasePoint(0.0, 0.0), CovarianceMatrix(v, v))
 
@@ -164,9 +161,8 @@ def squeezed_vacuum(s: float, angle: float = 0.0) -> GaussianState:
     s = e^{-r} in terms of the usual squeezing parameter r; the squeezed
     axis is rotated by `angle` (radians).  det V = 1/4 exactly.
     """
-    if not 0.0 < s < math.inf:
-        raise DomainError(f"squeezed_vacuum: s must be finite and > 0, got {s}")
-    _require_finite("squeezed_vacuum", angle)
+    check_float(s, "squeezed_vacuum: s", 0.0)
+    check_float(angle, "squeezed_vacuum: angle")
     a = s / 2.0
     b = 1.0 / (2.0 * s)
     c, sn = math.cos(angle), math.sin(angle)
@@ -178,8 +174,7 @@ def squeezed_vacuum(s: float, angle: float = 0.0) -> GaussianState:
 
 def squeezed_vacuum_with_mean_photon(n: float, angle: float = 0.0) -> GaussianState:
     """Pure squeezed vacuum with a given mean photon number n > 0."""
-    if not 0.0 < n < math.inf:
-        raise DomainError(f"squeezed_vacuum_with_mean_photon: n = {n} not in (0, inf)")
+    check_float(n, "squeezed_vacuum_with_mean_photon: n", 0.0)
     nw = n + VACUUM_VARIANCE
     # s = 2 nw - sqrt(4 nw^2 - 1) in the conjugate form, with
     # 4 nw^2 - 1 = 4 n (n + 1): no step cancels or overflows (< 2 ulp)
@@ -201,8 +196,8 @@ def wigner_eval(state: GaussianState, x, p):
     det = V.det
     if det < _MIN_DET:
         raise DomainError("covariance too close to singular for evaluation")
-    dx = np.asarray(x, dtype=float) - state.mean.x
-    dp = np.asarray(p, dtype=float) - state.mean.p
+    dx = float_array(x, "wigner_eval: x") - state.mean.x
+    dp = float_array(p, "wigner_eval: p") - state.mean.p
     # inverse of [[vxx, vxp], [vxp, vpp]]
     q = (V.vpp * dx * dx - 2.0 * V.vxp * dx * dp + V.vxx * dp * dp) / det
     out = np.exp(-0.5 * q) / (2.0 * math.pi * math.sqrt(det))
@@ -213,7 +208,7 @@ def wigner_eval(state: GaussianState, x, p):
 
 def rotated_variance(state: GaussianState, theta: float) -> float:
     """Variance of the rotated quadrature x_theta = x cos(theta) + p sin(theta)."""
-    _require_finite("rotated_variance", theta)
+    check_float(theta, "rotated_variance: theta")
     c, s = math.cos(theta), math.sin(theta)
     V = state.cov
     return V.vxx * c * c + V.vpp * s * s + V.vxp * math.sin(2.0 * theta)
@@ -221,7 +216,7 @@ def rotated_variance(state: GaussianState, theta: float) -> float:
 
 def marginal(state: GaussianState, theta: float):
     """1-D Gaussian parameters (mean, variance) of the x_theta marginal."""
-    _require_finite("marginal", theta)
+    check_float(theta, "marginal: theta")
     c, s = math.cos(theta), math.sin(theta)
     mean = state.mean.x * c + state.mean.p * s
     return mean, rotated_variance(state, theta)
@@ -229,6 +224,8 @@ def marginal(state: GaussianState, theta: float):
 
 def displace(state: GaussianState, dx: float, dp: float) -> GaussianState:
     """Shift the mean rigidly; covariance unchanged."""
+    check_float(dx, "displace: dx")
+    check_float(dp, "displace: dp")
     return GaussianState(PhasePoint(state.mean.x + dx, state.mean.p + dp),
                          state.cov)
 
@@ -236,8 +233,7 @@ def displace(state: GaussianState, dx: float, dp: float) -> GaussianState:
 def attenuate(state: GaussianState, eta: float) -> GaussianState:
     """Pure-loss channel with transmissivity eta: mean -> sqrt(eta) mean,
     V -> eta V + (1 - eta) I/2."""
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"attenuate: eta must be in [0, 1], got {eta}")
+    check_float(eta, "attenuate: eta", 0.0, 1.0, "[]")
     r = math.sqrt(eta)
     V = state.cov
     mix = (1.0 - eta) * VACUUM_VARIANCE
@@ -297,8 +293,7 @@ def two_mode_squeezed_vacuum(r: float) -> TwoModeGaussianState:
     Diagonal blocks cosh(2r)/2 * I, off-diagonal blocks
     sinh(2r)/2 * diag(1, -1); each reduced mode is thermal(sinh^2 r).
     """
-    if not 0.0 <= r < math.inf:
-        raise DomainError(f"two_mode_squeezed_vacuum: need 0 <= r < inf, got {r}")
+    check_float(r, "two_mode_squeezed_vacuum: r", 0.0, math.inf, "[)")
     try:
         ch = math.cosh(2.0 * r) / 2.0
         sh = math.sinh(2.0 * r) / 2.0
@@ -323,7 +318,7 @@ def hwp_mix(state: TwoModeGaussianState, theta_hwp_deg: float) -> TwoModeGaussia
     to the twin beam at theta = 22.5 deg yields squeezed vacua with
     variances (e^{-2r}/2, e^{2r}/2) on mode 1.
     """
-    _require_finite("hwp_mix", theta_hwp_deg)
+    check_float(theta_hwp_deg, "hwp_mix: theta_hwp_deg")
     t = math.radians(2.0 * theta_hwp_deg)
     c, s = math.cos(t), math.sin(t)
     S = np.array([

@@ -39,8 +39,8 @@ import numpy as np
 from . import kernels
 from .counting import CountingConfig, g2_estimate_clicks, simulate_hbt
 from .errors import (DomainError, IdentifiabilityError, NearVacuumError,
-                     UnstableInferenceError, check_int, check_seed,
-                     float_array)
+                     UnstableInferenceError, check_float, check_int,
+                     check_seed, float_array)
 from .moments import DEFAULT_EPSILON, g2_gaussian, g2_rows
 from .states import (VACUUM_VARIANCE, CovarianceMatrix, GaussianState,
                      PhasePoint, _positive_definite, attenuate, hwp_mix,
@@ -222,9 +222,8 @@ def project_physical(vxx: float, vpp: float, vxp: float) -> CovarianceMatrix:
     eigenbasis, and the axes hold det V exactly.  det V of three doubles
     is known to about eps (vxx vpp + vxp^2), so a rotated result where
     that exceeds 1e-9 of det V = 1/4 raises DomainError."""
-    if not all(map(math.isfinite, (vxx, vpp, vxp))):
-        raise DomainError("project_physical: vxx, vpp and vxp must be "
-                          f"finite, got ({vxx}, {vpp}, {vxp})")
+    for name, v in (("vxx", vxx), ("vpp", vpp), ("vxp", vxp)):
+        check_float(v, "project_physical: " + name)
     w, v = np.linalg.eigh([[vxx, vxp], [vxp, vpp]])
     w0, w1 = w.tolist()
     if w1 <= _EIG_TOL * max(abs(w0), w1):

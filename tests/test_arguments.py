@@ -1,12 +1,15 @@
 """One table of invalid arguments: every count, seed and range argument of
 the public API, each with the values it must refuse.  Counts and seeds
-are integers, never bool; NaN fails every range; and every refusal is a
+are integers, never bool; real-valued arguments are real numbers, never
+bool or a string; NaN fails every range; and every refusal is a
 DomainError (CLI exit 3).  The checks run before any arithmetic on the
 value, so no row may emit a RuntimeWarning either (CI runs this file
 with warnings as errors)."""
 
 import enum
 import math
+import numbers
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,12 +31,14 @@ from wigg2 import (CountingConfig, CountingRecord, CovarianceMatrix,
                    weyl_moments_numeric, weyl_moments_numeric_state,
                    wigner_eval)
 from wigg2.counting import bootstrap_g2_clicks
-from wigg2.errors import DomainError, check_int, check_seed
+from wigg2.errors import DomainError, check_float, check_int, check_seed
 from wigg2.tomography import project_physical
 
 NAN, INF = math.nan, math.inf
 # the values a count or seed must refuse, whatever its range
 NOT_INT = (NAN, INF, True, 2.5)
+# the values a real-valued argument must refuse, whatever its range
+NOT_FLOAT = ("0.5", None, True)
 ANGLES = [0.0, math.pi / 3, 2 * math.pi / 3]
 CFG = CountingConfig(n_windows=1000)
 REC = CountingRecord(100, 100, 5, 10_000, CFG)
@@ -76,64 +81,76 @@ def _sweep(field, wrap=lambda v: v):
 # (name, call taking the bad value, bad values)
 TABLE = [
     # states
-    ("PhasePoint.x", lambda v: PhasePoint(v, 0.0), (NAN, INF, -INF)),
+    ("PhasePoint.x", lambda v: PhasePoint(v, 0.0),
+     (NAN, INF, -INF, *NOT_FLOAT)),
     ("CovarianceMatrix.vxx", lambda v: CovarianceMatrix(v, 0.5),
-     (NAN, INF, -1)),
+     (NAN, INF, -1, *NOT_FLOAT)),
     ("CovarianceMatrix.vxp", lambda v: CovarianceMatrix(0.5, 0.5, v),
-     (NAN, INF)),
+     (NAN, INF, *NOT_FLOAT)),
     ("TwoModeGaussianState.mean",
      lambda v: TwoModeGaussianState(np.array([v, 0, 0, 0]), np.eye(4)),
      (NAN, INF)),
-    ("coherent.x0", lambda v: coherent(v, 0.0), (NAN, INF, -INF)),
-    ("displace.dp", lambda v: displace(vacuum(), 0.0, v), (NAN, INF)),
-    ("thermal.nbar", thermal, (NAN, INF, -INF, -1)),
-    ("squeezed_vacuum.s", squeezed_vacuum, (NAN, INF, -INF, -1, 0.0)),
+    ("coherent.x0", lambda v: coherent(v, 0.0),
+     (NAN, INF, -INF, *NOT_FLOAT)),
+    ("displace.dp", lambda v: displace(vacuum(), 0.0, v),
+     (NAN, INF, *NOT_FLOAT)),
+    ("thermal.nbar", thermal, (NAN, INF, -INF, -1, *NOT_FLOAT)),
+    ("squeezed_vacuum.s", squeezed_vacuum,
+     (NAN, INF, -INF, -1, 0.0, *NOT_FLOAT)),
     ("squeezed_vacuum.angle", lambda v: squeezed_vacuum(0.5, v),
-     (NAN, INF)),
+     (NAN, INF, *NOT_FLOAT)),
     ("squeezed_vacuum_with_mean_photon.n", squeezed_vacuum_with_mean_photon,
-     (NAN, INF, -INF, -1, 0.0, 1.7e308)),
+     (NAN, INF, -INF, -1, 0.0, 1.7e308, *NOT_FLOAT)),
     ("squeezed_vacuum_with_mean_photon.angle",
-     lambda v: squeezed_vacuum_with_mean_photon(1.0, v), (NAN, INF)),
+     lambda v: squeezed_vacuum_with_mean_photon(1.0, v),
+     (NAN, INF, *NOT_FLOAT)),
     ("two_mode_squeezed_vacuum.r", two_mode_squeezed_vacuum,
-     (NAN, INF, -INF, -1, 400.0)),
+     (NAN, INF, -INF, -1, 400.0, *NOT_FLOAT)),
     ("attenuate.eta", lambda v: attenuate(thermal(1.0), v),
-     (NAN, INF, -INF, -1, 2.5)),
+     (NAN, INF, -INF, -1, 2.5, *NOT_FLOAT)),
     ("rotated_variance.theta", lambda v: rotated_variance(thermal(1.0), v),
-     (NAN, INF)),
-    ("marginal.theta", lambda v: marginal(thermal(1.0), v), (NAN, -INF)),
-    ("hwp_mix.theta", lambda v: hwp_mix(TB, v), (NAN, INF)),
+     (NAN, INF, *NOT_FLOAT)),
+    ("marginal.theta", lambda v: marginal(thermal(1.0), v),
+     (NAN, -INF, *NOT_FLOAT)),
+    ("hwp_mix.theta", lambda v: hwp_mix(TB, v), (NAN, INF, *NOT_FLOAT)),
+    ("wigner_eval.x", lambda v: wigner_eval(vacuum(), v, 0.0),
+     ("a", *NOT_ARRAYS)),
+    ("wigner_eval.p", lambda v: wigner_eval(vacuum(), 0.0, v),
+     ("a", *NOT_ARRAYS)),
     ("reduce_mode.mode", lambda v: reduce_mode(TB, v),
      (*NOT_INT, -1, 0, 3, 1.0)),
     # moments
     ("QuadratureGrid.half_width", lambda v: QuadratureGrid(half_width=v),
-     (NAN, INF, -INF, -1, 0.0)),
+     (NAN, INF, -INF, -1, 0.0, *NOT_FLOAT)),
     ("QuadratureGrid.nodes", lambda v: QuadratureGrid(nodes=v),
      (*NOT_INT, -1, 1, 64.0)),
     ("weyl_moments_numeric_state.grid",
      lambda v: weyl_moments_numeric_state(thermal(1.0),
                                           QuadratureGrid(half_width=v)),
-     (NAN,)),
+     (NAN, *NOT_FLOAT)),
     ("weyl_moments_numeric.sigma",
      lambda v: weyl_moments_numeric(lambda x, p: wigner_eval(vacuum(), x, p),
                                     QuadratureGrid(nodes=64), sigma=v),
-     (NAN, INF, -1, 0.0)),
+     (NAN, INF, -1, 0.0, *NOT_FLOAT)),
     ("weyl_moments_numeric.center",
      lambda v: weyl_moments_numeric(lambda x, p: wigner_eval(vacuum(), x, p),
                                     QuadratureGrid(nodes=64), center=(0.0, v)),
-     (NAN, INF)),
+     (NAN, INF, *NOT_FLOAT)),
     ("weyl_moments_numeric.norm_tol",
      lambda v: weyl_moments_numeric(lambda x, p: wigner_eval(vacuum(), x, p),
                                     QuadratureGrid(nodes=64), norm_tol=v),
-     (NAN, -1)),
+     (NAN, -1, *NOT_FLOAT)),
     ("g2_from_moments.epsilon",
      lambda v: g2_from_moments(weyl_moments_analytic(FAINT), epsilon=v),
-     BAD_EPSILON),
+     (*BAD_EPSILON, *NOT_FLOAT)),
     ("g2_gaussian.epsilon", lambda v: g2_gaussian(FAINT, epsilon=v),
-     BAD_EPSILON),
+     (*BAD_EPSILON, *NOT_FLOAT)),
     ("fig1_table.n", lambda v: fig1_table([1.0, v]),
-     (NAN, INF, -INF, -1, 0.0)),
+     (NAN, INF, -INF, -1, 0.0, *NOT_FLOAT)),
     # fock
     ("fock_wigner.n", lambda v: fock_wigner(v, 0.0, 0.0), (*NOT_INT, -1)),
+    ("fock_wigner.x", lambda v: fock_wigner(1, v, 0.0), ("a", *NOT_ARRAYS)),
+    ("fock_wigner.p", lambda v: fock_wigner(1, 0.0, v), ("a", *NOT_ARRAYS)),
     ("PhotonNumberDistribution.n_max",
      lambda v: PhotonNumberDistribution(np.ones(2) / 2, v, 0.0),
      (*NOT_INT, -1)),
@@ -141,19 +158,22 @@ TABLE = [
      lambda v: photon_number_distribution(vacuum(), v), (*NOT_INT, -1)),
     ("photon_number_distribution.tol",
      lambda v: photon_number_distribution(vacuum(), 10, tol=v),
-     (NAN, -INF, -1, True)),
+     (NAN, -INF, -1, *NOT_FLOAT)),
     ("g2_from_pn.thermal_nbar",
      lambda v: g2_from_pn(photon_number_distribution(thermal(v), 4)),
-     (0.0, 1e-12)),
+     (0.0, 1e-12, *NOT_FLOAT)),
     # counting
     ("CountingConfig.n_windows", _config("n_windows"),
      (*NOT_INT, -1, 0, 2**32 + 1, 1e4)),
     ("CountingConfig.n_max", _config("n_max"), (*NOT_INT, -1)),
     ("CountingConfig.workers", _config("workers"), (*NOT_INT, -1, 0)),
     ("CountingConfig.seed", _config("seed"), (*NOT_INT, -1, 2**63)),
-    ("CountingConfig.eta_det", _config("eta_det"), (NAN, INF, -1, 2.5)),
-    ("CountingConfig.dark_prob", _config("dark_prob"), (NAN, INF, -1, 1.0)),
-    ("CountingConfig.split", _config("split"), (NAN, INF, -1, 0.0, 1.0)),
+    ("CountingConfig.eta_det", _config("eta_det"),
+     (NAN, INF, -1, 2.5, *NOT_FLOAT)),
+    ("CountingConfig.dark_prob", _config("dark_prob"),
+     (NAN, INF, -1, 1.0, *NOT_FLOAT)),
+    ("CountingConfig.split", _config("split"),
+     (NAN, INF, -1, 0.0, 1.0, *NOT_FLOAT)),
     ("CountingRecord.n1", _record("n1"), (*NOT_INT, -1, 11)),
     ("CountingRecord.nc", _record("nc"), (*NOT_INT, -1, 2)),
     ("CountingRecord.n_windows", _record("n_windows"), (*NOT_INT, -1, 1)),
@@ -188,7 +208,7 @@ TABLE = [
      lambda v: simulate_homodyne(vacuum(), ANGLES, v), (*NOT_INT, -1, 1)),
     ("simulate_homodyne.eta_hd",
      lambda v: simulate_homodyne(vacuum(), ANGLES, 100, eta_hd=v),
-     (NAN, INF, -1, 2.5)),
+     (NAN, INF, -1, 2.5, *NOT_FLOAT)),
     ("simulate_homodyne.seed",
      lambda v: simulate_homodyne(vacuum(), ANGLES, 100, seed=v),
      (*NOT_INT, -1, 2**63)),
@@ -210,11 +230,11 @@ TABLE = [
      lambda v: estimate_covariance_from_moments(ANGLES, [0.0] * 3, v),
      ([0.5] * 2, [0.5] * 4, [[0.5] * 3], 0.5, *NOT_ARRAYS)),
     ("project_physical.vxx", lambda v: project_physical(v, 1.0, 0.0),
-     (NAN, INF, -INF)),
+     (NAN, INF, -INF, *NOT_FLOAT)),
     ("project_physical.vpp", lambda v: project_physical(1.0, v, 0.0),
-     (NAN, INF, -INF)),
+     (NAN, INF, -INF, *NOT_FLOAT)),
     ("project_physical.vxp", lambda v: project_physical(1.0, 1.0, v),
-     (NAN, INF, -INF)),
+     (NAN, INF, -INF, *NOT_FLOAT)),
     ("fit_sweep_model.points",
      lambda v: fit_sweep_model([(0.0, 2.0), (10.0, v), (20.0, 3.0)]),
      (NAN, INF)),
@@ -223,19 +243,23 @@ TABLE = [
       [(0.0, 2.0), (10.0,), (20.0, 3.0)])),
     ("g2_from_reconstruction.epsilon",
      lambda v: g2_from_reconstruction(estimate_covariance(DATA), epsilon=v),
-     BAD_EPSILON),
-    ("hwp_sweep.r", _sweep("r"), (NAN, INF, -1)),
-    ("hwp_sweep.thetas_deg", _sweep("thetas_deg", lambda v: [v]), (NAN, INF)),
+     (*BAD_EPSILON, *NOT_FLOAT)),
+    ("hwp_sweep.r", _sweep("r"), (NAN, INF, -1, *NOT_FLOAT)),
+    ("hwp_sweep.thetas_deg", _sweep("thetas_deg", lambda v: [v]),
+     (NAN, INF, *NOT_FLOAT)),
     ("hwp_sweep.per_angle", _sweep("per_angle"), (*NOT_INT, -1, 1)),
     ("hwp_sweep.seed", _sweep("seed"), (*NOT_INT, -1, 2**63)),
     # loss
-    ("infer_nw_pure.g2", infer_nw_pure, (NAN, -INF, -1, 2.5)),
-    ("infer_pure_variance.nw", infer_pure_variance, (NAN, INF, -INF, -1)),
-    ("infer_loss.g2", lambda v: infer_loss(v, 0.3), (NAN, -1)),
-    ("infer_loss.vx", lambda v: infer_loss(4.0, v), (NAN, INF, -1, 0.0)),
+    ("infer_nw_pure.g2", infer_nw_pure, (NAN, -INF, -1, 2.5, *NOT_FLOAT)),
+    ("infer_pure_variance.nw", infer_pure_variance,
+     (NAN, INF, -INF, -1, *NOT_FLOAT)),
+    ("infer_loss.g2", lambda v: infer_loss(v, 0.3), (NAN, -1, *NOT_FLOAT)),
+    ("infer_loss.vx", lambda v: infer_loss(4.0, v),
+     (NAN, INF, -1, 0.0, *NOT_FLOAT)),
     ("infer_loss_resampled.ci",
      lambda v: infer_loss_resampled([4.0] * 3, [0.3] * 3, ci=v),
-     ((NAN, 97.5), (2.5, NAN), (-1, 97.5), (2.5, 101.0), (97.5, 2.5))),
+     ((NAN, 97.5), (2.5, NAN), (-1, 97.5), (2.5, 101.0), (97.5, 2.5),
+      *((v, 97.5) for v in NOT_FLOAT), *((2.5, v) for v in NOT_FLOAT))),
     ("infer_loss_resampled.g2_draws",
      lambda v: infer_loss_resampled(v, [0.3] * 3),
      ([4.0] * 5, [4.0] * 2, [[4.0] * 3], 4.0, *NOT_ARRAYS)),
@@ -392,3 +416,64 @@ def test_check_seed_fast_path_matches_full_test():
         assert (_outcome(check_seed, v, "f")
                 == _outcome(_check_int_oracle, v, "f: seed", 0, 2**63 - 1)
                 ), repr(v)
+
+
+# check_float takes no type test for an exact float; every other value
+# takes the full test.  A frozen copy of that test is the oracle.
+
+
+def _check_float_oracle(value, what, lo=-math.inf, hi=math.inf, ends="()"):
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (lo < value or value == lo and ends[0] == "[")
+            or not (value < hi or value == hi and ends[1] == "]")):
+        real = not isinstance(value, bool) and isinstance(value, numbers.Real)
+        kind = "" if not real or -math.inf < value < math.inf else "non-finite "
+        raise DomainError(f"{what} must be a real number in {ends[0]}{lo}, "
+                          f"{hi}{ends[1]}, got {kind}{value!r}")
+
+
+# values whatever the interval: signed zeros, infinities, NaN, numpy and
+# exact reals, and values that are not real numbers
+ANY_REAL = (0.0, -0.0, 0.5, INF, -INF, NAN, np.float64(0.5), np.float64(NAN),
+            np.float32(0.5), np.float32(INF), 0, 1, Fraction(1, 2),
+            Fraction(1, 3), True, False, np.True_, "0.5", None, 1j)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 0.0), (0.5, 100.0),
+                                    (0.0, INF), (-INF, INF), (-INF, 0.0)])
+@pytest.mark.parametrize("ends", ["()", "[)", "(]", "[]"])
+def test_check_float_fast_path_matches_full_test(lo, hi, ends):
+    values = list(ANY_REAL)
+    for end in (lo, hi):
+        values += [end, np.float64(end), np.float32(end),
+                   math.nextafter(end, -INF), math.nextafter(end, INF)]
+    for v in values:
+        assert (_outcome(check_float, v, "f: x", lo, hi, ends)
+                == _outcome(_check_float_oracle, v, "f: x", lo, hi, ends)
+                ), repr(v)
+
+
+@pytest.mark.parametrize("ends, accepted", [
+    ("()", (0.5,)), ("[)", (0.0, 0.5)), ("(]", (0.5, 1.0)),
+    ("[]", (0.0, 0.5, 1.0))])
+def test_check_float_ends(ends, accepted):
+    # each end is open or closed as written, for exact floats and others
+    for v in (-0.5, 0.0, 0.5, 1.0, 1.5):
+        for x in (v, np.float64(v), Fraction(v)):
+            assert (_outcome(check_float, x, "f: x", 0.0, 1.0, ends)
+                    is None) == (v in accepted), (ends, repr(x))
+    # the default interval is (-inf, inf): every finite real, no infinity
+    assert _outcome(check_float, -1e308, "f: x") is None
+    for v in (INF, -INF, NAN):
+        assert "non-finite" in _outcome(check_float, v, "f: x")
+
+
+def test_check_float_names_the_argument():
+    assert _outcome(check_float, "0.5", "thermal: nbar", 0.0, INF, "[)") == (
+        "thermal: nbar must be a real number in [0.0, inf), got '0.5'")
+    assert _outcome(check_float, True, "f: x") == (
+        "f: x must be a real number in (-inf, inf), got True")
+    assert _outcome(check_float, NAN, "f: x", 0.0, 1.0, "[]") == (
+        "f: x must be a real number in [0.0, 1.0], got non-finite nan")
+    assert _outcome(check_float, -1.0, "f: x", 0.0, 1.0, "[]") == (
+        "f: x must be a real number in [0.0, 1.0], got -1.0")

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from wigg2 import __version__
+from wigg2 import __version__, coherent
 from wigg2.cli import build_parser, main
 
 # exit codes: 0 ok, 2 usage, 3 domain, 4 statistical instability
@@ -531,6 +531,42 @@ class TestConfigFile:
                            "--windows", "1000", "--config", str(cfg))
         assert code == 3
         assert "windwos" in err
+
+    @pytest.mark.parametrize("line, flags", [
+        ("squeezed = 0.5 0", ["--squeezed", "0.5", "0"]),
+        ("coherent=1  2", ["--coherent", "1", "2"])])
+    def test_two_value_option(self, capsys, tmp_path, line, flags):
+        # an option of two values takes two whitespace-separated tokens
+        cfg = tmp_path / "state.cfg"
+        cfg.write_text(line + "\n")
+        code, out_cfg, _ = run(capsys, "g2", "--config", str(cfg))
+        assert code == 0
+        assert out_cfg == run(capsys, "g2", *flags)[1]
+
+    @pytest.mark.parametrize("value", ["0.5", "0.5 0 1", "0.5 x", ""])
+    def test_two_value_option_bad_tokens_exit_3(self, capsys, tmp_path, value):
+        cfg = tmp_path / "state.cfg"
+        cfg.write_text(f"squeezed = {value}\n")
+        code, _, err = run(capsys, "g2", "--config", str(cfg))
+        assert code == 3
+        assert "squeezed" in err
+
+    def test_state_flag_beats_config_state(self, capsys, tmp_path):
+        cfg = tmp_path / "th.cfg"
+        cfg.write_text("thermal = 1\n")
+        code, out, _ = run(capsys, "g2", "--config", str(cfg),
+                           "--coherent", "1", "2")
+        assert code == 0
+        assert out == run(capsys, "g2", "--coherent", "1", "2")[1]
+        # alone, the config's state is the state
+        assert run(capsys, "g2", "--config", str(cfg))[1] == \
+            run(capsys, "g2", "--thermal", "1")[1]
+        # and the manifest records the command line's state
+        out = tmp_path / "p.csv"
+        assert main(["pn", "--config", str(cfg), "--coherent", "1", "2",
+                     "--n-max", "40", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "p.csv.manifest.json").read_text())
+        assert manifest["params"]["state"] == coherent(1, 2).to_dict()
 
     @pytest.mark.parametrize("command", ["count", "sweep"])
     @pytest.mark.parametrize("key", ["workers", "n_max"])

@@ -164,6 +164,19 @@ class TestNumericMoments:
                                  QuadratureGrid(half_width=2.0, nodes=128))
         assert exc.value.deficit is not None
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_evaluator_is_not_a_small_grid(self, bad):
+        # no grid makes a NaN or infinite W integrate to 1: a larger one
+        # would not help, so the refusal is not a GridTooSmallError
+        def evaluator(x, p):
+            w = wigner_eval(vacuum(), x, p)
+            w[0, 0] = bad
+            return w
+        for ev in (evaluator, lambda x, p: np.full_like(x, bad)):
+            with pytest.raises(DomainError, match="non-finite") as exc:
+                weyl_moments_numeric(ev, QuadratureGrid(nodes=64))
+            assert not isinstance(exc.value, GridTooSmallError)
+
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             QuadratureGrid(half_width=-1.0)
